@@ -34,6 +34,7 @@ stored state.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -177,15 +178,32 @@ class CheckpointFile:
         self.path = Path(path)
 
     def load(self) -> dict[int, dict[int, tuple[float, float]]]:
+        """Stored states by t, then k.
+
+        A final line without its newline or without four fields is what a
+        crash mid-append leaves behind: it is cut from the file, so the
+        resumed run recomputes that stride and appends it whole.  A
+        malformed line anywhere else raises with its line number.
+        """
         states: dict[int, dict[int, tuple[float, float]]] = {}
         if not self.path.exists():
             return states
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
+        data = self.path.read_bytes()
+        lines = data.splitlines(keepends=True)
+        if lines and (not lines[-1].endswith(b"\n") or len(lines[-1].split()) != 4):
+            os.truncate(self.path, len(data) - len(lines.pop()))
+        for number, raw in enumerate(lines, start=1):
+            fields = raw.split()
+            if not fields:
                 continue
-            t_s, k_s, lo_s, hi_s = line.split()
-            states.setdefault(int(t_s), {})[int(k_s)] = (float(lo_s), float(hi_s))
+            try:
+                t_s, k_s, lo_s, hi_s = fields
+                state = (float(lo_s), float(hi_s))
+                states.setdefault(int(t_s), {})[int(k_s)] = state
+            except ValueError:
+                text = raw.decode(errors="replace").strip()
+                raise ValueError(f"malformed checkpoint line {number} in "
+                                 f"{self.path}: {text!r}") from None
         return states
 
     def states_for(self, t: int) -> dict[int, tuple[float, float]]:

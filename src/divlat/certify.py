@@ -74,6 +74,19 @@ def exact_exponent(q) -> Fraction:
     return Fraction(q)
 
 
+def iv_exact(v) -> "iv.mpf":
+    """Enclosure of v at the active precision.
+
+    int and Fraction values are enclosed from their exact numerator and
+    denominator, never rounded through float first.
+    """
+    if isinstance(v, Fraction):
+        return iv.mpf(v.numerator) / v.denominator
+    if isinstance(v, int):
+        return iv.mpf(v)
+    return iv.mpf(float(v))
+
+
 def int_vs_pow2(m: int, q) -> int:
     """Certified sign of m - 2^q for an integer m >= 0.
 
@@ -93,7 +106,7 @@ def int_vs_pow2(m: int, q) -> int:
     def decide(prec: int) -> Optional[int]:
         with iv_prec(prec):
             lhs = iv.log(iv.mpf(m)) / iv.log(iv.mpf(2))
-            rhs = iv.mpf(qe.numerator) / qe.denominator
+            rhs = iv_exact(qe)
             if (lhs > rhs) is True:
                 return 1
             if (lhs < rhs) is True:
@@ -125,7 +138,7 @@ def scaled_le(lhs: int, q, rhs: int) -> bool:
         with iv_prec(prec):
             ln2 = iv.log(iv.mpf(2))
             gap = iv.log(iv.mpf(rhs)) / ln2 - iv.log(iv.mpf(lhs)) / ln2
-            qq = iv.mpf(qe.numerator) / qe.denominator
+            qq = iv_exact(qe)
             if (gap > qq) is True:
                 return True
             if (gap < qq) is True:
@@ -146,7 +159,7 @@ def fraction_le_enclosure(x: Fraction, make_interval: Callable[[int], "iv.mpf"],
     def decide(prec: int) -> Optional[bool]:
         with iv_prec(prec):
             y = make_interval(prec)
-            xq = iv.mpf(x.numerator) / x.denominator
+            xq = iv_exact(x)
             if (xq <= iv.mpf(y.a)) is True:
                 return True
             if (xq > iv.mpf(y.b)) is True:

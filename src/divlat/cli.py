@@ -3,7 +3,9 @@
 Every command prints one JSON report on stdout (keys: command, inputs,
 results, status, timing_seconds) and a human summary on stderr; --csv
 switches the tabular stderr sections to CSV.  Exit code 0 means
-status == "pass"; capacity and inconclusive outcomes exit nonzero.
+status == "pass"; capacity and inconclusive outcomes exit nonzero.  An
+error report keeps the parsed inputs and names its results.error_kind:
+capacity, domain, argument or inconclusive.
 
 Environment: DIVLAT_SIEVE_LIMIT caps how far commands will sieve
 (default 80,000,000).
@@ -444,15 +446,28 @@ _COMMANDS = {
 }
 
 
+def _error_kind(exc: Exception) -> str:
+    """Which of the failure modes in divlat.errors `exc` is."""
+    if isinstance(exc, InconclusiveError):
+        return "inconclusive"
+    if isinstance(exc, CapacityError):
+        return "capacity"
+    if isinstance(exc, DomainError):
+        return "domain"
+    return "argument"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         return _COMMANDS[args.command](args)
-    except InconclusiveError as exc:
-        return _emit(args.command, {}, {"error": str(exc)}, "inconclusive", t0)
-    except (CapacityError, DomainError, ValueError) as exc:
-        return _emit(args.command, {}, {"error": str(exc)}, "fail", t0)
+    except (InconclusiveError, CapacityError, ValueError) as exc:
+        kind = _error_kind(exc)
+        inputs = {k: v for k, v in vars(args).items() if k != "command"}
+        status = "inconclusive" if kind == "inconclusive" else "fail"
+        return _emit(args.command, inputs, {"error": str(exc), "error_kind": kind},
+                     status, t0)
 
 
 if __name__ == "__main__":

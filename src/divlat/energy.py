@@ -32,7 +32,7 @@ from itertools import accumulate, permutations, product
 import numpy as np
 from mpmath import iv
 
-from .certify import DEFAULT_PREC, PREC_CEILING, iv_prec
+from .certify import DEFAULT_PREC, PREC_CEILING, iv_exact, iv_prec
 from .core import Factorization, binomial, divisors_sorted, eulerian, factorize
 from .errors import CapacityError, InconclusiveError
 from .reports import BoundReport, CampaignResult
@@ -521,7 +521,8 @@ def vandermonde_positivity(u, x, prec: int = DEFAULT_PREC) -> BoundReport:
     Strictly positive for 0 <= u_1 < ... < u_l and 0 < x_1 < ... < x_l.
     Integer exponents with rational nodes go through exact fraction-free
     elimination; anything else through interval arithmetic with
-    escalation (InconclusiveError at the ceiling).
+    escalation (InconclusiveError at the ceiling), where int and Fraction
+    entries are enclosed exactly rather than rounded to float.
     """
     ell = len(u)
     if ell == 0 or len(x) != ell:
@@ -557,7 +558,7 @@ def vandermonde_positivity(u, x, prec: int = DEFAULT_PREC) -> BoundReport:
     level = prec
     while level <= PREC_CEILING:
         with iv_prec(level):
-            entries = [[iv.exp(iv.log(iv.mpf(float(xi))) * iv.mpf(float(uj))) for uj in u]
+            entries = [[iv.exp(iv.log(iv_exact(xi)) * iv_exact(uj)) for uj in u]
                        for xi in x]
             det = iv.mpf(0)
             for perm in permutations(range(ell)):

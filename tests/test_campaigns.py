@@ -181,6 +181,27 @@ def test_checkpoint_roundtrip_and_resume(tmp_path, medium_table):
     assert len(path.read_text().splitlines()) == 2  # no duplicate lines
 
 
+def test_checkpoint_torn_final_line_is_recomputed(tmp_path, medium_table):
+    path = tmp_path / "camp.ckpt"
+    whole = verify_c_hard(2, 250_000, medium_table, checkpoint=path)
+    written = path.read_text()
+    path.write_text(written[:len(written) - 12])  # crash in the middle of line 2
+    resumed = verify_c_hard(2, 250_000, medium_table, checkpoint=path)
+
+    def untimed(result):
+        return {k: v for k, v in result.to_jsonable().items() if k != "wall_time"}
+
+    assert untimed(resumed) == untimed(whole)
+    assert path.read_text() == written
+
+
+def test_checkpoint_malformed_line_raises(tmp_path):
+    path = tmp_path / "camp.ckpt"
+    path.write_text("2 100000 1.5\n2 200000 1.0 2.0\n")
+    with pytest.raises(ValueError, match="malformed checkpoint line 1 in "):
+        CheckpointFile(path).load()
+
+
 def test_checkpoint_mismatch_detected(tmp_path, medium_table):
     path = tmp_path / "camp.ckpt"
     CheckpointFile(path).append(2, 100_000, 1.0, 2.0)  # bogus state

@@ -2,7 +2,8 @@
 
 import json
 
-from divlat import campaigns, cli
+from divlat import campaigns, cli, moments
+from divlat.errors import InconclusiveError
 
 REPORT_KEYS = {"command", "inputs", "results", "status", "timing_seconds"}
 
@@ -64,6 +65,20 @@ def test_moments_rejects_theorem_flags_on_nonsquarefree(capsys):
     assert code == 1
     assert report["status"] == "fail"
     assert "squarefree" in report["results"]["error"]
+    assert report["inputs"]["n"] == 12 and report["inputs"]["all_checks"] is True
+    assert "command" not in report["inputs"]
+    assert report["results"]["error_kind"] == "argument"
+
+
+def test_inconclusive_report_keeps_inputs(capsys, monkeypatch):
+    def undecided(*args, **kwargs):
+        raise InconclusiveError("undecidable at the ceiling")
+
+    monkeypatch.setattr(moments, "chain_check", undecided)
+    code, report, _ = run_cli(capsys, "moments", "--n", "30", "--t", "2", "--all-checks")
+    assert code == 2 and report["status"] == "inconclusive"
+    assert report["inputs"]["n"] == 30 and report["inputs"]["t"] == 2
+    assert report["results"]["error_kind"] == "inconclusive"
 
 
 def test_energy_single(capsys):
@@ -136,6 +151,8 @@ def test_sieve_ceiling_env(capsys, monkeypatch):
     code, report, _ = run_cli(capsys, "rosser", "--k-max", "100000")
     assert code == 1 and report["status"] == "fail"
     assert "DIVLAT_SIEVE_LIMIT" in report["results"]["error"]
+    assert report["results"]["error_kind"] == "capacity"
+    assert report["inputs"]["k_max"] == 100000
 
 
 def test_rosser_cli(capsys):

@@ -280,3 +280,10 @@ def test_vandermonde_interval_path():
     rep = vandermonde_positivity([0.0, 0.5, 1.5], [1.0, 2.0, 3.5])
     assert rep.holds
     assert rep.context["method"].startswith("interval")
+
+
+def test_vandermonde_interval_path_keeps_exact_nodes():
+    # as floats both nodes are 1/3 and the determinant collapses to 0
+    rep = vandermonde_positivity([Fraction(1, 2), 1],
+                                 [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 20)])
+    assert rep.holds and rep.context["method"] == "interval-128bit"

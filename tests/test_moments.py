@@ -109,6 +109,14 @@ def test_tau_trunc_and_D():
     assert rep.holds and rep.bound_value == 7  # C(3,0)+C(3,1)+C(3,2)
 
 
+def test_max_omega_D_matches_scan():
+    """The prefix-maximum lookup against a scan of divisor_omega."""
+    for n in range(1, 2001):
+        p = divisor_profile(n)
+        for z in (*p.divisors, *(d + 0.5 for d in p.divisors), n + 10):
+            assert max_omega_D(p, z) == max(p.divisor_omega[:tau_trunc(p, z)]), (n, z)
+
+
 def test_envelope():
     rep = pe_envelope_check(divisor_profile(30), 6)
     assert rep.holds
@@ -117,6 +125,19 @@ def test_envelope():
     assert rep2.holds and rep2.context["lower"] == 0 and rep2.context["upper"] == 1
     with pytest.raises(ValueError):
         pe_envelope_check(divisor_profile(1), 1)
+
+
+def test_envelope_matches_uncached_binomials():
+    p = divisor_profile(primorial(10))
+    om = p.omega
+    for z in p.divisors:
+        d = max(p.divisor_omega[:tau_trunc(p, z)])
+        rep = pe_envelope_check(p, z)
+        assert rep.context["D"] == d
+        assert rep.context["upper"] == max(math.comb(om - 1, j) for j in range(0, d + 1, 2))
+        assert rep.context["lower"] == -max((math.comb(om - 1, j) for j in range(1, d + 1, 2)),
+                                            default=0)
+        assert rep.holds
 
 
 def test_envelope_exhaustive_small():
