@@ -18,10 +18,10 @@ Verification strategy (never a false pass):
    an i*u*sum budget, and the carried sum is Neumaier-compensated with
    an analytic 4u*|sum| allowance;
 2. every k whose margin enclosure straddles zero is re-evaluated with
-   mpmath interval arithmetic at the working precision (default 128
-   bits), doubling up to a ceiling;
-3. a comparison still undecided at the ceiling raises
-   InconclusiveError.
+   mpmath interval arithmetic by `certify.escalate`: at the working
+   precision (default 128 bits), then doubling up to a ceiling;
+3. k still undecided at the ceiling make `certify.escalate` raise
+   InconclusiveError, naming t, their count and the first of them.
 
 The accumulator enclosure is checkpointed every 10^5 values of k as a
 line `t k log_sum_lo log_sum_hi` in plain decimal.  Runs are
@@ -43,9 +43,9 @@ import numpy as np
 from mpmath import iv
 from mpmath.libmp import to_str as _mpf_to_str
 
-from .certify import DEFAULT_PREC, PREC_CEILING, iv_prec
+from .certify import DEFAULT_PREC, escalate, iv_prec
 from .core import PrimeTable, _ensure_small_primes
-from .errors import CapacityError, InconclusiveError
+from .errors import CapacityError
 from .reports import BoundReport, CampaignResult
 
 #: per-t campaign thresholds for the hard inequality; t in 8..99 uses 8
@@ -250,21 +250,26 @@ def _hard_rhs_iv(t: int, k: int, c):
     return rhs
 
 
-def eta_log_enclosures(t: int, ks: list[int], table: PrimeTable) -> dict[int, "iv.mpf"]:
-    """Interval enclosures of log_sum(t, k) at the requested ks.
+def log_eta_sums(primes, t, ks) -> dict[int, "iv.mpf"]:
+    """Enclosures of sum_{j<=k} log(1 + primes[j-1]^(-1/t)) at each k in ks.
 
-    Must run inside an active iv_prec context; one cumulative pass up to
-    max(ks).
+    divlat's one interval log-eta sum: a running pass over primes[:max(ks)]
+    inside the active iv_prec context; t is any real >= 1.
     """
     want = set(ks)
-    out = {}
     e = iv.mpf(-1) / t
     total = iv.mpf(0)
+    out = {0: total} if 0 in want else {}
     for j in range(max(ks)):
-        total += iv.log(1 + iv.exp(iv.log(iv.mpf(int(table.primes[j]))) * e))
+        total += iv.log(1 + iv.exp(iv.log(iv.mpf(int(primes[j]))) * e))
         if j + 1 in want:
             out[j + 1] = total
     return out
+
+
+def eta_log_enclosures(t: int, ks: list[int], table: PrimeTable) -> dict[int, "iv.mpf"]:
+    """Interval enclosures of log_sum(t, k) at the requested ks (inside iv_prec)."""
+    return log_eta_sums(table.primes, t, ks)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +365,12 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
                 cp.append(t, end, acc.lo, acc.hi)
         k = end
 
-    # escalation pass: interval arithmetic at doubling precision
+    # escalation pass: each precision level re-decides the k still pending
     beyond_default = 0
     todo = sorted(set(pending))
-    level = prec
-    while todo:
-        if level > PREC_CEILING:
-            raise InconclusiveError(
-                f"{len(todo)} comparisons at t={t} undecidable at "
-                f"precision ceiling {PREC_CEILING} bits (first k={todo[0]})")
+
+    def decide(level: int) -> bool | None:
+        nonlocal todo, worst_margin, worst_k, beyond_default
         still = []
         with iv_prec(level):
             enclosures = eta_log_enclosures(t, todo, table)
@@ -389,10 +391,14 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
                         worst_margin, worst_k = m_lo, kk
                 else:
                     still.append(kk)
-        if still and level == prec:
+        if level == prec:
             beyond_default = len(still)
         todo = still
-        level *= 2
+        return None if still else True
+
+    if todo:
+        escalate(decide, start=prec,
+                 what=lambda: f"{len(todo)} comparisons at t={t} (first k={todo[0]})")
 
     passed = not violations and worst_margin > 0.0
     return CampaignResult(
@@ -509,11 +515,8 @@ def constant_C_search(t_max: int, table: PrimeTable,
             k = end
 
     finalists = [(t, k) for chi, _, t, k in candidates if chi >= best_lo - _CAND_WINDOW]
-    level = prec
-    while True:
-        if level > PREC_CEILING:
-            raise InconclusiveError(
-                f"supremum candidates inseparable at ceiling {PREC_CEILING} bits")
+
+    def decide(level: int) -> ConstantC | None:
         with iv_prec(level):
             intervals: dict[tuple[int, int], "iv.mpf"] = {}
             for t in sorted({t for t, _ in finalists}):
@@ -529,20 +532,21 @@ def constant_C_search(t_max: int, table: PrimeTable,
             win = intervals[winner]
             others = {tk: v for tk, v in intervals.items() if tk != winner}
             runner = max(others, key=lambda tk: float(others[tk].b)) if others else None
-            separated = runner is None or float(others[runner].b) < float(win.a)
-            if separated:
-                return ConstantC(
-                    value=float(win.mid),
-                    attained_at=winner,
-                    lower=math.nextafter(float(win.a), -math.inf),
-                    upper=math.nextafter(float(win.b), math.inf),
-                    lower_decimal=_mpf_to_str(win._mpi_[0], 30),
-                    upper_decimal=_mpf_to_str(win._mpi_[1], 30),
-                    runner_up=math.nextafter(float(others[runner].b), math.inf)
-                    if runner else -math.inf,
-                    runner_up_at=runner if runner else (-1, -1),
-                )
-        level *= 2
+            if runner is not None and float(others[runner].b) >= float(win.a):
+                return None
+            return ConstantC(
+                value=float(win.mid),
+                attained_at=winner,
+                lower=math.nextafter(float(win.a), -math.inf),
+                upper=math.nextafter(float(win.b), math.inf),
+                lower_decimal=_mpf_to_str(win._mpi_[0], 30),
+                upper_decimal=_mpf_to_str(win._mpi_[1], 30),
+                runner_up=math.nextafter(float(others[runner].b), math.inf)
+                if runner else -math.inf,
+                runner_up_at=runner if runner else (-1, -1),
+            )
+
+    return escalate(decide, start=prec, what="separation of the supremum candidates")
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +564,7 @@ def ln2_bound_check(t: int, k: int) -> BoundReport:
         raise ValueError(f"side chain applies to 1 <= k <= 56, got {k}")
     primes = _ensure_small_primes(k)[:k]
     with iv_prec(DEFAULT_PREC):
-        lhs = iv.log(iv.mpf(t)) / t
-        e = iv.mpf(-1) / t
-        for p in primes:
-            lhs += iv.log(1 + iv.exp(iv.log(iv.mpf(p)) * e))
+        lhs = iv.log(iv.mpf(t)) / t + log_eta_sums(primes, t, [k])[k]
         mid = iv.log(iv.mpf(100)) / 100 + k * iv.log(iv.mpf(2))
         cap = iv.mpf("0.74") * k
         kpow = iv.exp(iv.log(iv.mpf(k)) * (1 - iv.mpf(1) / t))

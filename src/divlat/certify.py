@@ -14,6 +14,12 @@ that is the only case where the two sides can be *equal*.
 
 mpmath interval comparisons return True/False/None; None means the
 enclosures overlap and the verdict must be sought at higher precision.
+
+`escalate` is the only doubling loop in divlat.  Its callers are the
+comparisons here (`int_vs_pow2`, `scaled_le`, `fraction_le_enclosure`),
+the campaign escalation pass and the best-constant search in
+`campaigns`, the even-t tie break in `moments.optimal_even_t`, and the
+interval path of `energy.vandermonde_positivity`.
 """
 
 from __future__ import annotations
@@ -30,18 +36,6 @@ from .errors import InconclusiveError
 DEFAULT_PREC = 128
 PREC_CEILING = 4096
 
-#: float64 unit roundoff
-U53 = 2.0 ** -53
-
-
-def next_up(x: float) -> float:
-    return math.nextafter(x, math.inf)
-
-
-def next_down(x: float) -> float:
-    return math.nextafter(x, -math.inf)
-
-
 @contextmanager
 def iv_prec(bits: int):
     """Temporarily set the interval-context working precision."""
@@ -56,22 +50,21 @@ def iv_prec(bits: int):
 def escalate(decide: Callable[[int], Optional[bool]],
              start: int = DEFAULT_PREC,
              ceiling: int = PREC_CEILING,
-             what: str = "comparison"):
-    """Run `decide` at doubling precisions until it returns a verdict."""
+             what: str | Callable[[], str] = "comparison"):
+    """Run `decide` at doubling precisions until it returns a verdict.
+
+    `what` names the comparison if the ceiling is passed; a callable is
+    called only then, so it can report what `decide` left pending.
+    """
     prec = start
     while prec <= ceiling:
         verdict = decide(prec)
         if verdict is not None:
             return verdict
         prec *= 2
+    if callable(what):
+        what = what()
     raise InconclusiveError(f"{what} undecidable at precision ceiling {ceiling} bits")
-
-
-def exact_exponent(q) -> Fraction:
-    """Exact rational value of an exponent (floats convert exactly)."""
-    if isinstance(q, Fraction):
-        return q
-    return Fraction(q)
 
 
 def iv_exact(v) -> "iv.mpf":
@@ -95,7 +88,7 @@ def int_vs_pow2(m: int, q) -> int:
     """
     if m <= 0:
         return -1  # 2^q > 0 always
-    qe = exact_exponent(q)
+    qe = Fraction(q)  # exact, floats included
     if qe.denominator == 1:
         e = qe.numerator
         if e >= 0:
@@ -127,7 +120,7 @@ def scaled_le(lhs: int, q, rhs: int) -> bool:
         return rhs >= 0
     if rhs <= 0:
         return False
-    qe = exact_exponent(q)
+    qe = Fraction(q)  # exact, floats included
     if qe.denominator == 1:
         e = qe.numerator
         if e >= 0:
@@ -171,8 +164,4 @@ def fraction_le_enclosure(x: Fraction, make_interval: Callable[[int], "iv.mpf"],
 
 def interval_upper(x) -> float:
     """Float upper bound of an mpmath interval (rounded away from zero)."""
-    return next_up(float(x.b))
-
-
-def interval_lower(x) -> float:
-    return next_down(float(x.a))
+    return math.nextafter(float(x.b), math.inf)

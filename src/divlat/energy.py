@@ -32,7 +32,7 @@ from itertools import accumulate, permutations, product
 import numpy as np
 from mpmath import iv
 
-from .certify import DEFAULT_PREC, PREC_CEILING, iv_exact, iv_prec
+from .certify import DEFAULT_PREC, escalate, iv_exact, iv_prec
 from .core import Factorization, binomial, divisors_sorted, eulerian, factorize
 from .errors import CapacityError, InconclusiveError
 from .reports import BoundReport, CampaignResult
@@ -555,8 +555,8 @@ def vandermonde_positivity(u, x, prec: int = DEFAULT_PREC) -> BoundReport:
 
     if ell > 8:
         raise CapacityError(f"interval determinant capped at size 8, got {ell}")
-    level = prec
-    while level <= PREC_CEILING:
+
+    def decide(level: int) -> BoundReport | None:
         with iv_prec(level):
             entries = [[iv.exp(iv.log(iv_exact(xi)) * iv_exact(uj)) for uj in u]
                        for xi in x]
@@ -569,15 +569,15 @@ def vandermonde_positivity(u, x, prec: int = DEFAULT_PREC) -> BoundReport:
                     term *= entries[r][c]
                 det = det - term if inv % 2 else det + term
             lo, hi = float(det.a), float(det.b)
-            if lo > 0.0 or hi < 0.0:
-                return BoundReport(
-                    exact_value=float(det.mid),
-                    bound_value=0.0,
-                    slack=lo,
-                    holds=lo > 0.0,
-                    context={"size": ell, "method": f"interval-{level}bit",
-                             "check": "vandermonde-positivity"},
-                )
-        level *= 2
-    raise InconclusiveError(
-        f"determinant sign undecidable at precision ceiling {PREC_CEILING} bits")
+            if not (lo > 0.0 or hi < 0.0):
+                return None
+            return BoundReport(
+                exact_value=float(det.mid),
+                bound_value=0.0,
+                slack=lo,
+                holds=lo > 0.0,
+                context={"size": ell, "method": f"interval-{level}bit",
+                         "check": "vandermonde-positivity"},
+            )
+
+    return escalate(decide, start=prec, what="determinant sign")

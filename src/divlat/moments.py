@@ -41,7 +41,7 @@ from .certify import (
     iv_prec,
     scaled_le,
 )
-from .core import Factorization, binomial, factorize, primorial
+from .core import DIVISOR_CAP, Factorization, binomial, factorize, primorial
 from .errors import CapacityError, DomainError, InconclusiveError
 from .reports import BoundReport
 
@@ -91,8 +91,14 @@ class DivisorProfile:
 
 
 def divisor_profile(n: int | Factorization) -> DivisorProfile:
-    """Build the divisor table of n with mu values and prefix sums."""
+    """Build the divisor table of n with mu values and prefix sums.
+
+    Raises CapacityError, before enumerating, when tau(n) exceeds
+    DIVISOR_CAP (the cap `core.divisors_sorted` enforces).
+    """
     f = n if isinstance(n, Factorization) else factorize(n)
+    if f.tau > DIVISOR_CAP:
+        raise CapacityError(f"tau(n) = {f.tau} exceeds divisor cap {DIVISOR_CAP}")
     items = [(1, 1, 0)]
     for p, e in f.factors:
         grown = []
@@ -269,13 +275,10 @@ def eta_log_interval(primes, t) -> "iv.mpf":
     """Enclosure of log eta = sum over p of log(1 + p^(-1/t)).
 
     Must be called inside an active iv_prec context; t may be any real
-    >= 1 (converted exactly if int/float).
+    >= 1 (converted exactly if int/float).  The sum is
+    `campaigns.log_eta_sums` over all of `primes`.
     """
-    e = iv.mpf(-1) / t
-    total = iv.mpf(0)
-    for p in primes:
-        total += iv.log(1 + iv.exp(iv.log(iv.mpf(int(p))) * e))
-    return total
+    return campaigns.log_eta_sums(primes, t, [len(primes)])[len(primes)]
 
 
 def eta(f: Factorization, t: float) -> float:
@@ -325,18 +328,19 @@ def chain_check(profile: DivisorProfile, t: int, prec: int = DEFAULT_PREC) -> Bo
     )
 
 
-def domination_check(f: Factorization, rho: int) -> BoundReport:
+def domination_check(profile: DivisorProfile, rho: int) -> BoundReport:
     """J_rho(n) <= J_rho(primorial(omega(n))), both exact rationals."""
-    if not f.is_squarefree:
-        raise ValueError(f"domination check needs squarefree n, got {f.n}")
-    lhs = J_rho(divisor_profile(f), rho)
-    rhs = J_rho(divisor_profile(primorial(f.omega)), rho)
+    if not profile.is_squarefree:
+        raise ValueError(f"domination check needs squarefree n, got {profile.n}")
+    lhs = J_rho(profile, rho)
+    top = primorial(profile.omega)
+    rhs = J_rho(divisor_profile(top), rho)
     return BoundReport(
         exact_value=lhs,
         bound_value=float(rhs),
         slack=float(rhs - lhs),
         holds=lhs <= rhs,
-        context={"n": f.n, "rho": rho, "primorial": primorial(f.omega),
+        context={"n": profile.n, "rho": rho, "primorial": top,
                  "rhs_exact": rhs, "check": "primorial-domination"},
     )
 

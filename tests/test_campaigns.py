@@ -12,6 +12,7 @@ from divlat import (
     CampaignResult,
     CapacityError,
     EtaAccumulator,
+    InconclusiveError,
     concavity_threshold,
     constant_C_search,
     eta_constant_upper,
@@ -28,6 +29,7 @@ from divlat.campaigns import (
     ETA_CONSTANT_LO,
     eta_log_enclosures,
 )
+from divlat.moments import eta_log_interval
 
 
 def test_hard_thresholds():
@@ -147,6 +149,12 @@ def test_hard_rejects_too_small_constant(small_table):
     assert r.worst_margin < 0
 
 
+def test_escalation_past_ceiling_names_pending(small_table):
+    # starting above the ceiling leaves k = 2149 (the attained point) pending
+    with pytest.raises(InconclusiveError, match=r"1 comparisons at t=2 \(first k=2149\)"):
+        verify_c_hard(2, 3000, small_table, prec=8192)
+
+
 def test_campaign_capacity(small_table):
     with pytest.raises(CapacityError):
         verify_c_hard(2, small_table.count + 1, small_table)
@@ -240,6 +248,18 @@ def test_c_required_at_2_1(small_table):
         val = float((enc * iv.mpf(0.5) * iv.sqrt(iv.log(iv.mpf(2)))).mid)
     assert val == pytest.approx(0.22262, abs=1e-5)
     assert val < float(ETA_CONSTANT_LO)
+
+
+def test_log_eta_sums_shared_by_campaigns_and_moments(small_table):
+    primes = [int(p) for p in small_table.primes[:300]]
+    with iv_prec(128):
+        for t in (2, 7):
+            enc = eta_log_enclosures(t, [1, 300], small_table)
+            for k in (1, 300):
+                direct = eta_log_interval(primes[:k], t)
+                assert (enc[k].a, enc[k].b) == (direct.a, direct.b)
+        empty = eta_log_interval([], 3)
+        assert empty.a == empty.b == 0
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,26 @@ def test_moments_rejects_theorem_flags_on_nonsquarefree(capsys):
     assert report["results"]["error_kind"] == "argument"
 
 
+def test_moments_divisor_cap_is_capacity_error(capsys, monkeypatch):
+    monkeypatch.setattr(moments, "DIVISOR_CAP", 8)
+    code, report, _ = run_cli(capsys, "moments", "--n", "210", "--t", "2")
+    assert code == 1 and report["status"] == "fail"
+    assert report["results"]["error_kind"] == "capacity"
+    assert "divisor cap" in report["results"]["error"]
+
+
+def test_moments_keeps_report_past_H_theta_cap(capsys, monkeypatch):
+    monkeypatch.setattr(moments, "H_THETA_CAP", 1000)
+    code, report, _ = run_cli(capsys, "moments", "--n", "30030", "--t", "4",
+                              "--all-checks", "--theta", "0.5")
+    assert code == 1 and report["status"] == "fail"
+    res = report["results"]
+    assert res["identities_agree"] and res["chain"]["holds"]
+    assert res["envelope_checked"] == 64 and res["envelope_violations"] == []
+    chain = res["threshold_count_chain"]
+    assert chain["error_kind"] == "capacity" and "1000" in chain["error"]
+
+
 def test_inconclusive_report_keeps_inputs(capsys, monkeypatch):
     def undecided(*args, **kwargs):
         raise InconclusiveError("undecidable at the ceiling")

@@ -282,6 +282,12 @@ def test_vandermonde_interval_path():
     assert rep.context["method"].startswith("interval")
 
 
+def test_vandermonde_interval_path_past_ceiling():
+    from divlat import InconclusiveError
+    with pytest.raises(InconclusiveError, match="determinant sign"):
+        vandermonde_positivity([0.0, 0.5], [1.0, 2.0], prec=8192)
+
+
 def test_vandermonde_interval_path_keeps_exact_nodes():
     # as floats both nodes are 1/3 and the determinant collapses to 0
     rep = vandermonde_positivity([Fraction(1, 2), 1],

@@ -239,19 +239,19 @@ def test_chain_holds_randomly(primes, t):
 
 
 def test_domination():
-    rep = domination_check(factorize(15), 0)
+    rep = domination_check(divisor_profile(15), 0)
     assert rep.holds
     assert rep.exact_value == Fraction(24, 15)
     assert rep.context["rhs_exact"] == 2
     # equality on primorials
-    rep_eq = domination_check(factorize(primorial(3)), 2)
+    rep_eq = domination_check(divisor_profile(primorial(3)), 2)
     assert rep_eq.holds and rep_eq.slack == 0
 
 
 @given(squarefree_subset_strategy(5), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_domination_random(primes, rho):
-    assert domination_check(factorize(math.prod(primes)), rho).holds
+    assert domination_check(divisor_profile(math.prod(primes)), rho).holds
 
 
 def test_thm_bounds():
@@ -332,6 +332,14 @@ def test_H_theta_integral_threshold():
     p = divisor_profile(2 * 3 * 5 * 7)  # omega = 4, theta = 0.5 -> q = 2
     direct = sum(1 for j in range(1, 211) if abs(mertens_oracle(210, j)) >= 4)
     assert H_theta_exact(p, 0.5) == direct
+
+
+def test_divisor_profile_cap(monkeypatch):
+    from divlat import CapacityError, moments
+    monkeypatch.setattr(moments, "DIVISOR_CAP", 8)
+    assert divisor_profile(30).tau == 8
+    with pytest.raises(CapacityError, match="divisor cap 8"):
+        divisor_profile(210)
 
 
 def test_H_theta_cap_and_domain():
