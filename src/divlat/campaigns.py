@@ -25,10 +25,10 @@ Verification strategy (never a false pass):
 
 The accumulator enclosure is checkpointed every 10^5 values of k as a
 line `t k log_sum_lo log_sum_hi` in plain decimal.  Runs are
-deterministic: summation blocks are aligned to absolute k, so
-partitioning a range at block multiples reproduces bit-identical
-enclosures, and a restarted run verifies its stream against every
-stored state.
+deterministic: summation blocks are aligned to absolute k, so feeding
+the primes in slices cut at block multiples reproduces bit-identical
+enclosures, and a restarted run replays from k = 1 and verifies its
+stream against every stored state.
 """
 
 from __future__ import annotations
@@ -124,16 +124,6 @@ class EtaAccumulator:
     @property
     def hi(self) -> float:
         return math.nextafter(self.value + self.width_bound, math.inf)
-
-    @property
-    def state(self) -> tuple[int, float, float, float]:
-        """Exact internal state for seeding a contiguous continuation."""
-        return (self.k, self.sum_mid, self.sum_comp, self.eval_err)
-
-    @classmethod
-    def from_state(cls, t: int, state: tuple[int, float, float, float]) -> "EtaAccumulator":
-        k, mid, comp, err = state
-        return cls(t=t, k=k, sum_mid=mid, sum_comp=comp, eval_err=err)
 
     def extend(self, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         primes = np.asarray(primes, dtype=np.float64)
@@ -279,22 +269,15 @@ def eta_log_enclosures(t: int, ks: list[int], table: PrimeTable) -> dict[int, "i
 def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
                   c_value: str | float | None = None,
                   prec: int = DEFAULT_PREC,
-                  checkpoint: str | Path | None = None,
-                  k_start: int = 0,
-                  seed: tuple[int, float, float, float] | None = None) -> CampaignResult:
-    """Shared sweep for the easy (strict <) and hard (<=) inequalities.
+                  checkpoint: str | Path | None = None) -> CampaignResult:
+    """Shared k = 1..k_max sweep for the easy (strict <) and hard (<=) inequalities.
 
     Returns margins measured at the conservative outer interval ends.
-    `k_start`/`seed` support partitioned runs: the seed is the
-    EtaAccumulator.state captured at k_start by a previous contiguous
-    run (bit-identical continuation).
     """
     if t < 2:
         raise ValueError(f"eta exponent must be >= 2, got {t}")
-    if k_max < 1 or k_max <= k_start:
-        raise ValueError(f"empty campaign range ({k_start}, {k_max}]")
-    if k_start > 0 and seed is None:
-        raise ValueError("a nonzero k_start needs the accumulator state at k_start")
+    if k_max < 1:
+        raise ValueError(f"empty campaign range (0, {k_max}]")
     if table.count < k_max:
         raise CapacityError(
             f"table holds {table.count} primes, campaign needs {k_max}")
@@ -305,9 +288,7 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
     cp = CheckpointFile(checkpoint) if checkpoint else None
     stored = cp.states_for(t) if cp else {}
 
-    acc = EtaAccumulator.from_state(t, seed) if seed else EtaAccumulator(t=t)
-    if acc.k != k_start:
-        raise ValueError(f"seed state is at k = {acc.k}, campaign starts at {k_start}")
+    acc = EtaAccumulator(t=t)
     strict = mode == "easy"
     worst_margin = math.inf
     worst_k = None
@@ -316,7 +297,7 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
     pending: list[int] = []
     violations: list[int] = []
 
-    k = k_start
+    k = 0
     while k < k_max:
         end = min(k + CHECKPOINT_STRIDE - (k % CHECKPOINT_STRIDE), k_max)
         lo_arr, hi_arr = acc.extend(table.primes[k:end])
@@ -404,7 +385,7 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
     return CampaignResult(
         label=f"eta-{mode}",
         t_range=(t, t),
-        k_range=(k_start + 1, k_max),
+        k_range=(1, k_max),
         passed=passed,
         worst_margin=worst_margin,
         argmin=(t, worst_k),
@@ -417,33 +398,30 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
 
 def verify_c_easy(t: int, k_max: int, table: PrimeTable,
                   prec: int = DEFAULT_PREC,
-                  checkpoint: str | Path | None = None,
-                  k_start: int = 0,
-                  seed: tuple[int, float, float, float] | None = None) -> CampaignResult:
-    """Strict inequality log_sum(t,k) < k^(1-1/t) [- log(t)/t] for k <= k_max.
+                  checkpoint: str | Path | None = None) -> CampaignResult:
+    """Strict inequality log_sum(t,k) < k^(1-1/t) [- log(t)/t] for k = 1..k_max.
 
     The subtracted log(t)/t term is dropped only for t = 2, k <= 55.
+    `checkpoint` names a file of accumulator states (see CheckpointFile):
+    a rerun replays from k = 1 and verifies against every stored state.
     """
-    return _run_campaign("easy", t, k_max, table, prec=prec,
-                         checkpoint=checkpoint, k_start=k_start, seed=seed)
+    return _run_campaign("easy", t, k_max, table, prec=prec, checkpoint=checkpoint)
 
 
 def verify_c_hard(t: int, k_max: int, table: PrimeTable,
                   C: str | float | None = None,
                   prec: int = DEFAULT_PREC,
-                  checkpoint: str | Path | None = None,
-                  k_start: int = 0,
-                  seed: tuple[int, float, float, float] | None = None) -> CampaignResult:
+                  checkpoint: str | Path | None = None) -> CampaignResult:
     """log_sum(t,k) <= C k^(1-1/t)/((1-1/t) logplus(k)^(1/t)) - [t>2] log(t)/t.
 
     C defaults to the certified upper end of the best-possible constant;
     pass a decimal string to pin a different constant exactly.  At the
     attained point (2, 2149) the margin is the gap between the supplied
     C and the true supremum, so a C below the certified upper end cannot
-    verify.
+    verify.  Checks k = 1..k_max; `checkpoint` works as for verify_c_easy.
     """
     return _run_campaign("hard", t, k_max, table, c_value=C, prec=prec,
-                         checkpoint=checkpoint, k_start=k_start, seed=seed)
+                         checkpoint=checkpoint)
 
 
 # ---------------------------------------------------------------------------

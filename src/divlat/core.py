@@ -217,16 +217,34 @@ def mobius(f: Factorization) -> int:
     return -1 if f.omega % 2 else 1
 
 
-def divisors_sorted(f: Factorization, cap: int = DIVISOR_CAP) -> list[int]:
-    """All divisors of n in increasing order (1 first, n last)."""
-    if f.tau > cap:
-        raise CapacityError(f"tau(n) = {f.tau} exceeds divisor cap {cap}")
-    divs = [1]
+def divisor_table(f: Factorization) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(divisors, mu(d), omega(d)) of n, all three in increasing order of d.
+
+    The three columns grow prime by prime as parallel lists; one argsort
+    of the divisors then orders them.  Raises CapacityError, before
+    enumerating, when tau(n) exceeds DIVISOR_CAP.
+    """
+    if f.tau > DIVISOR_CAP:
+        raise CapacityError(f"tau(n) = {f.tau} exceeds divisor cap {DIVISOR_CAP}")
+    divs, mus, omegas = [1], [1], [0]
     for p, e in f.factors:
-        powers = [p ** j for j in range(1, e + 1)]
-        divs += [d * q for d in divs for q in powers]
-    divs.sort()
-    return divs
+        base = divs[:]
+        negated = [-m for m in mus]
+        raised = [w + 1 for w in omegas]
+        pj = 1
+        for j in range(e):
+            pj *= p
+            divs += [d * pj for d in base]
+            mus += [0] * len(base) if j else negated
+            omegas += raised
+    order = sorted(range(len(divs)), key=divs.__getitem__)
+    return (tuple(map(divs.__getitem__, order)), tuple(map(mus.__getitem__, order)),
+            tuple(map(omegas.__getitem__, order)))
+
+
+def divisors_sorted(f: Factorization) -> list[int]:
+    """All divisors of n in increasing order (1 first, n last)."""
+    return list(divisor_table(f)[0])
 
 
 def binomial(a: int, b: int) -> int:

@@ -41,7 +41,7 @@ from .certify import (
     iv_prec,
     scaled_le,
 )
-from .core import DIVISOR_CAP, Factorization, binomial, factorize, primorial
+from .core import Factorization, binomial, divisor_table, factorize, primorial
 from .errors import CapacityError, DomainError, InconclusiveError
 from .reports import BoundReport
 
@@ -57,7 +57,7 @@ ALPHA_REFERENCE = {
 
 @dataclass(frozen=True)
 class DivisorProfile:
-    """Sorted divisors of n with prefix Mobius sums.
+    """Sorted divisors of n (`core.divisor_table`) with prefix Mobius sums.
 
     mobius_prefix[i] = sum of mu(d_j) for j <= i, so M(n,z) is a prefix
     lookup at the largest divisor <= z.  divisor_omega[i] counts the
@@ -91,36 +91,18 @@ class DivisorProfile:
 
 
 def divisor_profile(n: int | Factorization) -> DivisorProfile:
-    """Build the divisor table of n with mu values and prefix sums.
+    """`core.divisor_table` of n with the mu column summed into prefixes.
 
     Raises CapacityError, before enumerating, when tau(n) exceeds
-    DIVISOR_CAP (the cap `core.divisors_sorted` enforces).
+    `core.DIVISOR_CAP`.
     """
     f = n if isinstance(n, Factorization) else factorize(n)
-    if f.tau > DIVISOR_CAP:
-        raise CapacityError(f"tau(n) = {f.tau} exceeds divisor cap {DIVISOR_CAP}")
-    items = [(1, 1, 0)]
-    for p, e in f.factors:
-        grown = []
-        for d, mu, om in items:
-            grown.append((d, mu, om))
-            pk = 1
-            for j in range(1, e + 1):
-                pk *= p
-                grown.append((d * pk, -mu if j == 1 else 0, om + 1))
-        items = grown
-    items.sort()
-    divisors = tuple(d for d, _, _ in items)
-    prefix = []
-    acc = 0
-    for _, mu, _ in items:
-        acc += mu
-        prefix.append(acc)
+    divisors, mus, omegas = divisor_table(f)
     return DivisorProfile(
         n=f.n,
         divisors=divisors,
-        mobius_prefix=tuple(prefix),
-        divisor_omega=tuple(om for _, _, om in items),
+        mobius_prefix=tuple(accumulate(mus)),
+        divisor_omega=omegas,
         factorization=f,
     )
 
@@ -310,13 +292,17 @@ def chain_check(profile: DivisorProfile, t: int, prec: int = DEFAULT_PREC) -> Bo
     middle = t * n * j
     first_holds = Fraction(lt) <= middle
     primes = [p for p, _ in profile.factorization.factors]
+    with iv_prec(prec):
+        eta_t = iv.exp(eta_log_interval(primes, t) * t)
+        bound = interval_upper(iv.mpf(t * n) * eta_t)
 
     def eta_pow(prec_bits: int):
+        # the first level runs at prec: reuse the enclosure behind `bound`
+        if prec_bits == prec:
+            return eta_t
         return iv.exp(eta_log_interval(primes, t) * t)
 
     second_holds = fraction_le_enclosure(j, eta_pow, start=prec)
-    with iv_prec(prec):
-        bound = interval_upper(iv.mpf(t * n) * iv.exp(eta_log_interval(primes, t) * t))
     return BoundReport(
         exact_value=lt,
         bound_value=bound,

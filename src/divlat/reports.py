@@ -60,35 +60,6 @@ class CampaignResult:
     wall_time: float = 0.0
     inconclusive: int = 0
 
-    @staticmethod
-    def merge(parts: list["CampaignResult"]) -> "CampaignResult":
-        """Min/max reduction of sub-range results; order independent."""
-        if not parts:
-            raise ValueError("nothing to merge")
-        parts = sorted(parts, key=lambda r: (r.t_range or (0, 0), r.k_range))
-        out = parts[0]
-        for r in parts[1:]:
-            if r.label != out.label:
-                raise ValueError(f"cannot merge {out.label!r} with {r.label!r}")
-            lo_t = min(x.t_range[0] for x in (out, r)) if out.t_range and r.t_range else None
-            hi_t = max(x.t_range[1] for x in (out, r)) if out.t_range and r.t_range else None
-            worst, arg = min((out.worst_margin, out.argmin), (r.worst_margin, r.argmin))
-            sups = [(x.sup_ratio, x.arg_sup) for x in (out, r) if x.sup_ratio is not None]
-            sup, arg_sup = max(sups) if sups else (None, None)
-            out = CampaignResult(
-                label=out.label,
-                t_range=(lo_t, hi_t) if lo_t is not None else None,
-                k_range=(min(out.k_range[0], r.k_range[0]), max(out.k_range[1], r.k_range[1])),
-                passed=out.passed and r.passed,
-                worst_margin=worst,
-                argmin=arg,
-                sup_ratio=sup,
-                arg_sup=arg_sup,
-                wall_time=out.wall_time + r.wall_time,
-                inconclusive=out.inconclusive + r.inconclusive,
-            )
-        return out
-
     def to_jsonable(self) -> dict:
         return {
             "label": self.label,

@@ -3,13 +3,15 @@
 import math
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import iv
 
 from divlat import (
-    CampaignResult,
     CapacityError,
     EtaAccumulator,
     InconclusiveError,
@@ -19,6 +21,7 @@ from divlat import (
     hard_threshold,
     induction_margin,
     ln2_bound_check,
+    sieve_for_count,
     verify_c_easy,
     verify_c_hard,
 )
@@ -28,6 +31,7 @@ from divlat.campaigns import (
     ETA_CONSTANT_HI,
     ETA_CONSTANT_LO,
     eta_log_enclosures,
+    log_eta_sums,
 )
 from divlat.moments import eta_log_interval
 
@@ -85,15 +89,34 @@ def test_accumulator_arbitrary_slice_still_encloses(small_table):
         assert acc.lo <= float(truth.a) and float(truth.b) <= acc.hi
 
 
-def test_accumulator_restart_from_state(small_table):
-    full = EtaAccumulator(t=2)
-    full.extend(small_table.primes[:20_000])
-    head = EtaAccumulator(t=2)
-    head.extend(small_table.primes[:10_000])
-    resumed = EtaAccumulator.from_state(2, head.state)
-    resumed.extend(small_table.primes[10_000:20_000])
-    assert resumed.state == full.state
-    assert (resumed.lo, resumed.hi) == (full.lo, full.hi)
+_PROPERTY_K = 3000
+_PROPERTY_PRIMES = sieve_for_count(_PROPERTY_K).primes[:_PROPERTY_K]
+
+
+@lru_cache(maxsize=None)
+def outward_truth(t):
+    """Floats just outside the 256-bit enclosures of log_sum(t, k), k = 1..3000."""
+    with iv_prec(256):
+        sums = log_eta_sums(_PROPERTY_PRIMES, t, range(1, _PROPERTY_K + 1))
+    lo = [math.nextafter(float(sums[k].a), -math.inf) for k in range(1, _PROPERTY_K + 1)]
+    hi = [math.nextafter(float(sums[k].b), math.inf) for k in range(1, _PROPERTY_K + 1)]
+    return np.array(lo), np.array(hi)
+
+
+@given(st.integers(2, 10), st.data())
+@settings(max_examples=40, deadline=None)
+def test_accumulator_encloses_256_bit_sums(t, data):
+    """Any feed slicing, at every k: accumulator lo/hi contain the 256-bit sum."""
+    k = data.draw(st.integers(1, _PROPERTY_K), label="k")
+    cuts = data.draw(st.lists(st.integers(1, k), max_size=6, unique=True), label="cuts")
+    bounds = [0, *sorted(cuts), k]
+    acc = EtaAccumulator(t=t)
+    parts = [acc.extend(_PROPERTY_PRIMES[a:b]) for a, b in zip(bounds, bounds[1:])]
+    lo = np.concatenate([p[0] for p in parts])
+    hi = np.concatenate([p[1] for p in parts])
+    truth_lo, truth_hi = outward_truth(t)
+    assert np.all(lo <= truth_lo[:k]) and np.all(truth_hi[:k] <= hi)
+    assert acc.k == k and acc.lo <= truth_lo[k - 1] and truth_hi[k - 1] <= acc.hi
 
 
 def test_accumulator_width_budget(campaign_table):
@@ -158,21 +181,6 @@ def test_escalation_past_ceiling_names_pending(small_table):
 def test_campaign_capacity(small_table):
     with pytest.raises(CapacityError):
         verify_c_hard(2, small_table.count + 1, small_table)
-
-
-def test_campaign_partition_merge(small_table):
-    full = verify_c_hard(2, 70_000, small_table)
-    head = EtaAccumulator(t=2)
-    head.extend(small_table.primes[:30_000])
-    part_a = verify_c_hard(2, 30_000, small_table)
-    part_b = verify_c_hard(2, 70_000, small_table,
-                           k_start=30_000, seed=head.state)
-    merged = CampaignResult.merge([part_b, part_a])
-    assert merged.passed == full.passed
-    assert merged.worst_margin == full.worst_margin
-    assert merged.argmin == full.argmin
-    assert merged.sup_ratio == full.sup_ratio
-    assert merged.k_range == full.k_range
 
 
 def test_checkpoint_roundtrip_and_resume(tmp_path, medium_table):

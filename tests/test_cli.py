@@ -2,7 +2,7 @@
 
 import json
 
-from divlat import campaigns, cli, moments
+from divlat import campaigns, cli, core, moments
 from divlat.errors import InconclusiveError
 
 REPORT_KEYS = {"command", "inputs", "results", "status", "timing_seconds"}
@@ -71,7 +71,7 @@ def test_moments_rejects_theorem_flags_on_nonsquarefree(capsys):
 
 
 def test_moments_divisor_cap_is_capacity_error(capsys, monkeypatch):
-    monkeypatch.setattr(moments, "DIVISOR_CAP", 8)
+    monkeypatch.setattr(core, "DIVISOR_CAP", 8)
     code, report, _ = run_cli(capsys, "moments", "--n", "210", "--t", "2")
     assert code == 1 and report["status"] == "fail"
     assert report["results"]["error_kind"] == "capacity"

@@ -20,6 +20,7 @@ from divlat import (
     sieve_primes,
     surjections,
 )
+from divlat.core import divisor_table
 
 
 def trial_division_primes(limit):
@@ -131,9 +132,22 @@ def test_divisors_sorted():
     assert divisors_sorted(factorize(12)) == [1, 2, 3, 4, 6, 12]
 
 
-def test_divisor_cap():
+def test_divisor_cap(monkeypatch):
+    from divlat import core
+    monkeypatch.setattr(core, "DIVISOR_CAP", 4)
     with pytest.raises(CapacityError):
-        divisors_sorted(factorize(12), cap=4)
+        divisors_sorted(factorize(12))
+
+
+def test_divisor_table_matches_trial_division():
+    for n in [*range(1, 3001), primorial(10), 720720]:
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        expected = sorted({*small, *(n // d for d in small)})
+        divs, mus, omegas = divisor_table(factorize(n))
+        assert list(divs) == expected
+        for d, mu, om in zip(divs, mus, omegas):
+            f = factorize(d)
+            assert (mu, om) == (mobius(f), f.omega), (n, d)
 
 
 @given(st.integers(min_value=1, max_value=100_000))

@@ -10,6 +10,7 @@ Independent oracles used here:
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,6 @@ from divlat import (
     corollary_bound,
     corollary_exponent,
     divisor_profile,
-    divisors_sorted,
     domination_check,
     eta,
     factorize,
@@ -52,8 +52,14 @@ def mu_int(n):
     return mobius(factorize(n))
 
 
+@lru_cache(maxsize=None)
+def trial_divisors(n):
+    """Divisors by trial division, independent of the divisor enumerator."""
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def mertens_oracle(n, z):
-    return sum(mu_int(d) for d in divisors_sorted(factorize(n)) if d <= z)
+    return sum(mu_int(d) for d in trial_divisors(n) if d <= z)
 
 
 def moment_oracle(n, t):
@@ -207,8 +213,7 @@ def test_J_rho():
     assert J_rho(p6, 1) == Fraction(11, 3)
     # J_0(n) = sigma(n)/n on squarefree n
     for n in (2, 6, 15, 30, 210):
-        divs = divisors_sorted(factorize(n))
-        assert J_rho(divisor_profile(n), 0) == Fraction(sum(divs), n)
+        assert J_rho(divisor_profile(n), 0) == Fraction(sum(trial_divisors(n)), n)
     with pytest.raises(ValueError):
         J_rho(divisor_profile(12), 1)
 
@@ -230,6 +235,20 @@ def test_chain_check():
     assert rep2.holds and rep2.exact_value == 1
     with pytest.raises(ValueError):
         chain_check(divisor_profile(12), 2)
+
+
+def test_chain_check_sums_log_eta_once(monkeypatch):
+    from divlat import moments
+    calls = []
+    original = moments.eta_log_interval
+
+    def counted(primes, t):
+        calls.append(t)
+        return original(primes, t)
+
+    monkeypatch.setattr(moments, "eta_log_interval", counted)
+    rep = chain_check(divisor_profile(30030), 3)
+    assert rep.holds and calls == [3]
 
 
 @given(squarefree_subset_strategy(5), st.integers(2, 6))
@@ -335,8 +354,8 @@ def test_H_theta_integral_threshold():
 
 
 def test_divisor_profile_cap(monkeypatch):
-    from divlat import CapacityError, moments
-    monkeypatch.setattr(moments, "DIVISOR_CAP", 8)
+    from divlat import CapacityError, core
+    monkeypatch.setattr(core, "DIVISOR_CAP", 8)
     assert divisor_profile(30).tau == 8
     with pytest.raises(CapacityError, match="divisor cap 8"):
         divisor_profile(210)
