@@ -43,7 +43,7 @@ import numpy as np
 from mpmath import iv
 from mpmath.libmp import to_str as _mpf_to_str
 
-from .certify import DEFAULT_PREC, escalate, iv_prec
+from .certify import DEFAULT_PREC, escalate, interval_upper, iv_prec
 from .core import PrimeTable, _ensure_small_primes
 from .errors import CapacityError
 from .reports import BoundReport, CampaignResult
@@ -79,7 +79,7 @@ def eta_constant_interval():
 def eta_constant_upper() -> float:
     """Certified float upper bound of C."""
     with iv_prec(64):
-        return math.nextafter(float(iv.mpf(ETA_CONSTANT_HI).b), math.inf)
+        return interval_upper(iv.mpf(ETA_CONSTANT_HI))
 
 
 @dataclass
@@ -294,7 +294,7 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
     worst_k = None
     sup_ratio = -math.inf
     sup_k = None
-    pending: list[int] = []
+    pending: list[int] = []  # ascending k, each once
     violations: list[int] = []
 
     k = 0
@@ -322,7 +322,7 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
                 worst_margin = float(margin_lo[i])
                 worst_k = int(karr[i])
         violations.extend(int(x) for x in karr[certain_fail])
-        pending.extend(int(x) for x in karr[unresolved & ~certain_fail])
+        pending.extend(int(x) for x in karr[unresolved])
 
         if mode == "easy":
             ratio = hi_arr / np.maximum(rhs - w, 1e-300)
@@ -348,16 +348,15 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
 
     # escalation pass: each precision level re-decides the k still pending
     beyond_default = 0
-    todo = sorted(set(pending))
 
     def decide(level: int) -> bool | None:
-        nonlocal todo, worst_margin, worst_k, beyond_default
+        nonlocal pending, worst_margin, worst_k, beyond_default
         still = []
         with iv_prec(level):
-            enclosures = eta_log_enclosures(t, todo, table)
+            enclosures = eta_log_enclosures(t, pending, table)
             if mode == "hard":
                 c_iv = iv.mpf(c_str)
-            for kk in todo:
+            for kk in pending:
                 lhs = enclosures[kk]
                 rhs_iv = (_easy_rhs_iv(t, kk) if mode == "easy"
                           else _hard_rhs_iv(t, kk, c_iv))
@@ -374,12 +373,12 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
                     still.append(kk)
         if level == prec:
             beyond_default = len(still)
-        todo = still
+        pending = still
         return None if still else True
 
-    if todo:
+    if pending:
         escalate(decide, start=prec,
-                 what=lambda: f"{len(todo)} comparisons at t={t} (first k={todo[0]})")
+                 what=lambda: f"{len(pending)} comparisons at t={t} (first k={pending[0]})")
 
     passed = not violations and worst_margin > 0.0
     return CampaignResult(

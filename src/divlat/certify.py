@@ -4,13 +4,12 @@ Exact integers/rationals live on one side of every inequality we check;
 the other side is analytic.  These helpers decide such comparisons so
 that a "holds" verdict can never be a rounding artifact:
 
-* fast path: float64 with a generous ulp budget,
-* escalation: mpmath interval arithmetic, doubling the working precision
-  up to a ceiling,
+* exact path: a threshold 2^q with integral q is compared in integer
+  arithmetic, because that is the only case where the two sides can be
+  *equal*;
+* otherwise mpmath interval arithmetic, doubling the working precision
+  up to a ceiling;
 * still undecided at the ceiling -> InconclusiveError.
-
-Powers of two get an exact path (threshold 2^q with integral q), because
-that is the only case where the two sides can be *equal*.
 
 mpmath interval comparisons return True/False/None; None means the
 enclosures overlap and the verdict must be sought at higher precision.
@@ -107,11 +106,6 @@ def int_vs_pow2(m: int, q) -> int:
         return None
 
     return escalate(decide, what=f"{m} vs 2^{float(qe)}")
-
-
-def int_ge_pow2(m: int, q) -> bool:
-    """Certified m >= 2^q."""
-    return int_vs_pow2(m, q) >= 0
 
 
 def scaled_le(lhs: int, q, rhs: int) -> bool:

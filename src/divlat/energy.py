@@ -15,9 +15,11 @@ The sandwich for E_s(n) compares exact integers against exact rationals
 (tau^(2s-1) times per-prime constants built from Eulerian numbers and
 central binomials), so strictness/equality verdicts cannot be rounding
 artifacts.  The module also houses the supporting polynomial facts: the
-sign interpolants of minimal degree, generalized Vandermonde
-positivity, the zero-sum count T_s, the asymptotics witness for the
-sandwich constants, and the sinc-power integral identity.
+sign interpolants of minimal degree (exact Lagrange interpolation),
+generalized Vandermonde positivity (one Gaussian elimination, `_det`,
+over exact Fractions or over mpmath intervals, any size), the zero-sum
+count T_s, the asymptotics witness for the sandwich constants, and the
+sinc-power integral identity.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, permutations, product
+from itertools import accumulate, product
 
 import numpy as np
 from mpmath import iv
@@ -401,56 +403,36 @@ class ExactPolynomial:
         return all(c == 0 for c in self.coefficients[0::2])
 
 
-def _solve_fraction_system(matrix: list[list[Fraction]],
-                           rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination; raises on a singular system."""
-    n = len(matrix)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular interpolation system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] / inv
-            for c in range(col, n + 1):
-                m[r][c] -= factor * m[col][c]
-    sol = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = m[r][n] - sum(m[r][c] * sol[c] for c in range(r + 1, n))
-        sol[r] = acc / m[r][r]
-    return sol
+def _sgn(x) -> int:
+    return -1 if x < 0 else (0 if x == 0 else 1)
 
 
 def sign_interpolant(lam: int, m: int) -> ExactPolynomial:
     """Minimal-degree polynomial with F(j) = sgn(j) j^m on {-lam..lam}.
 
-    For odd m the interpolant is an even polynomial in x^2 (no constant
-    term); its coefficients solve an exact lam x lam power system.  For
-    even m it is the odd-m interpolant of exponent m+1 divided by x.
+    The unique polynomial of degree <= 2 lam through the 2 lam + 1 points
+    (j, sgn(j) j^m), built by exact Lagrange interpolation.  Its parity
+    (even for odd m, odd for even m) is a consequence that
+    `sign_lemma_check` verifies, not an assumption of the construction.
     """
     if lam < 1:
         raise ValueError(f"need lam >= 1, got {lam}")
     if not 0 <= m <= 2 * lam - 1:
         raise ValueError(f"need 0 <= m <= 2*lam-1 = {2 * lam - 1}, got m = {m}")
-    if m % 2 == 1:
-        matrix = [[Fraction(i ** (2 * j)) for j in range(1, lam + 1)]
-                  for i in range(1, lam + 1)]
-        rhs = [Fraction(i ** m) for i in range(1, lam + 1)]
-        sol = _solve_fraction_system(matrix, rhs)
-        coeffs = [Fraction(0)] * (2 * lam + 1)
-        for j, a in enumerate(sol, start=1):
-            coeffs[2 * j] = a
-        return ExactPolynomial.from_coeffs(coeffs)
-    shifted = sign_interpolant(lam, m + 1)
-    return ExactPolynomial.from_coeffs(shifted.coefficients[1:])
-
-
-def _sgn(x) -> int:
-    return -1 if x < 0 else (0 if x == 0 else 1)
+    nodes = range(-lam, lam + 1)
+    coeffs = [Fraction(0)] * (2 * lam + 1)
+    for j in nodes:
+        y = _sgn(j) * j ** m
+        if y == 0:
+            continue
+        basis, denom = [1], 1  # prod (x - k) and prod (j - k) over k != j
+        for k in nodes:
+            if k != j:
+                basis = [a - k * b for a, b in zip([0] + basis, basis + [0])]
+                denom *= j - k
+        for i, c in enumerate(basis):
+            coeffs[i] += Fraction(y * c, denom)
+    return ExactPolynomial.from_coeffs(coeffs)
 
 
 def sign_lemma_check(lambda_max: int = 6) -> CampaignResult:
@@ -459,7 +441,8 @@ def sign_lemma_check(lambda_max: int = 6) -> CampaignResult:
     Expected shape: even m -> odd function of degree 2 lam - 1 with
     leading sign (-1)^((2 lam - m - 2)/2); odd m -> even function of
     degree 2 lam with leading sign (-1)^((2 lam - m - 1)/2).  The
-    interpolation property itself is re-checked pointwise.
+    interpolation imposes none of these, and the interpolation property
+    itself is re-checked pointwise.
     """
     t0 = time.perf_counter()
     passed = True
@@ -494,35 +477,43 @@ def sign_lemma_check(lambda_max: int = 6) -> CampaignResult:
     )
 
 
-def _bareiss_det(mat: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    m = [row[:] for row in mat]
+def _det(matrix: list[list]):
+    """Determinant by Gaussian elimination over Fraction or iv.mpf entries.
+
+    The pivot is the first entry of its column that is provably nonzero
+    (an interval must exclude 0; mpmath's `!=` is not certified), and
+    every row swap flips the sign.  Returns None when some column has no
+    provable pivot: a singular exact matrix, or enclosures too wide.
+    """
+    m = [row[:] for row in matrix]
     n = len(m)
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            swap = next((r for r in range(i + 1, n) if m[r][i] != 0), None)
-            if swap is None:
-                return 0
-            m[i], m[swap] = m[swap], m[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
-        prev = m[i][i]
-    return sign * m[-1][-1]
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n)
+                    if (m[r][col] > 0) is True or (m[r][col] < 0) is True), None)
+        if piv is None:
+            return None
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        p = m[col][col]
+        det *= p
+        for r in range(col + 1, n):
+            factor = m[r][col] / p
+            for c in range(col + 1, n):
+                m[r][c] -= factor * m[col][c]
+    return det
 
 
 def vandermonde_positivity(u, x, prec: int = DEFAULT_PREC) -> BoundReport:
     """Sign of the generalized Vandermonde determinant det(x_i^(u_j)).
 
     Strictly positive for 0 <= u_1 < ... < u_l and 0 < x_1 < ... < x_l.
-    Integer exponents with rational nodes go through exact fraction-free
-    elimination; anything else through interval arithmetic with
-    escalation (InconclusiveError at the ceiling), where int and Fraction
-    entries are enclosed exactly rather than rounded to float.
+    Integer exponents with rational nodes give the exact determinant by
+    elimination over Fractions; anything else is eliminated in interval
+    arithmetic with escalation (InconclusiveError at the ceiling), where
+    int and Fraction entries are enclosed exactly rather than rounded to
+    float.  Both paths run the same `_det`, in O(l^3) operations.
     """
     ell = len(u)
     if ell == 0 or len(x) != ell:
@@ -536,38 +527,23 @@ def vandermonde_positivity(u, x, prec: int = DEFAULT_PREC) -> BoundReport:
                           for v in u)
     exact_nodes = all(isinstance(v, (int, Fraction)) for v in x)
     if exact_exponents and exact_nodes:
-        us = [int(v) for v in u]
-        xs = [Fraction(v) for v in x]
-        u_top = us[-1]
-        mat = [[(xi.numerator ** uj) * (xi.denominator ** (u_top - uj)) for uj in us]
-               for xi in xs]
-        det_scaled = _bareiss_det(mat)
-        scale = math.prod(xi.denominator ** u_top for xi in xs)
-        det = Fraction(det_scaled, scale)
+        det = _det([[Fraction(xi) ** int(uj) for uj in u] for xi in x])
+        det = Fraction(0) if det is None else det
         return BoundReport(
             exact_value=det,
             bound_value=0.0,
             slack=float(det),
             holds=det > 0,
-            context={"size": ell, "method": "bareiss-exact",
+            context={"size": ell, "method": "exact-elimination",
                      "check": "vandermonde-positivity"},
         )
 
-    if ell > 8:
-        raise CapacityError(f"interval determinant capped at size 8, got {ell}")
-
     def decide(level: int) -> BoundReport | None:
         with iv_prec(level):
-            entries = [[iv.exp(iv.log(iv_exact(xi)) * iv_exact(uj)) for uj in u]
-                       for xi in x]
-            det = iv.mpf(0)
-            for perm in permutations(range(ell)):
-                inv = sum(1 for a in range(ell) for b in range(a + 1, ell)
-                          if perm[a] > perm[b])
-                term = iv.mpf(1)
-                for r, c in enumerate(perm):
-                    term *= entries[r][c]
-                det = det - term if inv % 2 else det + term
+            det = _det([[iv.exp(iv.log(iv_exact(xi)) * iv_exact(uj)) for uj in u]
+                        for xi in x])
+            if det is None:
+                return None
             lo, hi = float(det.a), float(det.b)
             if not (lo > 0.0 or hi < 0.0):
                 return None

@@ -36,8 +36,9 @@ from .certify import (
     DEFAULT_PREC,
     escalate,
     fraction_le_enclosure,
-    int_ge_pow2,
+    int_vs_pow2,
     interval_upper,
+    iv_exact,
     iv_prec,
     scaled_le,
 )
@@ -434,7 +435,7 @@ def H_theta_exact(profile: DivisorProfile, theta: float) -> int:
         m = abs(pref[i])
         ok = passes.get(m)
         if ok is None:
-            ok = passes.setdefault(m, int_ge_pow2(m, q))
+            ok = passes.setdefault(m, int_vs_pow2(m, q) >= 0)
         if ok:
             total += divs[i + 1] - divs[i]
     # the last divisor is n itself where M(n,n) = 0 < 2^q
@@ -452,7 +453,7 @@ def H_chain_check(profile: DivisorProfile, theta: float, t: int,
     holds = scaled_le(h, q, lt)
     with iv_prec(prec):
         bound = interval_upper(
-            iv.mpf(lt) * iv.exp(-iv.log(iv.mpf(2)) * (iv.mpf(q.numerator) / q.denominator)))
+            iv.mpf(lt) * iv.exp(-iv.log(iv.mpf(2)) * iv_exact(q)))
     return BoundReport(
         exact_value=h,
         bound_value=bound,

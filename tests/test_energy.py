@@ -2,10 +2,10 @@
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divlat import (
@@ -28,7 +28,8 @@ from divlat import (
     sinc_integral_check,
     vandermonde_positivity,
 )
-from divlat.energy import ExactPolynomial, composition_counts
+from divlat.certify import iv_exact, iv_prec
+from divlat.energy import ExactPolynomial, _det, composition_counts
 
 
 # ---------------------------------------------------------------------------
@@ -293,3 +294,60 @@ def test_vandermonde_interval_path_keeps_exact_nodes():
     rep = vandermonde_positivity([Fraction(1, 2), 1],
                                  [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 20)])
     assert rep.holds and rep.context["method"] == "interval-128bit"
+
+
+def test_vandermonde_interval_path_past_old_size_cap():
+    # the interval path has no size cap: elimination is O(l^3)
+    rep = vandermonde_positivity([j / 2 for j in range(10)],
+                                 [float(j) for j in range(1, 11)])
+    assert rep.holds and rep.context["method"].startswith("interval")
+    assert rep.context["size"] == 10
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against a Leibniz oracle
+# ---------------------------------------------------------------------------
+
+def _leibniz_det(mat):
+    n = len(mat)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total += (-1) ** inversions * math.prod(mat[r][c] for r, c in enumerate(perm))
+    return total
+
+
+# half the entries are zero, so row swaps and singular matrices are common
+_sparse_entry = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 5)),
+)
+_square_matrix = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(_sparse_entry, min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@given(_square_matrix)
+@example([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])  # one swap
+@example([[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]])  # singular
+@settings(max_examples=200, deadline=None)
+def test_det_matches_leibniz(mat):
+    expected = _leibniz_det(mat)
+    got = _det(mat)
+    assert (got is None) == (expected == 0)
+    if got is not None:
+        assert got == expected
+
+
+@given(_square_matrix)
+@settings(max_examples=100, deadline=None)
+def test_det_interval_encloses_exact(mat):
+    expected = _leibniz_det(mat)
+    with iv_prec(128):
+        got = _det([[iv_exact(v) for v in row] for row in mat])
+        if got is not None:
+            assert (got.a <= iv_exact(expected)) is True
+            assert (iv_exact(expected) <= got.b) is True
+    # an interval pivot is provably nonzero, so a singular input never gets one
+    if expected == 0:
+        assert got is None
