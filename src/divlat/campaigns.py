@@ -44,7 +44,7 @@ from mpmath import iv
 from mpmath.libmp import to_str as _mpf_to_str
 
 from .certify import DEFAULT_PREC, escalate, interval_upper, iv_prec
-from .core import PrimeTable, _ensure_small_primes
+from .core import PrimeTable, sieve_for_count
 from .errors import CapacityError
 from .reports import BoundReport, CampaignResult
 
@@ -539,7 +539,7 @@ def ln2_bound_check(t: int, k: int) -> BoundReport:
         raise ValueError(f"side chain applies to t >= 100, got {t}")
     if not 1 <= k <= 56:
         raise ValueError(f"side chain applies to 1 <= k <= 56, got {k}")
-    primes = _ensure_small_primes(k)[:k]
+    primes = sieve_for_count(k).primes[:k]
     with iv_prec(DEFAULT_PREC):
         lhs = iv.log(iv.mpf(t)) / t + log_eta_sums(primes, t, [k])[k]
         mid = iv.log(iv.mpf(100)) / 100 + k * iv.log(iv.mpf(2))

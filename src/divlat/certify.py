@@ -54,7 +54,10 @@ def escalate(decide: Callable[[int], Optional[bool]],
 
     `what` names the comparison if the ceiling is passed; a callable is
     called only then, so it can report what `decide` left pending.
+    A start below 1 bit would never double, so it is a ValueError.
     """
+    if start < 1:
+        raise ValueError(f"working precision must be >= 1 bit, got {start}")
     prec = start
     while prec <= ceiling:
         verdict = decide(prec)

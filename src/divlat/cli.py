@@ -7,8 +7,9 @@ status == "pass"; capacity and inconclusive outcomes exit nonzero.  An
 error report keeps the parsed inputs and names its results.error_kind:
 capacity, domain, argument or inconclusive.
 
-Environment: DIVLAT_SIEVE_LIMIT caps how far commands will sieve
-(default 80,000,000).
+Environment: DIVLAT_SIEVE_LIMIT (default 80,000,000) caps how far
+commands sieve; a campaign over k primes compares it with the proven
+bound on p_k it sieves to, and above the cap is a capacity error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 from fractions import Fraction
 
 from . import campaigns, moments
-from .core import factorize, prime_upper_bound, rosser_check, sieve_for_count
+from .core import factorize, prime_upper_bound, rosser_check, sieve_primes
 from .energy import brute_energy_oracle, energy
 from .errors import CapacityError, DomainError, InconclusiveError
 from .moments import ALPHA_REFERENCE, divisor_profile
@@ -32,18 +33,15 @@ from .reports import _jsonable
 DEFAULT_SIEVE_CEILING = 80_000_000
 
 
-def _sieve_ceiling() -> int:
-    return int(os.environ.get("DIVLAT_SIEVE_LIMIT", str(DEFAULT_SIEVE_CEILING)))
-
-
 def _table_for_count(k: int):
+    """The first k primes, sieved to the proven bound on p_k within the ceiling."""
     need = prime_upper_bound(k)
-    ceiling = _sieve_ceiling()
+    ceiling = int(os.environ.get("DIVLAT_SIEVE_LIMIT", str(DEFAULT_SIEVE_CEILING)))
     if need > ceiling:
         raise CapacityError(
-            f"campaign needs a sieve limit near {need}, above the ceiling "
-            f"{ceiling} (raise DIVLAT_SIEVE_LIMIT)")
-    return sieve_for_count(k)
+            f"campaign needs a sieve limit of {need} (proven bound on p_{k}), "
+            f"above the ceiling {ceiling} (raise DIVLAT_SIEVE_LIMIT)")
+    return sieve_primes(need)
 
 
 def _truncate2(x: float) -> float:
@@ -135,10 +133,17 @@ def cmd_tables(args) -> int:
 
 
 def _parse_t_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """--t as one integer t or an inclusive range lo:hi."""
+    try:
+        bounds = [int(x) for x in text.split(":")]
+    except ValueError:
+        bounds = []
+    if len(bounds) not in (1, 2):
+        raise ValueError(f"--t must be an integer t or a range lo:hi, got {text!r}")
+    lo, hi = bounds[0], bounds[-1]
+    if lo > hi:
+        raise ValueError(f"--t range {text!r} is empty: {lo} > {hi}")
+    return list(range(lo, hi + 1))
 
 
 def cmd_verify_eta(args) -> int:
@@ -278,13 +283,16 @@ def cmd_energy(args) -> int:
                  t0, None, args.csv)
 
 
+#: the primes a scan sample draws its squarefree n from
+_SCAN_POOL = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+              53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+
+
 def _scan_one(rng: random.Random, omega_max: int, t_max: int, s_max: int,
               prec: int) -> dict:
     """One seeded cross-check bundle on a random squarefree n."""
-    pool = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-            53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
     omega = rng.randint(1, omega_max)
-    primes = sorted(rng.sample(pool, omega))
+    primes = sorted(rng.sample(_SCAN_POOL, omega))
     n = math.prod(primes)
     f = factorize(n)
     profile = divisor_profile(f)
@@ -335,6 +343,10 @@ def _scan_one(rng: random.Random, omega_max: int, t_max: int, s_max: int,
 
 def cmd_scan(args) -> int:
     t0 = time.perf_counter()
+    if not 1 <= args.omega_max <= len(_SCAN_POOL):
+        raise ValueError(f"--omega-max must lie in 1..{len(_SCAN_POOL)}, got {args.omega_max}")
+    if args.t_max < 2 or args.s_max < 2:
+        raise ValueError(f"--t-max and --s-max must be >= 2, got {args.t_max}, {args.s_max}")
     rng = random.Random(args.seed)
     records = [_scan_one(rng, args.omega_max, args.t_max, args.s_max, args.precision)
                for _ in range(args.count)]

@@ -1,11 +1,15 @@
 """Exact integer number theory underpinning the whole package.
 
-Everything here is exact: primes come from a segmented Eratosthenes
-sieve, factorizations from complete trial division, and the
-combinatorial quantities (binomials, Eulerian numbers, surjection
-counts) from arbitrary-precision integer formulas.  Floating point
-appears only in `rosser_check`, where the analytic side k*log(k) is
-compared with a certified error allowance.
+Everything here is exact: primes come from one segmented Eratosthenes
+sieve over the odd numbers, factorizations from complete trial
+division, and the combinatorial quantities (binomials, Eulerian
+numbers, surjection counts) from arbitrary-precision integer formulas.
+A table of the first k primes is sieved up to a proven bound on p_k:
+Dusart's k(ln k + ln ln k - 0.9484) for k >= 39017, Rosser's
+k(ln k + ln ln k) for 6 <= k < 39017.  Floating point appears only in
+that bound, rounded up by a margin far above its error, and in
+`rosser_check`, where the analytic side k*log(k) is compared with a
+certified error allowance.
 
 Key objects:
     PrimeTable      immutable ascending table of primes (1-indexed access)
@@ -27,17 +31,8 @@ from .reports import CampaignResult
 #: hard ceiling on divisor enumeration (2^26 divisors ~ 0.5 GiB of ints)
 DIVISOR_CAP = 1 << 26
 
-_SEGMENT = 1 << 22
-
-
-def _simple_sieve(limit: int) -> np.ndarray:
-    """Plain sieve of Eratosthenes up to `limit` inclusive."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p:: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+#: odd slots per sieve segment; slot i stands for the odd number 2i + 1
+_SEGMENT = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,7 @@ class PrimeTable:
             need = prime_upper_bound(k)
             raise CapacityError(
                 f"table holds {self.count} primes (limit {self.limit}); "
-                f"p_{k} needs a sieve limit of about {need}")
+                f"p_{k} needs a sieve limit of at most {need}")
         return int(self.primes[k - 1])
 
     def __len__(self) -> int:
@@ -70,51 +65,51 @@ class PrimeTable:
 
 
 def prime_upper_bound(k: int) -> int:
-    """Upper bound on p_k, used to size sieves (k(log k + log log k) for k >= 6)."""
+    """Proven upper bound on p_k, the k-th prime.
+
+    Dusart (Math. Comp. 68, 1999): p_k <= k(ln k + ln ln k - 0.9484) for
+    k >= 39017.  Rosser (1941): p_k < k(ln k + ln ln k) for k >= 6.
+    Below that p_k <= 11, so 13 serves.  The float value is rounded up
+    with a relative margin far above its rounding error, so the bound
+    cannot undershoot.
+    """
     if k < 6:
         return 13
     lk = math.log(k)
-    return int(k * (lk + math.log(lk)) * 1.02) + 10
+    shift = 0.9484 if k >= 39017 else 0.0
+    return math.ceil(k * (lk + math.log(lk) - shift) * (1 + 2 ** -40))
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Segmented sieve of all primes <= limit.
+    """All primes <= limit, by a segmented sieve over the odd numbers.
 
-    Segments of 4M keep peak memory bounded regardless of limit, so
-    campaign-scale tables (limit ~ 7e7) stay cheap to build.
+    Each segment holds 2^21 odd numbers, so peak memory stays bounded
+    whatever the limit.  The first segment sieves itself; its primes up
+    to sqrt(limit) then sieve every later segment.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if limit <= _SEGMENT:
-        return PrimeTable(limit=limit, primes=_simple_sieve(limit))
-    base = _simple_sieve(math.isqrt(limit))
-    chunks = [base[base <= limit]]
-    lo = int(base[-1]) + 1 if base.size else 2
-    lo = max(lo, math.isqrt(limit) + 1)
-    while lo <= limit:
-        hi = min(lo + _SEGMENT - 1, limit)
-        flags = np.ones(hi - lo + 1, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = ((lo + p - 1) // p) * p
-            if start < p * p:
-                start = p * p
-            if start > hi:
-                continue
-            flags[start - lo:: p] = False
-        chunks.append(np.flatnonzero(flags).astype(np.int64) + lo)
-        lo = hi + 1
+    if math.isqrt(limit) >= 2 * _SEGMENT:
+        raise CapacityError(f"sieve limit {limit} needs base primes beyond the first segment")
+    slots = (limit + 1) // 2
+    chunks = [np.array([2], dtype=np.int64)]
+    for lo in range(0, slots, _SEGMENT):
+        flags = np.ones(min(_SEGMENT, slots - lo), dtype=bool)
+        if lo == 0:
+            flags[0] = False  # 1 is not prime
+            first = flags
+        for p in range(3, math.isqrt(2 * (lo + flags.size) - 1) + 1, 2):
+            if first[p >> 1]:
+                # odd multiples of p from p^2 on sit p slots apart
+                off = (p * p >> 1) - lo
+                flags[max(off, off % p):: p] = False
+        chunks.append(2 * np.flatnonzero(flags).astype(np.int64) + (2 * lo + 1))
     return PrimeTable(limit=limit, primes=np.concatenate(chunks))
 
 
 def sieve_for_count(k: int) -> PrimeTable:
-    """Smallest convenient table guaranteed to hold at least k primes."""
-    limit = max(13, prime_upper_bound(k))
-    table = sieve_primes(limit)
-    while table.count < k:  # bound above should prevent this
-        limit *= 2
-        table = sieve_primes(limit)
-    return table
+    """Table guaranteed to hold at least k primes: sieved to prime_upper_bound(k)."""
+    return sieve_primes(prime_upper_bound(k))
 
 
 def nth_prime(k: int, table: PrimeTable) -> int:
@@ -122,22 +117,11 @@ def nth_prime(k: int, table: PrimeTable) -> int:
     return table.nth(k)
 
 
-_small_primes: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-
-
-def _ensure_small_primes(k: int) -> list[int]:
-    global _small_primes
-    if len(_small_primes) < k:
-        _small_primes = [int(p) for p in sieve_for_count(k).primes[: max(k, 64)]]
-    return _small_primes
-
-
 def primorial(k: int) -> int:
     """Product of the first k primes; the empty product (k=0) is 1."""
     if k < 0:
         raise ValueError(f"primorial index must be >= 0, got {k}")
-    primes = _ensure_small_primes(k)
-    return reduce(lambda a, p: a * p, primes[:k], 1)
+    return math.prod(sieve_for_count(k).primes[:k].tolist())
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ threshold, where the float and low-precision interval passes are weakest.
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divlat.certify import int_vs_pow2, scaled_le
+from divlat.certify import escalate, int_vs_pow2, scaled_le
 
 
 def _sign(x: int) -> int:
@@ -69,3 +70,13 @@ def test_exact_ties_on_integral_exponents():
     assert int_vs_pow2(1, Fraction(-6, 3)) == 1
     assert scaled_le(3, Fraction(9, 3), 24) and not scaled_le(3, Fraction(9, 3), 23)
     assert scaled_le(5, Fraction(-4, 2), 2) and not scaled_le(9, Fraction(-4, 2), 2)
+
+
+@pytest.mark.parametrize("start", [0, -8])
+def test_escalate_rejects_start_below_one_bit(start):
+    # doubling 0 or a negative start never reaches the ceiling
+    tried = []
+    with pytest.raises(ValueError, match=f"got {start}"):
+        escalate(lambda prec: tried.append(prec), start=start)
+    assert tried == []
+    assert escalate(lambda prec: prec if prec >= 8 else None, start=1) == 8

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from divlat import campaigns, cli, core, moments
 from divlat.errors import InconclusiveError
 
@@ -122,6 +124,29 @@ def test_energy_sweep(capsys):
     assert code == 0
     assert report["results"]["checked"] == 59
     assert report["results"]["violations"] == []
+
+
+def test_precision_below_one_bit_is_argument_error(capsys):
+    code, report, _ = run_cli(capsys, "verify-eta", "--t", "2", "--k-max", "3000",
+                              "--precision", "0")
+    assert code == 1 and report["status"] == "fail"
+    assert report["results"]["error_kind"] == "argument"
+    assert "precision" in report["results"]["error"]
+    assert report["inputs"]["precision"] == 0
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify-eta", "--t", "5:3"], "'5:3' is empty"),
+    (["verify-eta", "--t", "2:9:1"], "'2:9:1'"),
+    (["verify-eta", "--t", "x"], "'x'"),
+    (["scan", "--omega-max", "30"], "--omega-max must lie in 1..25"),
+    (["scan", "--t-max", "1"], "--t-max"),
+])
+def test_malformed_ranges_name_the_input(capsys, argv, named):
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 1 and report["status"] == "fail"
+    assert report["results"]["error_kind"] == "argument"
+    assert named in report["results"]["error"]
 
 
 def test_energy_invalid_s(capsys):

@@ -1,8 +1,10 @@
 """Core arithmetic: sieve, factorization, exact combinatorics."""
 
 import math
+from functools import lru_cache
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,10 +19,11 @@ from divlat import (
     nth_prime,
     primorial,
     rosser_check,
+    sieve_for_count,
     sieve_primes,
     surjections,
 )
-from divlat.core import divisor_table
+from divlat.core import divisor_table, prime_upper_bound
 
 
 def trial_division_primes(limit):
@@ -52,16 +55,58 @@ def test_sieve_pi_of_million(small_table):
 
 
 def test_sieve_segmented_consistency():
-    # limit above the segment size exercises the segmented path
+    # 2.5M odd numbers span two segments of 2^21: the second is sieved
+    # by the base primes the first segment found
     seg = sieve_primes(5_000_000)
     assert seg.count == 348_513  # pi(5e6)
     assert int(seg.primes[0]) == 2
     assert int(seg.primes[-1]) == 4_999_999
 
 
+@lru_cache(maxsize=1)
+def eratosthenes(limit):
+    """Plain sieve over every integer <= limit: the oracle for sieve_primes."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p:: p] = False
+    return np.flatnonzero(flags).astype(np.int64)
+
+
+# 4,194,305 is the last odd number of the first segment of 2^21 odd
+# slots and 8,388,609 that of the second; 2^22 was the old segment edge
+@pytest.mark.parametrize("limit", [
+    2, 3, 4, 9, 25, 4_194_303, 4_194_304, 4_194_305, 4_194_306, 4_194_307,
+    5_000_000, 8_388_609, 8_388_611])
+def test_sieve_matches_eratosthenes_oracle(limit):
+    oracle = eratosthenes(8_388_611)
+    got = sieve_primes(limit)
+    assert got.limit == limit and got.primes.dtype == np.int64
+    assert np.array_equal(got.primes, oracle[oracle <= limit])
+
+
+@pytest.mark.parametrize("k", [*range(1, 61), 39_016, 39_017])
+def test_sieve_for_count_holds_k_primes(k):
+    table = sieve_for_count(k)
+    assert table.count >= k and table.limit == prime_upper_bound(k)
+
+
+def test_sieve_for_count_at_250k(medium_table):
+    assert medium_table.count >= 250_000
+    oracle = eratosthenes(8_388_611)
+    assert np.array_equal(medium_table.primes, oracle[oracle <= medium_table.limit])
+
+
 def test_sieve_rejects_tiny_limit():
     with pytest.raises(ValueError):
         sieve_primes(1)
+
+
+def test_sieve_rejects_limit_past_first_segment_base_primes():
+    # sqrt(limit) must stay inside the first segment, which supplies the base primes
+    with pytest.raises(CapacityError, match="first segment"):
+        sieve_primes((2 * 2 ** 21) ** 2)
 
 
 def test_sieve_deep_window_matches_trial_division(small_table):
