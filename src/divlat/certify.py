@@ -7,6 +7,10 @@ that a "holds" verdict can never be a rounding artifact:
 * exact path: a threshold 2^q with integral q is compared in integer
   arithmetic, because that is the only case where the two sides can be
   *equal*;
+* integer bracket: for non-integral q, a = floor(q B) with B = BRACKET
+  gives 2^a <= 2^(qB) < 2^(a+1), so m^B or lhs^B compared against both
+  ends in integer arithmetic decides every case outside that one-step
+  band, as certified as the exact path;
 * otherwise mpmath interval arithmetic, doubling the working precision
   up to a ceiling;
 * still undecided at the ceiling -> InconclusiveError.
@@ -34,6 +38,8 @@ from .errors import InconclusiveError
 
 DEFAULT_PREC = 128
 PREC_CEILING = 4096
+#: B of the integer bracket: 2^q is pinned between 2^(a/B) and 2^((a+1)/B)
+BRACKET = 64
 
 @contextmanager
 def iv_prec(bits: int):
@@ -82,6 +88,16 @@ def iv_exact(v) -> "iv.mpf":
     return iv.mpf(float(v))
 
 
+def _shift_le(x: int, e: int, y: int) -> bool:
+    """Exact x * 2^e <= y for any integer e."""
+    return (x << e) <= y if e >= 0 else x <= (y << -e)
+
+
+def _bracket(q: Fraction) -> int:
+    """a = floor(q * BRACKET), so 2^a <= 2^(q BRACKET) < 2^(a+1)."""
+    return q.numerator * BRACKET // q.denominator
+
+
 def int_vs_pow2(m: int, q) -> int:
     """Certified sign of m - 2^q for an integer m >= 0.
 
@@ -91,12 +107,16 @@ def int_vs_pow2(m: int, q) -> int:
     if m <= 0:
         return -1  # 2^q > 0 always
     qe = Fraction(q)  # exact, floats included
-    if qe.denominator == 1:
-        e = qe.numerator
-        if e >= 0:
-            thr = 1 << e
-            return (m > thr) - (m < thr)
+    if qe < 0:
         return 1  # 2^q in (0,1) and m >= 1
+    if qe.denominator == 1:
+        thr = 1 << qe.numerator
+        return (m > thr) - (m < thr)
+    top = m ** BRACKET >> _bracket(qe)  # m^B / 2^a, rounded down
+    if top >= 2:
+        return 1
+    if top == 0:
+        return -1
 
     def decide(prec: int) -> Optional[int]:
         with iv_prec(prec):
@@ -119,10 +139,13 @@ def scaled_le(lhs: int, q, rhs: int) -> bool:
         return False
     qe = Fraction(q)  # exact, floats included
     if qe.denominator == 1:
-        e = qe.numerator
-        if e >= 0:
-            return (lhs << e) <= rhs
-        return lhs <= (rhs << -e)
+        return _shift_le(lhs, qe.numerator, rhs)
+    a = _bracket(qe)
+    lhs_b, rhs_b = lhs ** BRACKET, rhs ** BRACKET
+    if _shift_le(lhs_b, a + 1, rhs_b):
+        return True
+    if not _shift_le(lhs_b, a, rhs_b):
+        return False
 
     def decide(prec: int) -> Optional[bool]:
         with iv_prec(prec):

@@ -256,6 +256,8 @@ def cmd_energy(args) -> int:
     t0 = time.perf_counter()
     if args.sweep is None and args.n is None:
         raise ValueError("energy needs --n or --sweep")
+    if args.sweep is not None and args.sweep < 2:
+        raise ValueError(f"--sweep must be >= 2 (it checks n = 2..sweep), got {args.sweep}")
     if args.sweep is None:
         f = factorize(args.n)
         rep = energy(f, args.s)
@@ -343,6 +345,8 @@ def _scan_one(rng: random.Random, omega_max: int, t_max: int, s_max: int,
 
 def cmd_scan(args) -> int:
     t0 = time.perf_counter()
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     if not 1 <= args.omega_max <= len(_SCAN_POOL):
         raise ValueError(f"--omega-max must lie in 1..{len(_SCAN_POOL)}, got {args.omega_max}")
     if args.t_max < 2 or args.s_max < 2:

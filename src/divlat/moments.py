@@ -332,6 +332,29 @@ def domination_check(profile: DivisorProfile, rho: int) -> BoundReport:
     )
 
 
+@lru_cache(maxsize=256)
+def _thm_exponentials(omega: int, t: int, prec: int,
+                      c_lo: str, c_hi: str) -> tuple["iv.mpf", "iv.mpf"]:
+    """exp of both moment-bound exponents, at `prec` bits.
+
+    n enters thm_bounds only as a final factor, so these depend on
+    (omega, t) and on the decimal bounds of C; the latter are part of
+    the key, so a changed campaigns.ETA_CONSTANT_* is never served a
+    stale enclosure.
+    """
+    with iv_prec(prec):
+        if omega == 0:
+            pow_term = iv.mpf(0)
+            expo1 = iv.mpf(0)
+        else:
+            c = iv.mpf([c_lo, c_hi])
+            pow_term = iv.exp(iv.log(iv.mpf(omega)) * (1 - iv.mpf(1) / t))
+            logplus = iv.log(iv.mpf(max(omega, 2)))
+            logplus_root = iv.exp(iv.log(logplus) / t)
+            expo1 = c * t * pow_term / ((1 - iv.mpf(1) / t) * logplus_root)
+        return iv.exp(expo1), iv.exp(t * pow_term)
+
+
 def thm_bounds(f: Factorization, t: int, prec: int = DEFAULT_PREC) -> tuple[float, float]:
     """Both closed-form moment bounds, rounded up.
 
@@ -347,20 +370,12 @@ def thm_bounds(f: Factorization, t: int, prec: int = DEFAULT_PREC) -> tuple[floa
     om = f.omega
     n = f.n
     delta2 = 1 if t == 2 else 0
+    factor = 2 if (t == 2 and om <= 55) else 1
+    exp1, exp2 = _thm_exponentials(om, t, prec, campaigns.ETA_CONSTANT_LO,
+                                   campaigns.ETA_CONSTANT_HI)
     with iv_prec(prec):
-        c = campaigns.eta_constant_interval()
-        if om == 0:
-            pow_term = iv.mpf(0)
-            expo1 = iv.mpf(0)
-        else:
-            om_iv = iv.mpf(om)
-            pow_term = iv.exp(iv.log(om_iv) * (1 - iv.mpf(1) / t))
-            logplus = iv.log(iv.mpf(max(om, 2)))
-            logplus_root = iv.exp(iv.log(logplus) / t)
-            expo1 = c * t * pow_term / ((1 - iv.mpf(1) / t) * logplus_root)
-        thm1 = interval_upper(iv.mpf((1 + delta2) * n) * iv.exp(expo1))
-        factor = 2 if (t == 2 and om <= 55) else 1
-        thm2 = interval_upper(iv.mpf(factor * n) * iv.exp(t * pow_term))
+        thm1 = interval_upper(iv.mpf((1 + delta2) * n) * exp1)
+        thm2 = interval_upper(iv.mpf(factor * n) * exp2)
     return thm1, thm2
 
 

@@ -6,17 +6,31 @@ For q = a/b with b > 0 and integers m, lhs, rhs >= 0:
     lhs * 2^q <= rhs    <=>  lhs^b * 2^a <= rhs^b
 
 and a < 0 moves 2^-a to the other side.  Draws cluster around the
-threshold, where the float and low-precision interval passes are weakest.
+threshold, where the integer bracket and the low-precision interval
+passes are weakest, and on the bracket's own ends: m = 2^k with
+q = k +- 1/b puts m^BRACKET exactly on 2^floor(q BRACKET) or on the
+power above it.
 """
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divlat.certify import escalate, int_vs_pow2, scaled_le
+from divlat import certify, moments
+from divlat.certify import BRACKET, escalate, int_vs_pow2, scaled_le
+
+#: denominators: small, odd, around and far past BRACKET
+DENOMS = st.one_of(
+    st.integers(2, 12),
+    st.sampled_from([63, 65, 127, 128, 255, 256, 511, 512, 1023, 1024]),
+    st.integers(13, 1024),
+    st.integers(6, 511).map(lambda k: 2 * k + 1),
+)
 
 
 def _sign(x: int) -> int:
@@ -32,19 +46,55 @@ def _near(draw, target: float, top: int) -> int:
 
 @st.composite
 def pow2_cases(draw):
-    a, b = draw(st.integers(-120, 120)), draw(st.integers(2, 12))
+    b = draw(DENOMS)
+    a = draw(st.integers(-64 * b, 64 * b))
     return _near(draw, 2.0 ** (a / b), 2 ** 64), a, b
 
 
 @st.composite
+def pow2_edge_cases(draw):
+    """m = 2^k, q = k +- 1/b: m^BRACKET sits on an end of the bracket."""
+    k, b = draw(st.integers(0, 60)), draw(DENOMS)
+    return 1 << k, k * b + draw(st.sampled_from([-1, 1])), b
+
+
+@st.composite
+def negative_q_cases(draw):
+    """Non-integral q < 0: every m >= 1 exceeds 2^q."""
+    b = draw(DENOMS)
+    a = -draw(st.integers(1, 64 * b).filter(lambda c: c % b))
+    return draw(st.integers(0, 2 ** 64)), a, b
+
+
+@st.composite
 def scaled_cases(draw):
-    a, b = draw(st.integers(-120, 120)), draw(st.integers(2, 12))
+    b = draw(DENOMS)
+    a = draw(st.integers(-40 * b, 40 * b))
     lhs = draw(st.integers(0, 2 ** 40))
     return lhs, a, b, _near(draw, lhs * 2.0 ** (a / b), 2 ** 80)
 
 
-@given(pow2_cases())
-@settings(max_examples=300, deadline=None)
+@st.composite
+def scaled_edge_cases(draw):
+    """floor(q BRACKET) in {-1, < -1}, or powers of two on a bracket end."""
+    b = draw(st.integers(BRACKET, 1024))
+    kind = draw(st.sampled_from(["a_plus_1_zero", "a_negative", "pow2_ends"]))
+    if kind == "pow2_ends":
+        i, j = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+        return 1 << i, (j - i) * b + draw(st.sampled_from([-1, 1])), b, 1 << j
+    if kind == "a_plus_1_zero":
+        a = -draw(st.integers(1, b // BRACKET))  # -1/64 <= q < 0
+    else:
+        a = -draw(st.integers(b // BRACKET + 1, 20 * b))
+    lhs = draw(st.integers(1, 2 ** 40))
+    return lhs, a, b, _near(draw, lhs * 2.0 ** (a / b), 2 ** 41)
+
+
+@given(st.one_of(pow2_cases(), pow2_edge_cases(), negative_q_cases()))
+@settings(max_examples=600, deadline=None)
+@example((1 << 5, 5 * 1024 + 1, 1024))   # m^64 == 2^a: undecided by the bracket
+@example((1 << 5, 5 * 1024 - 1, 1024))   # m^64 == 2^(a+1): decided, m > 2^q
+@example((1, -1, 3))
 def test_int_vs_pow2_matches_integer_oracle(case):
     m, a, b = case
     if a >= 0:
@@ -54,8 +104,11 @@ def test_int_vs_pow2_matches_integer_oracle(case):
     assert int_vs_pow2(m, Fraction(a, b)) == want
 
 
-@given(scaled_cases())
-@settings(max_examples=300, deadline=None)
+@given(st.one_of(scaled_cases(), scaled_edge_cases()))
+@settings(max_examples=600, deadline=None)
+@example((3, -1, 128, 3))                 # a + 1 == 0
+@example((1 << 7, 3 * 256 - 1, 256, 1 << 10))  # lhs^64 2^(a+1) == rhs^64
+@example((1 << 7, 3 * 256 + 1, 256, 1 << 10))  # lhs^64 2^a == rhs^64
 def test_scaled_le_matches_integer_oracle(case):
     lhs, a, b, rhs = case
     if a >= 0:
@@ -80,3 +133,70 @@ def test_escalate_rejects_start_below_one_bit(start):
         escalate(lambda prec: tried.append(prec), start=start)
     assert tried == []
     assert escalate(lambda prec: prec if prec >= 8 else None, start=1) == 8
+
+
+def test_bracket_decides_threshold_sweep(monkeypatch):
+    """H_chain_check at ten theta over squarefree n <= 500 reaches mpmath
+    a handful of times at most, out of thousands of non-integral q."""
+    escalations, fractional = [], []
+
+    def counted(*args, **kwargs):
+        escalations.append(kwargs.get("what"))
+        return escalate(*args, **kwargs)
+
+    def watch(fn, q_at):
+        def wrapped(*args):
+            fractional.append(Fraction(args[q_at]).denominator != 1)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(certify, "escalate", counted)
+    monkeypatch.setattr(moments, "int_vs_pow2", watch(int_vs_pow2, 1))
+    monkeypatch.setattr(moments, "scaled_le", watch(scaled_le, 1))
+    for n in range(2, 501):
+        profile = moments.divisor_profile(n)
+        if profile.is_squarefree:
+            for theta in [x / 10 for x in range(1, 11)]:
+                moments.H_chain_check(profile, theta, 2)
+    assert sum(fractional) > 1000
+    assert len(escalations) <= 5, escalations
+
+
+def _prec_writes(tree: ast.AST):
+    """(enclosing function, line) of every assignment to iv.prec / iv.dps."""
+    found = []
+
+    def is_target(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr in ("prec", "dps")
+                and isinstance(node.value, ast.Name) and node.value.id == "iv")
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr" and node.args
+              and isinstance(node.args[0], ast.Name) and node.args[0].id == "iv"):
+            found.append((func, node.lineno))
+        found.extend((func, node.lineno) for t in targets
+                     for sub in ast.walk(t) if is_target(sub))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_iv_prec_is_the_only_precision_writer():
+    src = Path(certify.__file__).parent
+    writers = {(path.name, func, line)
+               for path in sorted(src.glob("*.py"))
+               for func, line in _prec_writes(ast.parse(path.read_text()))}
+    assert writers and {(name, func) for name, func, _ in writers} == {("certify.py", "iv_prec")}
+    # the guard itself sees a stray write
+    assert _prec_writes(ast.parse("def f():\n    iv.prec = 53\n")) == [("f", 2)]
+    assert _prec_writes(ast.parse("setattr(iv, 'prec', 53)\n")) == [(None, 1)]

@@ -149,6 +149,21 @@ def test_malformed_ranges_name_the_input(capsys, argv, named):
     assert named in report["results"]["error"]
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["scan", "--count", "0"], "--count must be >= 1, got 0"),
+    (["scan", "--count", "-3"], "--count must be >= 1, got -3"),
+    (["energy", "--s", "3", "--sweep", "1"], "--sweep must be >= 2"),
+    (["energy", "--s", "3", "--sweep", "0"], "got 0"),
+])
+def test_empty_sweep_is_argument_error(capsys, argv, named):
+    # a pass over zero checks would certify nothing
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 1 and report["status"] == "fail"
+    assert report["results"]["error_kind"] == "argument"
+    assert named in report["results"]["error"]
+    assert "checks_run" not in report["results"] and "checked" not in report["results"]
+
+
 def test_energy_invalid_s(capsys):
     code, report, _ = run_cli(capsys, "energy", "--s", "1", "--n", "12")
     assert code == 1 and report["status"] == "fail"

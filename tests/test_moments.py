@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divlat import campaigns
 from divlat import (
     DomainError,
     H_chain_check,
@@ -283,6 +284,21 @@ def test_thm_bounds():
         thm_bounds(factorize(6), 1)
     with pytest.raises(ValueError):
         thm_bounds(factorize(12), 2)
+
+
+def test_thm_bounds_follows_patched_constant(monkeypatch):
+    # the n-independent enclosures are cached; a changed C must not be
+    # served the enclosure cached under the old one
+    f = factorize(2 * 3 * 5 * 7)
+    b1, b2 = thm_bounds(f, 3)
+    monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", "1.5")
+    p1, p2 = thm_bounds(f, 3)
+    assert p1 > b1 and p2 == b2
+    monkeypatch.setattr(campaigns, "ETA_CONSTANT_LO", "0.10")
+    monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", "0.11")
+    assert thm_bounds(f, 3)[0] < b1
+    monkeypatch.undo()
+    assert thm_bounds(f, 3) == (b1, b2)
 
 
 @given(squarefree_subset_strategy(), st.integers(2, 6))
