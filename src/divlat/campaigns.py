@@ -16,7 +16,8 @@ Verification strategy (never a false pass):
 1. bulk pass in float64 with explicit error envelopes: per-term
    evaluation gets a 2^-47 relative budget, block-local cumulative sums
    an i*u*sum budget, and the carried sum is Neumaier-compensated with
-   an analytic 4u*|sum| allowance;
+   an analytic 4u*|sum| allowance.  The campaigns and the constant
+   search share this one pass, `_float_pass`;
 2. every k whose margin enclosure straddles zero is re-evaluated with
    mpmath interval arithmetic by `certify.escalate`: at the working
    precision (default 128 bits), then doubling up to a ceiling;
@@ -58,7 +59,6 @@ ETA_CONSTANT_HI = "1.0707347245501929455"
 ETA_CONSTANT_AT = (2, 2149)
 
 CHECKPOINT_STRIDE = 100_000
-_BLOCK = 2_000
 _PER_TERM_REL = 2.0 ** -47   # covers power + log1p evaluation error
 _REL_RHS = 2.0 ** -40        # envelope for the composed right-hand sides
 _U = 2.0 ** -53
@@ -106,7 +106,7 @@ class EtaAccumulator:
 
     #: slicing the stream at multiples of this reproduces bit-identical
     #: enclosures (arbitrary slicing stays *correct*, merely regrouped)
-    BLOCK = _BLOCK
+    BLOCK = 2_000
 
     @property
     def value(self) -> float:
@@ -132,7 +132,7 @@ class EtaAccumulator:
         hi_out = np.empty(n)
         pos = 0
         while pos < n:
-            step = min(_BLOCK - (self.k % _BLOCK), n - pos)
+            step = min(self.BLOCK - (self.k % self.BLOCK), n - pos)
             term = np.log1p(primes[pos:pos + step] ** (-1.0 / self.t))
             cs = np.cumsum(term)
             idx = np.arange(1, step + 1, dtype=np.float64)
@@ -196,9 +196,6 @@ class CheckpointFile:
                                  f"{self.path}: {text!r}") from None
         return states
 
-    def states_for(self, t: int) -> dict[int, tuple[float, float]]:
-        return self.load().get(t, {})
-
     def append(self, t: int, k: int, lo: float, hi: float) -> None:
         with self.path.open("a") as fh:
             fh.write(f"{t} {k} {lo!r} {hi!r}\n")
@@ -208,20 +205,15 @@ class CheckpointFile:
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _easy_rhs_mid(t: int, karr: np.ndarray) -> np.ndarray:
-    rhs = karr ** (1.0 - 1.0 / t)
-    sub = math.log(t) / t
-    if t == 2:
-        return np.where(karr <= 55, rhs, rhs - sub)
-    return rhs - sub
+def _has_tail(mode: str, t: int, k) -> bool | np.ndarray:
+    """Whether the right-hand side at k subtracts log(t)/t.
 
-
-def _easy_rhs_iv(t: int, k: int):
-    kk = iv.mpf(k)
-    rhs = iv.exp(iv.log(kk) * (1 - iv.mpf(1) / t))
-    if not (t == 2 and k <= 55):
-        rhs -= iv.log(iv.mpf(t)) / t
-    return rhs
+    Always, except the easy bound at t = 2, k <= 55 and the hard bound at
+    t = 2.  k is an int or a float array, read in easy mode only.
+    """
+    if t != 2:
+        return True
+    return k > 55 if mode == "easy" else False
 
 
 def _hard_factor_mid(t: int, karr: np.ndarray) -> np.ndarray:
@@ -231,13 +223,33 @@ def _hard_factor_mid(t: int, karr: np.ndarray) -> np.ndarray:
     return karr ** ex / (ex * logplus ** (1.0 / t))
 
 
-def _hard_rhs_iv(t: int, k: int, c):
+def _hard_factor_iv(t: int, k: int):
+    """Enclosure of _hard_factor_mid at one k (inside iv_prec)."""
     ex = 1 - iv.mpf(1) / t
     logplus = iv.log(iv.mpf(max(k, 2)))
-    rhs = c * iv.exp(iv.log(iv.mpf(k)) * ex) / (ex * iv.exp(iv.log(logplus) / t))
-    if t != 2:
+    return iv.exp(iv.log(iv.mpf(k)) * ex) / (ex * iv.exp(iv.log(logplus) / t))
+
+
+def _rhs_iv(mode: str, t: int, k: int, c):
+    """Enclosure of the easy (k^(1-1/t)) or hard (c * factor) rhs, less its tail."""
+    if mode == "easy":
+        rhs = iv.exp(iv.log(iv.mpf(k)) * (1 - iv.mpf(1) / t))
+    else:
+        rhs = c * _hard_factor_iv(t, k)
+    if _has_tail(mode, t, k):
         rhs -= iv.log(iv.mpf(t)) / t
     return rhs
+
+
+def _c_required_mid(t: int, fac, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Float bounds (clo, chi) on C_required = (log_sum + tail) / factor.
+
+    fac is _hard_factor_mid and lo/hi the accumulator's enclosure over a
+    stride.  chi is the hard campaign's sup_ratio.
+    """
+    tail = math.log(t) / t if _has_tail("hard", t, None) else 0.0
+    return ((lo + tail) * (1.0 - _REL_RHS) / fac,
+            (hi + tail) / (fac * (1.0 - _REL_RHS)))
 
 
 def log_eta_sums(primes, t, ks) -> dict[int, "iv.mpf"]:
@@ -266,6 +278,19 @@ def eta_log_enclosures(t: int, ks: list[int], table: PrimeTable) -> dict[int, "i
 # campaign engine
 # ---------------------------------------------------------------------------
 
+def _float_pass(t: int, k_max: int, table: PrimeTable):
+    """The float64 pass over k = 1..k_max, one CHECKPOINT_STRIDE at a time.
+
+    Yields (acc, karr, lo, hi): the accumulator after the stride, the
+    stride's k as floats and the certified per-k ends of log_sum(t, k).
+    """
+    acc = EtaAccumulator(t=t)
+    for k in range(0, k_max, CHECKPOINT_STRIDE):
+        end = min(k + CHECKPOINT_STRIDE, k_max)
+        lo, hi = acc.extend(table.primes[k:end])
+        yield acc, np.arange(k + 1, end + 1, dtype=np.float64), lo, hi
+
+
 def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
                   c_value: str | float | None = None,
                   prec: int = DEFAULT_PREC,
@@ -286,10 +311,10 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
         c_float = float(c_str)
     t0 = time.perf_counter()
     cp = CheckpointFile(checkpoint) if checkpoint else None
-    stored = cp.states_for(t) if cp else {}
+    stored = cp.load().get(t, {}) if cp else {}
 
-    acc = EtaAccumulator(t=t)
     strict = mode == "easy"
+    tail = math.log(t) / t
     worst_margin = math.inf
     worst_k = None
     sup_ratio = -math.inf
@@ -297,18 +322,13 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
     pending: list[int] = []  # ascending k, each once
     violations: list[int] = []
 
-    k = 0
-    while k < k_max:
-        end = min(k + CHECKPOINT_STRIDE - (k % CHECKPOINT_STRIDE), k_max)
-        lo_arr, hi_arr = acc.extend(table.primes[k:end])
-        karr = np.arange(k + 1, end + 1, dtype=np.float64)
+    for acc, karr, lo_arr, hi_arr in _float_pass(t, k_max, table):
         if mode == "easy":
-            rhs = _easy_rhs_mid(t, karr)
+            rhs = karr ** (1.0 - 1.0 / t)
         else:
             fac = _hard_factor_mid(t, karr)
             rhs = c_float * fac
-            if t != 2:
-                rhs -= math.log(t) / t
+        rhs = rhs - np.where(_has_tail(mode, t, karr), tail, 0.0)
         w = _REL_RHS * np.abs(rhs) + 4.0 * np.spacing(np.abs(rhs))
         margin_lo = (rhs - w) - hi_arr
         margin_hi = (rhs + w) - lo_arr
@@ -327,24 +347,22 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
         if mode == "easy":
             ratio = hi_arr / np.maximum(rhs - w, 1e-300)
         else:
-            extra = 0.0 if t == 2 else math.log(t) / t
-            ratio = (hi_arr + extra) / np.maximum((fac * (1.0 - _REL_RHS)), 1e-300)
+            ratio = _c_required_mid(t, fac, lo_arr, hi_arr)[1]
         j = int(np.argmax(ratio))
         if ratio[j] > sup_ratio:
             sup_ratio = float(ratio[j])
             sup_k = int(karr[j])
 
-        if cp is not None and end % CHECKPOINT_STRIDE == 0:
-            known = stored.get(end)
+        if cp is not None and acc.k % CHECKPOINT_STRIDE == 0:
+            known = stored.get(acc.k)
             state = (acc.lo, acc.hi)
             if known is not None:
                 if known != state:
                     raise ValueError(
-                        f"checkpoint mismatch at t={t}, k={end}: stored {known}, "
+                        f"checkpoint mismatch at t={t}, k={acc.k}: stored {known}, "
                         f"recomputed {state}")
             else:
-                cp.append(t, end, acc.lo, acc.hi)
-        k = end
+                cp.append(t, acc.k, acc.lo, acc.hi)
 
     # escalation pass: each precision level re-decides the k still pending
     beyond_default = 0
@@ -354,13 +372,9 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
         still = []
         with iv_prec(level):
             enclosures = eta_log_enclosures(t, pending, table)
-            if mode == "hard":
-                c_iv = iv.mpf(c_str)
+            c_iv = iv.mpf(c_str) if mode == "hard" else None
             for kk in pending:
-                lhs = enclosures[kk]
-                rhs_iv = (_easy_rhs_iv(t, kk) if mode == "easy"
-                          else _hard_rhs_iv(t, kk, c_iv))
-                m = rhs_iv - lhs
+                m = _rhs_iv(mode, t, kk, c_iv) - enclosures[kk]
                 m_lo, m_hi = float(m.a), float(m.b)
                 if m_lo > 0.0:
                     if m_lo < worst_margin:
@@ -468,30 +482,15 @@ def constant_C_search(t_max: int, table: PrimeTable,
         raise CapacityError(f"table holds {table.count} primes, need {need}")
 
     best_lo = -math.inf
-    candidates: list[tuple[float, float, int, int]] = []  # (chi, clo, t, k)
+    candidates: list[tuple[float, int, int]] = []  # (chi, t, k)
     for t in range(2, t_max + 1):
-        k_max = hard_threshold(t)
-        acc = EtaAccumulator(t=t)
-        extra = 0.0 if t == 2 else math.log(t) / t
-        k = 0
-        while k < k_max:
-            end = min(k + CHECKPOINT_STRIDE, k_max)
-            lo_arr, hi_arr = acc.extend(table.primes[k:end])
-            karr = np.arange(k + 1, end + 1, dtype=np.float64)
-            fac = 1.0 / _hard_factor_mid(t, karr)
-            wf = _REL_RHS * fac
-            chi = (hi_arr + extra) * (fac + wf)
-            clo = (lo_arr + extra) * (fac - wf)
-            lo_best_here = float(np.max(clo))
-            if lo_best_here > best_lo:
-                best_lo = lo_best_here
-            keep = chi >= best_lo - _CAND_WINDOW
-            for i in np.flatnonzero(keep):
-                candidates.append((float(chi[i]), float(clo[i]), t, int(karr[i])))
+        for _, karr, lo_arr, hi_arr in _float_pass(t, hard_threshold(t), table):
+            clo, chi = _c_required_mid(t, _hard_factor_mid(t, karr), lo_arr, hi_arr)
+            best_lo = max(best_lo, float(np.max(clo)))
+            candidates += [(float(chi[i]), t, int(karr[i]))
+                           for i in np.flatnonzero(chi >= best_lo - _CAND_WINDOW)]
             candidates = [c for c in candidates if c[0] >= best_lo - _CAND_WINDOW]
-            k = end
-
-    finalists = [(t, k) for chi, _, t, k in candidates if chi >= best_lo - _CAND_WINDOW]
+    finalists = [(t, k) for _, t, k in candidates]
 
     def decide(level: int) -> ConstantC | None:
         with iv_prec(level):
@@ -499,12 +498,9 @@ def constant_C_search(t_max: int, table: PrimeTable,
             for t in sorted({t for t, _ in finalists}):
                 ks = sorted(k for tt, k in finalists if tt == t)
                 encl = eta_log_enclosures(t, ks, table)
-                extra_iv = iv.mpf(0) if t == 2 else iv.log(iv.mpf(t)) / t
-                ex = 1 - iv.mpf(1) / t
+                tail = iv.log(iv.mpf(t)) / t if _has_tail("hard", t, None) else 0
                 for k in ks:
-                    logplus = iv.log(iv.mpf(max(k, 2)))
-                    f = ex * iv.exp(iv.log(logplus) / t) / iv.exp(iv.log(iv.mpf(k)) * ex)
-                    intervals[(t, k)] = (encl[k] + extra_iv) * f
+                    intervals[(t, k)] = (encl[k] + tail) / _hard_factor_iv(t, k)
             winner = max(intervals, key=lambda tk: float(intervals[tk].a))
             win = intervals[winner]
             others = {tk: v for tk, v in intervals.items() if tk != winner}

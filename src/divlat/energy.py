@@ -29,6 +29,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, product
 
 import numpy as np
@@ -158,6 +159,13 @@ class EnergyReport:
         }
 
 
+@lru_cache(maxsize=256)
+def _sandwich_constants(s: int) -> tuple[Fraction, Fraction]:
+    """A(2s-1, s-1)/(2s-1)! and C(2s, s)/2^(2s-1), the per-prime sandwich constants."""
+    return (Fraction(eulerian(2 * s - 1, s - 1), math.factorial(2 * s - 1)),
+            Fraction(binomial(2 * s, s), 2 ** (2 * s - 1)))
+
+
 def energy(f: Factorization, s: int) -> EnergyReport:
     """E_s(n) by multiplicativity (kernel per prime power) plus sandwich:
 
@@ -174,9 +182,9 @@ def energy(f: Factorization, s: int) -> EnergyReport:
     for _, exp_ in f.factors:
         e_val *= R_closed(s, exp_)
     tau_pow = f.tau ** (2 * s - 1)
-    lower = tau_pow * Fraction(eulerian(2 * s - 1, s - 1),
-                               math.factorial(2 * s - 1)) ** f.omega
-    upper = tau_pow * Fraction(binomial(2 * s, s), 2 ** (2 * s - 1)) ** f.omega
+    lo, up = _sandwich_constants(s)
+    lower = tau_pow * lo ** f.omega
+    upper = tau_pow * up ** f.omega
     return EnergyReport(
         n=f.n,
         s=s,
@@ -278,8 +286,7 @@ def eulerian_asymptotic_gap(s_max: int) -> list[AsymptoticGapRow]:
         raise ValueError(f"witness range is 1 <= s_max <= 200, got {s_max}")
     rows = []
     for s in range(1, s_max + 1):
-        lo = Fraction(eulerian(2 * s - 1, s - 1), math.factorial(2 * s - 1))
-        up = Fraction(binomial(2 * s, s), 2 ** (2 * s - 1))
+        lo, up = _sandwich_constants(s)
         lo_asy = math.sqrt(3 / (math.pi * s))
         up_asy = math.sqrt(4 / (math.pi * s))
         rows.append(AsymptoticGapRow(
@@ -316,7 +323,7 @@ def sinc_integral_check(s: int, budget: float = 1e-8) -> BoundReport:
     """
     if not 1 <= s <= 8:
         raise ValueError(f"identity checked for 1 <= s <= 8, got {s}")
-    ratio = Fraction(eulerian(2 * s - 1, s - 1), math.factorial(2 * s - 1))
+    ratio = _sandwich_constants(s)[0]
     target = math.pi * float(ratio)
     if s == 1:
         return BoundReport(

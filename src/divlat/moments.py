@@ -307,7 +307,7 @@ def chain_check(profile: DivisorProfile, t: int, prec: int = DEFAULT_PREC) -> Bo
     return BoundReport(
         exact_value=lt,
         bound_value=bound,
-        slack=bound - float(lt),
+        slack=math.inf if bound == math.inf else bound - float(lt),
         holds=first_holds and second_holds,
         context={"n": n, "t": t, "middle": middle,
                  "middle_holds": first_holds, "eta_holds": second_holds,

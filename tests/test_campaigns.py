@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath as mp
 from mpmath import iv
 
 from divlat import (
@@ -30,10 +31,33 @@ from divlat.campaigns import (
     CheckpointFile,
     ETA_CONSTANT_HI,
     ETA_CONSTANT_LO,
+    _rhs_iv,
     eta_log_enclosures,
     log_eta_sums,
 )
 from divlat.moments import eta_log_interval
+
+
+@pytest.mark.parametrize("mode", ["easy", "hard"])
+@pytest.mark.parametrize("t", [2, 3, 7])
+@pytest.mark.parametrize("k", [1, 2, 55, 56, 57, 2149])
+def test_interval_rhs_encloses_stated_bound(mode, t, k):
+    """The escalation's right-hand side encloses the inequalities as stated.
+
+    easy: k^(1-1/t) - log(t)/t, without the log term at t = 2, k <= 55;
+    hard: C k^(1-1/t) / ((1-1/t) logplus(k)^(1/t)) - [t > 2] log(t)/t.
+    """
+    with mp.workprec(200):
+        ex = 1 - mp.mpf(1) / t
+        if mode == "easy":
+            want = mp.mpf(k) ** ex - (0 if t == 2 and k <= 55 else mp.log(t) / t)
+        else:
+            want = (mp.mpf(ETA_CONSTANT_HI) * mp.mpf(k) ** ex
+                    / (ex * mp.log(max(k, 2)) ** (1 / mp.mpf(t)))
+                    - (mp.log(t) / t if t > 2 else 0))
+    with iv_prec(128):
+        got = _rhs_iv(mode, t, k, iv.mpf(ETA_CONSTANT_HI))
+        assert got.a <= want <= got.b
 
 
 def test_hard_thresholds():

@@ -180,9 +180,33 @@ def test_verify_eta_single(capsys):
 
 def test_verify_eta_easy_range(capsys):
     code, report, _ = run_cli(capsys, "verify-eta", "--t", "2:6",
-                              "--k-max", "56", "--variant", "easy", "--threads", "2")
+                              "--k-max", "56", "--variant", "easy")
     assert code == 0
     assert len(report["results"]["campaigns"]) == 5
+
+
+def test_verify_eta_report_is_host_independent(capsys, monkeypatch):
+    """Nothing of the host's CPU count reaches the report."""
+    reports = []
+    for cpus in (1, 64):
+        monkeypatch.setattr("os.cpu_count", lambda cpus=cpus: cpus)
+        code, report, _ = run_cli(capsys, "verify-eta", "--t", "3", "--k-max", "56",
+                                  "--variant", "easy")
+        assert code == 0
+        del report["timing_seconds"], report["results"]["campaigns"][0]["wall_time"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--n", "30", "--t", "1000", "--all-checks"],
+    ["moments", "--n", "30", "--t", "3000", "--all-checks"],
+    ["scan", "--count", "30", "--t-max", "200"],
+])
+def test_large_t_bounds_past_float_range(capsys, argv):
+    """Moment bounds that overflow to inf are valid upper bounds, not a crash."""
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0 and report["status"] == "pass"
 
 
 def test_scan_deterministic(capsys):
