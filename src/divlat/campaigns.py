@@ -19,8 +19,8 @@ Verification strategy (never a false pass):
    an analytic 4u*|sum| allowance.  The campaigns and the constant
    search share this one pass, `_float_pass`;
 2. every k whose margin enclosure straddles zero is re-evaluated with
-   mpmath interval arithmetic by `certify.escalate`: at the working
-   precision (default 128 bits), then doubling up to a ceiling;
+   mpmath interval arithmetic by `certify.escalate`: at 128 bits, then
+   doubling up to the 4096-bit ceiling;
 3. k still undecided at the ceiling make `certify.escalate` raise
    InconclusiveError, naming t, their count and the first of them.
 
@@ -293,7 +293,6 @@ def _float_pass(t: int, k_max: int, table: PrimeTable):
 
 def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
                   c_value: str | float | None = None,
-                  prec: int = DEFAULT_PREC,
                   checkpoint: str | Path | None = None) -> CampaignResult:
     """Shared k = 1..k_max sweep for the easy (strict <) and hard (<=) inequalities.
 
@@ -385,13 +384,13 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
                         worst_margin, worst_k = m_lo, kk
                 else:
                     still.append(kk)
-        if level == prec:
+        if level == DEFAULT_PREC:
             beyond_default = len(still)
         pending = still
         return None if still else True
 
     if pending:
-        escalate(decide, start=prec,
+        escalate(decide,
                  what=lambda: f"{len(pending)} comparisons at t={t} (first k={pending[0]})")
 
     passed = not violations and worst_margin > 0.0
@@ -410,7 +409,6 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
 
 
 def verify_c_easy(t: int, k_max: int, table: PrimeTable,
-                  prec: int = DEFAULT_PREC,
                   checkpoint: str | Path | None = None) -> CampaignResult:
     """Strict inequality log_sum(t,k) < k^(1-1/t) [- log(t)/t] for k = 1..k_max.
 
@@ -418,12 +416,11 @@ def verify_c_easy(t: int, k_max: int, table: PrimeTable,
     `checkpoint` names a file of accumulator states (see CheckpointFile):
     a rerun replays from k = 1 and verifies against every stored state.
     """
-    return _run_campaign("easy", t, k_max, table, prec=prec, checkpoint=checkpoint)
+    return _run_campaign("easy", t, k_max, table, checkpoint=checkpoint)
 
 
 def verify_c_hard(t: int, k_max: int, table: PrimeTable,
                   C: str | float | None = None,
-                  prec: int = DEFAULT_PREC,
                   checkpoint: str | Path | None = None) -> CampaignResult:
     """log_sum(t,k) <= C k^(1-1/t)/((1-1/t) logplus(k)^(1/t)) - [t>2] log(t)/t.
 
@@ -433,8 +430,7 @@ def verify_c_hard(t: int, k_max: int, table: PrimeTable,
     C and the true supremum, so a C below the certified upper end cannot
     verify.  Checks k = 1..k_max; `checkpoint` works as for verify_c_easy.
     """
-    return _run_campaign("hard", t, k_max, table, c_value=C, prec=prec,
-                         checkpoint=checkpoint)
+    return _run_campaign("hard", t, k_max, table, c_value=C, checkpoint=checkpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +443,7 @@ class ConstantC:
 
     lower/upper are outward-rounded floats; lower_decimal/upper_decimal
     render the underlying interval endpoints to 30 digits (the interval
-    itself is far narrower than that at the default precision).
+    itself is far narrower than that at 128 bits).
     """
 
     value: float
@@ -465,8 +461,7 @@ class ConstantC:
 _CAND_WINDOW = 1e-6
 
 
-def constant_C_search(t_max: int, table: PrimeTable,
-                      prec: int = DEFAULT_PREC) -> ConstantC:
+def constant_C_search(t_max: int, table: PrimeTable) -> ConstantC:
     """Supremum and argmax of
 
         C_required(t,k) = (log_sum + [t>2] log(t)/t) (1-1/t) logplus(k)^(1/t) / k^(1-1/t)
@@ -519,7 +514,7 @@ def constant_C_search(t_max: int, table: PrimeTable,
                 runner_up_at=runner if runner else (-1, -1),
             )
 
-    return escalate(decide, start=prec, what="separation of the supremum candidates")
+    return escalate(decide, what="separation of the supremum candidates")
 
 
 # ---------------------------------------------------------------------------

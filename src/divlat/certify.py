@@ -11,18 +11,20 @@ that a "holds" verdict can never be a rounding artifact:
   gives 2^a <= 2^(qB) < 2^(a+1), so m^B or lhs^B compared against both
   ends in integer arithmetic decides every case outside that one-step
   band, as certified as the exact path;
-* otherwise mpmath interval arithmetic, doubling the working precision
-  up to a ceiling;
+* otherwise mpmath interval arithmetic through `fraction_le_enclosure`,
+  comparing q against an enclosure of log2 m (or of log2 rhs - log2 lhs);
 * still undecided at the ceiling -> InconclusiveError.
 
 mpmath interval comparisons return True/False/None; None means the
 enclosures overlap and the verdict must be sought at higher precision.
 
-`escalate` is the only doubling loop in divlat.  Its callers are the
-comparisons here (`int_vs_pow2`, `scaled_le`, `fraction_le_enclosure`),
-the campaign escalation pass and the best-constant search in
-`campaigns`, the even-t tie break in `moments.optimal_even_t`, and the
-interval path of `energy.vandermonde_positivity`.
+`escalate` is the only doubling loop in divlat, and its ladder is fixed:
+DEFAULT_PREC bits, doubling up to PREC_CEILING.  Its callers are
+`fraction_le_enclosure` (the interval fallback of `int_vs_pow2` and
+`scaled_le`, and the eta^t side of `moments.chain_check`), the campaign
+escalation pass and the best-constant search in `campaigns`, the even-t
+tie break in `moments.optimal_even_t`, and the interval path of
+`energy.vandermonde_positivity`.
 """
 
 from __future__ import annotations
@@ -53,26 +55,22 @@ def iv_prec(bits: int):
 
 
 def escalate(decide: Callable[[int], Optional[bool]],
-             start: int = DEFAULT_PREC,
-             ceiling: int = PREC_CEILING,
              what: str | Callable[[], str] = "comparison"):
-    """Run `decide` at doubling precisions until it returns a verdict.
+    """Run `decide` at DEFAULT_PREC bits, doubling up to PREC_CEILING,
+    until it returns a verdict.
 
     `what` names the comparison if the ceiling is passed; a callable is
     called only then, so it can report what `decide` left pending.
-    A start below 1 bit would never double, so it is a ValueError.
     """
-    if start < 1:
-        raise ValueError(f"working precision must be >= 1 bit, got {start}")
-    prec = start
-    while prec <= ceiling:
-        verdict = decide(prec)
+    level = DEFAULT_PREC
+    while level <= PREC_CEILING:
+        verdict = decide(level)
         if verdict is not None:
             return verdict
-        prec *= 2
+        level *= 2
     if callable(what):
         what = what()
-    raise InconclusiveError(f"{what} undecidable at precision ceiling {ceiling} bits")
+    raise InconclusiveError(f"{what} undecidable at precision ceiling {PREC_CEILING} bits")
 
 
 def iv_exact(v) -> "iv.mpf":
@@ -118,17 +116,11 @@ def int_vs_pow2(m: int, q) -> int:
     if top == 0:
         return -1
 
-    def decide(prec: int) -> Optional[int]:
-        with iv_prec(prec):
-            lhs = iv.log(iv.mpf(m)) / iv.log(iv.mpf(2))
-            rhs = iv_exact(qe)
-            if (lhs > rhs) is True:
-                return 1
-            if (lhs < rhs) is True:
-                return -1
-        return None
+    def log2_m(level: int):
+        return iv.log(iv.mpf(m)) / iv.log(iv.mpf(2))
 
-    return escalate(decide, what=f"{m} vs 2^{float(qe)}")
+    # 2^q is irrational for non-integral q, so q <= log2 m means m > 2^q
+    return 1 if fraction_le_enclosure(qe, log2_m, what=f"{m} vs 2^{float(qe)}") else -1
 
 
 def scaled_le(lhs: int, q, rhs: int) -> bool:
@@ -147,31 +139,24 @@ def scaled_le(lhs: int, q, rhs: int) -> bool:
     if not _shift_le(lhs_b, a, rhs_b):
         return False
 
-    def decide(prec: int) -> Optional[bool]:
-        with iv_prec(prec):
-            ln2 = iv.log(iv.mpf(2))
-            gap = iv.log(iv.mpf(rhs)) / ln2 - iv.log(iv.mpf(lhs)) / ln2
-            qq = iv_exact(qe)
-            if (gap > qq) is True:
-                return True
-            if (gap < qq) is True:
-                return False
-        return None
+    def log2_ratio(level: int):
+        ln2 = iv.log(iv.mpf(2))
+        return iv.log(iv.mpf(rhs)) / ln2 - iv.log(iv.mpf(lhs)) / ln2
 
-    return escalate(decide, what=f"{lhs}*2^{float(qe)} vs {rhs}")
+    return fraction_le_enclosure(qe, log2_ratio, what=f"{lhs}*2^{float(qe)} vs {rhs}")
 
 
 def fraction_le_enclosure(x: Fraction, make_interval: Callable[[int], "iv.mpf"],
-                          start: int = DEFAULT_PREC) -> bool:
+                          what: str = "rational vs enclosure") -> bool:
     """Certified x <= Y, with Y given by a precision-indexed enclosure.
 
-    `make_interval(prec)` must return (inside an active iv_prec(prec))
+    `make_interval(level)` must return (inside an active iv_prec(level))
     an interval guaranteed to contain the true value of Y.
     """
 
-    def decide(prec: int) -> Optional[bool]:
-        with iv_prec(prec):
-            y = make_interval(prec)
+    def decide(level: int) -> Optional[bool]:
+        with iv_prec(level):
+            y = make_interval(level)
             xq = iv_exact(x)
             if (xq <= iv.mpf(y.a)) is True:
                 return True
@@ -179,7 +164,7 @@ def fraction_le_enclosure(x: Fraction, make_interval: Callable[[int], "iv.mpf"],
                 return False
         return None
 
-    return escalate(decide, start=start, what="rational vs enclosure")
+    return escalate(decide, what=what)
 
 
 def interval_upper(x) -> float:

@@ -3,9 +3,11 @@
 Every command prints one JSON report on stdout (keys: command, inputs,
 results, status, timing_seconds) and a human summary on stderr; --csv
 switches the tabular stderr sections to CSV.  Exit code 0 means
-status == "pass"; capacity and inconclusive outcomes exit nonzero.  An
-error report keeps the parsed inputs and names its results.error_kind:
-capacity, domain, argument or inconclusive.
+status == "pass"; capacity and inconclusive outcomes exit nonzero.
+Every report's inputs are the parsed arguments except the command name
+and --csv.  An error report names its results.error_kind: capacity,
+domain, argument or inconclusive.  A bound past float range is the
+string "inf"; any other non-finite float in a report is an error.
 
 Environment: DIVLAT_SIEVE_LIMIT (default 80,000,000) caps how far
 commands sieve; a campaign over k primes compares it with the proven
@@ -43,6 +45,14 @@ def _table_for_count(k: int):
     return sieve_primes(need)
 
 
+def _not_nan(text: str) -> float:
+    """A float argument other than NaN, which the report's inputs could not hold."""
+    x = float(text)
+    if math.isnan(x):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    return x
+
+
 def _truncate2(x: float) -> float:
     return math.floor(x * 100.0) / 100.0
 
@@ -72,23 +82,23 @@ class _Table:
                 "rows": [[_jsonable(c) for c in row] for row in self.rows]}
 
 
-def _emit(command: str, inputs: dict, results: dict, status: str, t0: float,
-          tables: list[_Table] | None = None, as_csv: bool = False,
+def _emit(args, results: dict, status: str, t0: float,
+          tables: list[_Table] | None = None,
           summary: list[str] | None = None) -> int:
     report = {
-        "command": command,
-        "inputs": {k: _jsonable(v) for k, v in inputs.items()},
+        "command": args.command,
+        "inputs": _jsonable({k: v for k, v in vars(args).items()
+                             if k not in ("command", "csv")}),
         "results": _jsonable(results),
         "status": status,
         "timing_seconds": round(time.perf_counter() - t0, 6),
     }
-    json.dump(report, sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, allow_nan=False) + "\n")
     for line in summary or []:
         print(line, file=sys.stderr)
     for tab in tables or []:
-        print(tab.render(as_csv), file=sys.stderr)
-    print(f"[{command}] status: {status}", file=sys.stderr)
+        print(tab.render(args.csv), file=sys.stderr)
+    print(f"[{args.command}] status: {status}", file=sys.stderr)
     if status == "pass":
         return 0
     return 2 if status == "inconclusive" else 1
@@ -128,7 +138,7 @@ def cmd_tables(args) -> int:
         "alpha_table": tables[0].to_jsonable(),
         "threshold_table": tables[1].to_jsonable(),
     }
-    return _emit("tables", {}, results, status, t0, tables, args.csv)
+    return _emit(args, results, status, t0, tables)
 
 
 def _parse_t_range(text: str) -> list[int]:
@@ -161,25 +171,20 @@ def cmd_verify_eta(args) -> int:
     for t in ts:
         for variant in variants:
             verify = campaigns.verify_c_easy if variant == "easy" else campaigns.verify_c_hard
-            results.append(verify(t, k_for(t, variant), table, prec=args.precision,
-                                  checkpoint=args.checkpoint))
+            results.append(verify(t, k_for(t, variant), table, checkpoint=args.checkpoint))
     status = "pass" if all(r.passed for r in results) else "fail"
     rows = [[r.label, r.t_range[0], r.k_range[1], f"{r.worst_margin:.3e}",
              r.argmin, r.inconclusive, "ok" if r.passed else "FAIL"] for r in results]
     tab = _Table("eta campaigns", ["variant", "t", "k_max", "worst_margin",
                                    "argmin", "beyond_prec", "verdict"], rows)
-    return _emit(
-        "verify-eta",
-        {"t": args.t, "k_max": args.k_max, "variant": args.variant,
-         "precision": args.precision, "checkpoint": args.checkpoint},
-        {"campaigns": [r.to_jsonable() for r in results]},
-        status, t0, [tab], args.csv)
+    return _emit(args, {"campaigns": [r.to_jsonable() for r in results]},
+                 status, t0, [tab])
 
 
 def cmd_constant_c(args) -> int:
     t0 = time.perf_counter()
     table = _table_for_count(campaigns.hard_threshold(2))
-    found = campaigns.constant_C_search(args.t_max, table, prec=args.precision)
+    found = campaigns.constant_C_search(args.t_max, table)
     unique = found.runner_up < found.lower
     status = "pass" if (found.attained_at == campaigns.ETA_CONSTANT_AT and unique) else "fail"
     results = {
@@ -193,8 +198,7 @@ def cmd_constant_c(args) -> int:
     }
     summary = [f"best constant = {found.value:.8f} attained at (t,k) = {found.attained_at}",
                f"runner-up {found.runner_up:.10f} at {found.runner_up_at}"]
-    return _emit("constant-c", {"t_max": args.t_max, "precision": args.precision},
-                 results, status, t0, None, args.csv, summary)
+    return _emit(args, results, status, t0, summary=summary)
 
 
 def cmd_moments(args) -> int:
@@ -223,7 +227,7 @@ def cmd_moments(args) -> int:
             b1, b2 = moments.thm_bounds(f, args.t)
             ok_b1 = abs(stepwise) <= b1
             ok_b2 = abs(stepwise) <= b2
-            chain = moments.chain_check(profile, args.t, prec=args.precision)
+            chain = moments.chain_check(profile, args.t)
             results["first_bound"] = {"value": b1, "holds": ok_b1}
             results["second_bound"] = {"value": b2, "holds": ok_b2}
             results["chain"] = chain.to_jsonable()
@@ -235,7 +239,7 @@ def cmd_moments(args) -> int:
         ok = ok and not bad
         if args.theta is not None and args.t % 2 == 0:
             try:
-                h = moments.H_chain_check(profile, args.theta, args.t, prec=args.precision)
+                h = moments.H_chain_check(profile, args.theta, args.t)
             except CapacityError as exc:
                 # n too large to count j = 1..n; the other results still stand
                 results["threshold_count_chain"] = {"error": str(exc),
@@ -245,9 +249,7 @@ def cmd_moments(args) -> int:
                 results["threshold_count_chain"] = h.to_jsonable()
                 ok = ok and h.holds
     status = "pass" if ok else "fail"
-    return _emit("moments", {"n": args.n, "t": args.t, "all_checks": args.all_checks,
-                             "theta": args.theta},
-                 results, status, t0, None, args.csv)
+    return _emit(args, results, status, t0)
 
 
 def cmd_energy(args) -> int:
@@ -266,8 +268,7 @@ def cmd_energy(args) -> int:
             results["oracle"] = oracle
             ok = ok and oracle == rep.energy
         status = "pass" if ok else "fail"
-        return _emit("energy", {"s": args.s, "n": args.n}, results, status,
-                     t0, None, args.csv)
+        return _emit(args, results, status, t0)
     violations = []
     checked = 0
     for n in range(2, args.sweep + 1):
@@ -278,9 +279,7 @@ def cmd_energy(args) -> int:
                 and rep.upper_is_equality == f.is_squarefree):
             violations.append(rep.to_jsonable())
     status = "pass" if not violations else "fail"
-    return _emit("energy", {"s": args.s, "sweep": args.sweep},
-                 {"checked": checked, "violations": violations}, status,
-                 t0, None, args.csv)
+    return _emit(args, {"checked": checked, "violations": violations}, status, t0)
 
 
 #: the primes a scan sample draws its squarefree n from
@@ -288,8 +287,7 @@ _SCAN_POOL = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
               53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
 
 
-def _scan_one(rng: random.Random, omega_max: int, t_max: int, s_max: int,
-              prec: int) -> dict:
+def _scan_one(rng: random.Random, omega_max: int, t_max: int, s_max: int) -> dict:
     """One seeded cross-check bundle on a random squarefree n."""
     omega = rng.randint(1, omega_max)
     primes = sorted(rng.sample(_SCAN_POOL, omega))
@@ -313,7 +311,7 @@ def _scan_one(rng: random.Random, omega_max: int, t_max: int, s_max: int,
     check("first-moment-closed-form", l1 == closed)
     b1, b2 = moments.thm_bounds(f, t)
     check("moment-bounds", abs(sw) <= b1 and abs(sw) <= b2, {"t": t})
-    chain = moments.chain_check(profile, t, prec=prec)
+    chain = moments.chain_check(profile, t)
     check("moment-chain", chain.holds, {"t": t})
     z = rng.choice(profile.divisors)
     check("envelope", moments.pe_envelope_check(profile, z).holds, {"z": z})
@@ -326,7 +324,7 @@ def _scan_one(rng: random.Random, omega_max: int, t_max: int, s_max: int,
         theta = rng.choice([x / 10 for x in range(1, 11)])
         te = rng.choice([2, 4])
         check("threshold-count-chain",
-              moments.H_chain_check(profile, theta, te, prec=prec).holds,
+              moments.H_chain_check(profile, theta, te).holds,
               {"theta": theta, "t": te})
     s = rng.randint(2, s_max)
     rep = energy(f, s)
@@ -349,7 +347,7 @@ def cmd_scan(args) -> int:
     if args.t_max < 2 or args.s_max < 2:
         raise ValueError(f"--t-max and --s-max must be >= 2, got {args.t_max}, {args.s_max}")
     rng = random.Random(args.seed)
-    records = [_scan_one(rng, args.omega_max, args.t_max, args.s_max, args.precision)
+    records = [_scan_one(rng, args.omega_max, args.t_max, args.s_max)
                for _ in range(args.count)]
     failures = [fail for rec in records for fail in rec["failures"]]
     status = "pass" if not failures else "fail"
@@ -363,10 +361,7 @@ def cmd_scan(args) -> int:
     summary = [f"scan: {results['checks_run']} checks over {args.count} samples"]
     if failures:
         summary += [f"MINIMAL REPRODUCER: {json.dumps(failures[0])}"]
-    return _emit("scan", {"seed": args.seed, "count": args.count,
-                          "omega_max": args.omega_max, "t_max": args.t_max,
-                          "s_max": args.s_max},
-                 results, status, t0, None, args.csv, summary)
+    return _emit(args, results, status, t0, summary=summary)
 
 
 def cmd_rosser(args) -> int:
@@ -374,8 +369,7 @@ def cmd_rosser(args) -> int:
     table = _table_for_count(args.k_max)
     res = rosser_check(table, args.k_max)
     status = "pass" if res.passed else "fail"
-    return _emit("rosser", {"k_max": args.k_max},
-                 {"campaign": res.to_jsonable()}, status, t0, None, args.csv)
+    return _emit(args, {"campaign": res.to_jsonable()}, status, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--csv", action="store_true",
                         help="render tabular stderr sections as CSV")
-    common.add_argument("--precision", type=int, default=128,
-                        help="working precision in bits for certified comparisons")
 
     ap = argparse.ArgumentParser(
         prog="divlat",
@@ -414,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n", type=int, required=True)
     m.add_argument("--t", type=int, required=True)
     m.add_argument("--all-checks", action="store_true")
-    m.add_argument("--theta", type=float, default=None)
+    m.add_argument("--theta", type=_not_nan, default=None)
 
     e = sub.add_parser("energy", parents=[common],
                        help="multiplicative energy and its sandwich")
@@ -465,10 +457,8 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (InconclusiveError, CapacityError, ValueError) as exc:
         kind = _error_kind(exc)
-        inputs = {k: v for k, v in vars(args).items() if k != "command"}
         status = "inconclusive" if kind == "inconclusive" else "fail"
-        return _emit(args.command, inputs, {"error": str(exc), "error_kind": kind},
-                     status, t0)
+        return _emit(args, {"error": str(exc), "error_kind": kind}, status, t0)
 
 
 if __name__ == "__main__":

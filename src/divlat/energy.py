@@ -35,7 +35,7 @@ from itertools import accumulate, product
 import numpy as np
 from mpmath import iv
 
-from .certify import DEFAULT_PREC, escalate, iv_exact, iv_prec
+from .certify import escalate, iv_exact, iv_prec
 from .core import Factorization, binomial, divisors_sorted, eulerian, factorize
 from .errors import CapacityError, InconclusiveError
 from .reports import BoundReport, CampaignResult
@@ -512,7 +512,7 @@ def _det(matrix: list[list]):
     return det
 
 
-def vandermonde_positivity(u, x, prec: int = DEFAULT_PREC) -> BoundReport:
+def vandermonde_positivity(u, x) -> BoundReport:
     """Sign of the generalized Vandermonde determinant det(x_i^(u_j)).
 
     Strictly positive for 0 <= u_1 < ... < u_l and 0 < x_1 < ... < x_l.
@@ -563,4 +563,4 @@ def vandermonde_positivity(u, x, prec: int = DEFAULT_PREC) -> BoundReport:
                          "check": "vandermonde-positivity"},
             )
 
-    return escalate(decide, start=prec, what="determinant sign")
+    return escalate(decide, what="determinant sign")

@@ -1,6 +1,6 @@
 """Exception taxonomy shared by every divlat module.
 
-Three failure modes are kept distinct so callers (and the CLI exit-code
+Four failure modes are kept distinct so callers (and the CLI exit-code
 logic) can react differently:
 
 * bad arguments       -> ValueError (built-in)

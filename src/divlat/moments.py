@@ -276,7 +276,7 @@ def eta(f: Factorization, t: float) -> float:
         return interval_upper(iv.exp(eta_log_interval(primes, t)))
 
 
-def chain_check(profile: DivisorProfile, t: int, prec: int = DEFAULT_PREC) -> BoundReport:
+def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
     """Verify |L_t(n)| <= t n J_{t-1}(n) <= t n eta(n,t)^t.
 
     The left comparison is exact rational; the right compares the exact
@@ -293,17 +293,17 @@ def chain_check(profile: DivisorProfile, t: int, prec: int = DEFAULT_PREC) -> Bo
     middle = t * n * j
     first_holds = Fraction(lt) <= middle
     primes = [p for p, _ in profile.factorization.factors]
-    with iv_prec(prec):
+    with iv_prec(DEFAULT_PREC):
         eta_t = iv.exp(eta_log_interval(primes, t) * t)
         bound = interval_upper(iv.mpf(t * n) * eta_t)
 
-    def eta_pow(prec_bits: int):
-        # the first level runs at prec: reuse the enclosure behind `bound`
-        if prec_bits == prec:
+    def eta_pow(level: int):
+        # the first level is DEFAULT_PREC: reuse the enclosure behind `bound`
+        if level == DEFAULT_PREC:
             return eta_t
         return iv.exp(eta_log_interval(primes, t) * t)
 
-    second_holds = fraction_le_enclosure(j, eta_pow, start=prec)
+    second_holds = fraction_le_enclosure(j, eta_pow)
     return BoundReport(
         exact_value=lt,
         bound_value=bound,
@@ -333,16 +333,16 @@ def domination_check(profile: DivisorProfile, rho: int) -> BoundReport:
 
 
 @lru_cache(maxsize=256)
-def _thm_exponentials(omega: int, t: int, prec: int,
+def _thm_exponentials(omega: int, t: int,
                       c_lo: str, c_hi: str) -> tuple["iv.mpf", "iv.mpf"]:
-    """exp of both moment-bound exponents, at `prec` bits.
+    """exp of both moment-bound exponents, at DEFAULT_PREC bits.
 
     n enters thm_bounds only as a final factor, so these depend on
     (omega, t) and on the decimal bounds of C; the latter are part of
     the key, so a changed campaigns.ETA_CONSTANT_* is never served a
     stale enclosure.
     """
-    with iv_prec(prec):
+    with iv_prec(DEFAULT_PREC):
         if omega == 0:
             pow_term = iv.mpf(0)
             expo1 = iv.mpf(0)
@@ -355,7 +355,7 @@ def _thm_exponentials(omega: int, t: int, prec: int,
         return iv.exp(expo1), iv.exp(t * pow_term)
 
 
-def thm_bounds(f: Factorization, t: int, prec: int = DEFAULT_PREC) -> tuple[float, float]:
+def thm_bounds(f: Factorization, t: int) -> tuple[float, float]:
     """Both closed-form moment bounds, rounded up.
 
     First:  (1 + [t==2]) n exp( C t omega^(1-1/t) / ((1-1/t) logplus(omega)^(1/t)) )
@@ -371,9 +371,9 @@ def thm_bounds(f: Factorization, t: int, prec: int = DEFAULT_PREC) -> tuple[floa
     n = f.n
     delta2 = 1 if t == 2 else 0
     factor = 2 if (t == 2 and om <= 55) else 1
-    exp1, exp2 = _thm_exponentials(om, t, prec, campaigns.ETA_CONSTANT_LO,
+    exp1, exp2 = _thm_exponentials(om, t, campaigns.ETA_CONSTANT_LO,
                                    campaigns.ETA_CONSTANT_HI)
-    with iv_prec(prec):
+    with iv_prec(DEFAULT_PREC):
         thm1 = interval_upper(iv.mpf((1 + delta2) * n) * exp1)
         thm2 = interval_upper(iv.mpf(factor * n) * exp2)
     return thm1, thm2
@@ -457,8 +457,7 @@ def H_theta_exact(profile: DivisorProfile, theta: float) -> int:
     return total
 
 
-def H_chain_check(profile: DivisorProfile, theta: float, t: int,
-                  prec: int = DEFAULT_PREC) -> BoundReport:
+def H_chain_check(profile: DivisorProfile, theta: float, t: int) -> BoundReport:
     """H_theta(n) <= L_t(n) / 2^(t theta omega) for even t."""
     if t % 2 or t < 2:
         raise ValueError(f"chain needs even t >= 2, got {t}")
@@ -466,7 +465,7 @@ def H_chain_check(profile: DivisorProfile, theta: float, t: int,
     lt = moment_by_parts(profile, t)  # >= 0 for even t
     q = Fraction(t) * Fraction(theta) * profile.omega
     holds = scaled_le(h, q, lt)
-    with iv_prec(prec):
+    with iv_prec(DEFAULT_PREC):
         bound = interval_upper(
             iv.mpf(lt) * iv.exp(-iv.log(iv.mpf(2)) * iv_exact(q)))
     return BoundReport(
@@ -503,8 +502,8 @@ def optimal_even_t(theta: float, omega: int) -> int:
     if abs(g0 - g1) > 1e-9 * scale:
         return candidates[0] if g0 < g1 else candidates[1]
 
-    def decide(prec_bits: int):
-        with iv_prec(prec_bits):
+    def decide(level: int):
+        with iv_prec(level):
             th = iv.mpf(theta)
             ln2 = iv.log(iv.mpf(2))
             vals = [iv.mpf(tt) * (iv.exp(-iv.log(iv.mpf(omega)) / tt) - th * ln2)

@@ -13,6 +13,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -76,9 +77,12 @@ class CampaignResult:
 
 
 def _jsonable(v: Any) -> Any:
-    """Lossless JSON image: big ints stay ints, Fractions become 'p/q'."""
+    """Lossless JSON image: big ints stay ints, Fractions become 'p/q',
+    infinite floats become 'inf'/'-inf' (RFC 8259 has no infinity)."""
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, float) and math.isinf(v):
+        return "inf" if v > 0 else "-inf"
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):

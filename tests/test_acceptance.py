@@ -98,14 +98,14 @@ def test_c03_campaigns(campaign_table):
     easy_ok = True
     inconclusive = 0
     for t in range(2, 100):
-        r = verify_c_easy(t, 56, campaign_table, prec=128)
+        r = verify_c_easy(t, 56, campaign_table)
         easy_ok &= r.passed
         inconclusive += r.inconclusive
     hard_ok = True
     cert_ok = True
     for t in range(2, 100):
         thr = hard_threshold(t)
-        r = verify_c_hard(t, thr, campaign_table, prec=128)
+        r = verify_c_hard(t, thr, campaign_table)
         hard_ok &= r.passed
         inconclusive += r.inconclusive
         cert_ok &= induction_margin(t, thr + 1, variant="hard").holds

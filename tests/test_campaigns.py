@@ -16,6 +16,7 @@ from divlat import (
     CapacityError,
     EtaAccumulator,
     InconclusiveError,
+    certify,
     concavity_threshold,
     constant_C_search,
     eta_constant_upper,
@@ -196,10 +197,11 @@ def test_hard_rejects_too_small_constant(small_table):
     assert r.worst_margin < 0
 
 
-def test_escalation_past_ceiling_names_pending(small_table):
-    # starting above the ceiling leaves k = 2149 (the attained point) pending
+def test_escalation_past_ceiling_names_pending(small_table, monkeypatch):
+    # a ceiling below the first level leaves k = 2149 (the attained point) pending
+    monkeypatch.setattr(certify, "PREC_CEILING", 64)
     with pytest.raises(InconclusiveError, match=r"1 comparisons at t=2 \(first k=2149\)"):
-        verify_c_hard(2, 3000, small_table, prec=8192)
+        verify_c_hard(2, 3000, small_table)
 
 
 def test_campaign_capacity(small_table):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from divlat import certify, moments
 from divlat.certify import BRACKET, escalate, int_vs_pow2, scaled_le
+from divlat.errors import InconclusiveError
 
 #: denominators: small, odd, around and far past BRACKET
 DENOMS = st.one_of(
@@ -102,6 +103,9 @@ def test_int_vs_pow2_matches_integer_oracle(case):
     else:
         want = _sign((m ** b << -a) - 1)
     assert int_vs_pow2(m, Fraction(a, b)) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "BRACKET", 1)  # most draws reach the interval path
+        assert int_vs_pow2(m, Fraction(a, b)) == want
 
 
 @given(st.one_of(scaled_cases(), scaled_edge_cases()))
@@ -116,6 +120,9 @@ def test_scaled_le_matches_integer_oracle(case):
     else:
         want = lhs ** b <= (rhs ** b << -a)
     assert scaled_le(lhs, Fraction(a, b), rhs) is want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "BRACKET", 1)  # most draws reach the interval path
+        assert scaled_le(lhs, Fraction(a, b), rhs) is want
 
 
 def test_exact_ties_on_integral_exponents():
@@ -125,14 +132,13 @@ def test_exact_ties_on_integral_exponents():
     assert scaled_le(5, Fraction(-4, 2), 2) and not scaled_le(9, Fraction(-4, 2), 2)
 
 
-@pytest.mark.parametrize("start", [0, -8])
-def test_escalate_rejects_start_below_one_bit(start):
-    # doubling 0 or a negative start never reaches the ceiling
+def test_escalate_runs_the_fixed_ladder():
     tried = []
-    with pytest.raises(ValueError, match=f"got {start}"):
-        escalate(lambda prec: tried.append(prec), start=start)
-    assert tried == []
-    assert escalate(lambda prec: prec if prec >= 8 else None, start=1) == 8
+    with pytest.raises(InconclusiveError,
+                       match="probe undecidable at precision ceiling 4096 bits"):
+        escalate(lambda prec: tried.append(prec), what="probe")
+    assert tried == [128, 256, 512, 1024, 2048, 4096]
+    assert escalate(lambda prec: prec if prec >= 512 else None) == 512
 
 
 def test_bracket_decides_threshold_sweep(monkeypatch):

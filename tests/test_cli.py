@@ -10,10 +10,14 @@ from divlat.errors import InconclusiveError
 REPORT_KEYS = {"command", "inputs", "results", "status", "timing_seconds"}
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not JSON under RFC 8259")
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
-    report = json.loads(captured.out)
+    report = json.loads(captured.out, parse_constant=_reject_constant)
     assert set(report) == REPORT_KEYS
     assert (code == 0) == (report["status"] == "pass")
     return code, report, captured.err
@@ -126,13 +130,32 @@ def test_energy_sweep(capsys):
     assert report["results"]["violations"] == []
 
 
-def test_precision_below_one_bit_is_argument_error(capsys):
-    code, report, _ = run_cli(capsys, "verify-eta", "--t", "2", "--k-max", "3000",
-                              "--precision", "0")
-    assert code == 1 and report["status"] == "fail"
-    assert report["results"]["error_kind"] == "argument"
-    assert "precision" in report["results"]["error"]
-    assert report["inputs"]["precision"] == 0
+@pytest.mark.parametrize("argv, named", [
+    # the interval ladder is fixed at 128 doubling to 4096 bits
+    (["verify-eta", "--t", "2", "--precision", "256"], "--precision"),
+    # NaN is not JSON, so no report could echo it in its inputs
+    (["moments", "--n", "30", "--t", "2", "--theta", "nan"], "--theta"),
+])
+def test_usage_error_exits_2(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ok_argv, bad_argv", [
+    (["verify-eta", "--t", "3", "--k-max", "56", "--variant", "easy"],
+     ["verify-eta", "--t", "5:3"]),
+    (["moments", "--n", "30", "--t", "2"], ["moments", "--n", "12", "--t", "2", "--all-checks"]),
+    (["energy", "--s", "2", "--n", "12"], ["energy", "--s", "2"]),
+])
+def test_error_report_keeps_the_pass_report_inputs(capsys, ok_argv, bad_argv):
+    code, ok, _ = run_cli(capsys, *ok_argv)
+    assert code == 0
+    code, bad, _ = run_cli(capsys, *bad_argv)
+    assert bad["results"]["error_kind"] == "argument"
+    assert set(bad["inputs"]) == set(ok["inputs"])
+    assert "csv" not in ok["inputs"] and "command" not in ok["inputs"]
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -207,6 +230,14 @@ def test_large_t_bounds_past_float_range(capsys, argv):
     """Moment bounds that overflow to inf are valid upper bounds, not a crash."""
     code, report, _ = run_cli(capsys, *argv)
     assert code == 0 and report["status"] == "pass"
+
+
+def test_unbounded_moment_bounds_are_strict_json(capsys):
+    # run_cli parses with every non-RFC 8259 constant rejected
+    _, report, _ = run_cli(capsys, "moments", "--n", "30", "--t", "1000", "--all-checks")
+    res = report["results"]
+    assert res["first_bound"]["value"] == res["second_bound"]["value"] == "inf"
+    assert res["chain"]["bound_value"] == res["chain"]["slack"] == "inf"
 
 
 def test_scan_deterministic(capsys):
