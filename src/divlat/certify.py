@@ -61,8 +61,12 @@ def escalate(decide: Callable[[int], Optional[bool]],
 
     `what` names the comparison if the ceiling is passed; a callable is
     called only then, so it can report what `decide` left pending.
+    Both ends are read at call time; a start below 1 bit would never
+    double, so it is a ValueError.
     """
     level = DEFAULT_PREC
+    if level < 1:
+        raise ValueError(f"working precision must be >= 1 bit, got {level}")
     while level <= PREC_CEILING:
         verdict = decide(level)
         if verdict is not None:

@@ -132,6 +132,18 @@ def test_exact_ties_on_integral_exponents():
     assert scaled_le(5, Fraction(-4, 2), 2) and not scaled_le(9, Fraction(-4, 2), 2)
 
 
+@pytest.mark.parametrize("start", [0, -8])
+def test_escalate_rejects_start_below_one_bit(start, monkeypatch):
+    # doubling 0 or a negative start never reaches the ceiling
+    tried = []
+    monkeypatch.setattr(certify, "DEFAULT_PREC", start)
+    with pytest.raises(ValueError, match=f"got {start}"):
+        escalate(lambda prec: tried.append(prec))
+    assert tried == []
+    monkeypatch.setattr(certify, "DEFAULT_PREC", 1)
+    assert escalate(lambda prec: prec if prec >= 8 else None) == 8
+
+
 def test_escalate_runs_the_fixed_ladder():
     tried = []
     with pytest.raises(InconclusiveError,
