@@ -13,7 +13,6 @@ from .core import (
     eulerian,
     factorize,
     mobius,
-    nth_prime,
     primorial,
     rosser_check,
     sieve_for_count,

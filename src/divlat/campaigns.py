@@ -51,6 +51,8 @@ from .reports import BoundReport, CampaignResult
 
 #: per-t campaign thresholds for the hard inequality; t in 8..99 uses 8
 HARD_THRESHOLDS = {2: 3_750_230, 3: 1936, 4: 155, 5: 44, 6: 20, 7: 12}
+#: the exponents the best-constant search sweeps: the paper's t = 2..99
+SEARCH_T_RANGE = range(2, 100)
 
 #: certified enclosure of the best-possible constant, re-derived by
 #: constant_C_search (the test suite asserts containment)
@@ -292,7 +294,6 @@ def _float_pass(t: int, k_max: int, table: PrimeTable):
 
 
 def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
-                  c_value: str | float | None = None,
                   checkpoint: str | Path | None = None) -> CampaignResult:
     """Shared k = 1..k_max sweep for the easy (strict <) and hard (<=) inequalities.
 
@@ -305,9 +306,8 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
     if table.count < k_max:
         raise CapacityError(
             f"table holds {table.count} primes, campaign needs {k_max}")
-    if mode == "hard":
-        c_str = ETA_CONSTANT_HI if c_value is None else c_value
-        c_float = float(c_str)
+    c_str = ETA_CONSTANT_HI  # the hard right-hand side's C, read once per call
+    c_float = float(c_str)
     t0 = time.perf_counter()
     cp = CheckpointFile(checkpoint) if checkpoint else None
     stored = cp.load().get(t, {}) if cp else {}
@@ -420,17 +420,16 @@ def verify_c_easy(t: int, k_max: int, table: PrimeTable,
 
 
 def verify_c_hard(t: int, k_max: int, table: PrimeTable,
-                  C: str | float | None = None,
                   checkpoint: str | Path | None = None) -> CampaignResult:
     """log_sum(t,k) <= C k^(1-1/t)/((1-1/t) logplus(k)^(1/t)) - [t>2] log(t)/t.
 
-    C defaults to the certified upper end of the best-possible constant;
-    pass a decimal string to pin a different constant exactly.  At the
-    attained point (2, 2149) the margin is the gap between the supplied
-    C and the true supremum, so a C below the certified upper end cannot
-    verify.  Checks k = 1..k_max; `checkpoint` works as for verify_c_easy.
+    C is ETA_CONSTANT_HI, the certified upper end of the best-possible
+    constant, read exactly as a decimal string at call time.  At the
+    attained point (2, 2149) the margin is the gap between C and the
+    true supremum, so a C below the certified upper end cannot verify.
+    Checks k = 1..k_max; `checkpoint` works as for verify_c_easy.
     """
-    return _run_campaign("hard", t, k_max, table, c_value=C, checkpoint=checkpoint)
+    return _run_campaign("hard", t, k_max, table, checkpoint=checkpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -461,24 +460,22 @@ class ConstantC:
 _CAND_WINDOW = 1e-6
 
 
-def constant_C_search(t_max: int, table: PrimeTable) -> ConstantC:
+def constant_C_search(table: PrimeTable) -> ConstantC:
     """Supremum and argmax of
 
         C_required(t,k) = (log_sum + [t>2] log(t)/t) (1-1/t) logplus(k)^(1/t) / k^(1-1/t)
 
-    over t = 2..t_max with k up to the per-t campaign threshold.  The
-    float64 pass prunes to a candidate window, then interval arithmetic
-    separates the winner from the runner-up.
+    over the paper's box: t = 2..99 with k up to the per-t campaign
+    threshold.  The float64 pass prunes to a candidate window, then
+    interval arithmetic separates the winner from the runner-up.
     """
-    if t_max < 99:
-        raise ValueError(f"scan must cover t up to 99, got t_max = {t_max}")
     need = hard_threshold(2)
     if table.count < need:
         raise CapacityError(f"table holds {table.count} primes, need {need}")
 
     best_lo = -math.inf
     candidates: list[tuple[float, int, int]] = []  # (chi, t, k)
-    for t in range(2, t_max + 1):
+    for t in SEARCH_T_RANGE:
         for _, karr, lo_arr, hi_arr in _float_pass(t, hard_threshold(t), table):
             clo, chi = _c_required_mid(t, _hard_factor_mid(t, karr), lo_arr, hi_arr)
             best_lo = max(best_lo, float(np.max(clo)))
@@ -550,8 +547,7 @@ def ln2_bound_check(t: int, k: int) -> BoundReport:
         )
 
 
-def induction_margin(t: int, k: int, table: PrimeTable | None = None,
-                     variant: str = "hard") -> BoundReport:
+def induction_margin(t: int, k: int, variant: str = "hard") -> BoundReport:
     """Certify the induction step's sufficient condition at (t, k).
 
     easy: 1/log(k) < (1 - 1/t)^t, valid from k = 57 on;

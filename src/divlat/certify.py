@@ -23,7 +23,7 @@ DEFAULT_PREC bits, doubling up to PREC_CEILING.  Its callers are
 `fraction_le_enclosure` (the interval fallback of `int_vs_pow2` and
 `scaled_le`, and the eta^t side of `moments.chain_check`), the campaign
 escalation pass and the best-constant search in `campaigns`, the even-t
-tie break in `moments.optimal_even_t`, and the interval path of
+choice in `moments.optimal_even_t`, and the interval path of
 `energy.vandermonde_positivity`.
 """
 

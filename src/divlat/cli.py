@@ -184,7 +184,7 @@ def cmd_verify_eta(args) -> int:
 def cmd_constant_c(args) -> int:
     t0 = time.perf_counter()
     table = _table_for_count(campaigns.hard_threshold(2))
-    found = campaigns.constant_C_search(args.t_max, table)
+    found = campaigns.constant_C_search(table)
     unique = found.runner_up < found.lower
     status = "pass" if (found.attained_at == campaigns.ETA_CONSTANT_AT and unique) else "fail"
     results = {
@@ -203,6 +203,8 @@ def cmd_constant_c(args) -> int:
 
 def cmd_moments(args) -> int:
     t0 = time.perf_counter()
+    if args.theta is not None and not 0 < args.theta <= 1:
+        raise ValueError(f"--theta must lie in (0, 1], got {args.theta}")
     f = factorize(args.n)
     profile = divisor_profile(f)
     stepwise = moments.moment_stepwise(profile, args.t)
@@ -285,16 +287,18 @@ def cmd_energy(args) -> int:
 #: the primes a scan sample draws its squarefree n from
 _SCAN_POOL = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
               53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+#: a scan sample's largest omega(n), moment exponent t and energy exponent s
+SCAN_OMEGA_MAX, SCAN_T_MAX, SCAN_S_MAX = 8, 6, 4
 
 
-def _scan_one(rng: random.Random, omega_max: int, t_max: int, s_max: int) -> dict:
+def _scan_one(rng: random.Random) -> dict:
     """One seeded cross-check bundle on a random squarefree n."""
-    omega = rng.randint(1, omega_max)
+    omega = rng.randint(1, SCAN_OMEGA_MAX)
     primes = sorted(rng.sample(_SCAN_POOL, omega))
     n = math.prod(primes)
     f = factorize(n)
     profile = divisor_profile(f)
-    t = rng.randint(2, t_max)
+    t = rng.randint(2, SCAN_T_MAX)
     record: dict = {"n": n, "t": t, "checks": {}, "failures": []}
 
     def check(name: str, ok: bool, reproducer: dict | None = None):
@@ -326,7 +330,7 @@ def _scan_one(rng: random.Random, omega_max: int, t_max: int, s_max: int) -> dic
         check("threshold-count-chain",
               moments.H_chain_check(profile, theta, te).holds,
               {"theta": theta, "t": te})
-    s = rng.randint(2, s_max)
+    s = rng.randint(2, SCAN_S_MAX)
     rep = energy(f, s)
     ok_energy = rep.strict_lower_holds and rep.upper_holds and rep.upper_is_equality
     if f.tau ** (2 * s) <= 10 ** 6:
@@ -342,13 +346,8 @@ def cmd_scan(args) -> int:
     t0 = time.perf_counter()
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
-    if not 1 <= args.omega_max <= len(_SCAN_POOL):
-        raise ValueError(f"--omega-max must lie in 1..{len(_SCAN_POOL)}, got {args.omega_max}")
-    if args.t_max < 2 or args.s_max < 2:
-        raise ValueError(f"--t-max and --s-max must be >= 2, got {args.t_max}, {args.s_max}")
     rng = random.Random(args.seed)
-    records = [_scan_one(rng, args.omega_max, args.t_max, args.s_max)
-               for _ in range(args.count)]
+    records = [_scan_one(rng) for _ in range(args.count)]
     failures = [fail for rec in records for fail in rec["failures"]]
     status = "pass" if not failures else "fail"
     results = {
@@ -397,9 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--variant", choices=["easy", "hard", "both"], default="both")
     v.add_argument("--checkpoint", default=None)
 
-    c = sub.add_parser("constant-c", parents=[common],
-                       help="search the best-possible eta constant")
-    c.add_argument("--t-max", type=int, default=99)
+    sub.add_parser("constant-c", parents=[common],
+                   help="search the best-possible eta constant")
 
     m = sub.add_parser("moments", parents=[common],
                        help="exact moments with optional bound checks")
@@ -418,9 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seeded randomized cross-check sweep")
     s.add_argument("--seed", type=int, default=1)
     s.add_argument("--count", type=int, default=100)
-    s.add_argument("--omega-max", type=int, default=8)
-    s.add_argument("--t-max", type=int, default=6)
-    s.add_argument("--s-max", type=int, default=4)
 
     r = sub.add_parser("rosser", parents=[common],
                        help="verify p_k > k log k up to k_max")

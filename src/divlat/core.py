@@ -60,9 +60,6 @@ class PrimeTable:
                 f"p_{k} needs a sieve limit of at most {need}")
         return int(self.primes[k - 1])
 
-    def __len__(self) -> int:
-        return self.count
-
 
 def prime_upper_bound(k: int) -> int:
     """Proven upper bound on p_k, the k-th prime.
@@ -112,11 +109,6 @@ def sieve_for_count(k: int) -> PrimeTable:
     return sieve_primes(prime_upper_bound(k))
 
 
-def nth_prime(k: int, table: PrimeTable) -> int:
-    """p_k out of a table, 1-indexed (p_1 = 2)."""
-    return table.nth(k)
-
-
 def primorial(k: int) -> int:
     """Product of the first k primes; the empty product (k=0) is 1."""
     if k < 0:
@@ -156,15 +148,16 @@ class Factorization:
 FACTOR_TRIAL_LIMIT = 10 ** 7
 
 
-def factorize(n: int, trial_limit: int = FACTOR_TRIAL_LIMIT) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Complete factorization by wheel trial division.
 
     Raises CapacityError when a composite cofactor survives trial
-    division up to `trial_limit` (primality of the residue can then not
-    be certified here).
+    division up to FACTOR_TRIAL_LIMIT (primality of the residue can then
+    not be certified here).
     """
     if n < 1:
         raise ValueError(f"cannot factor n = {n}; need n >= 1")
+    trial_limit = FACTOR_TRIAL_LIMIT  # read once per call, not per wheel step
     m = n
     factors: list[tuple[int, int]] = []
     for p in (2, 3):

@@ -43,6 +43,10 @@ from .reports import BoundReport, CampaignResult
 #: enumeration ceilings
 R_BRUTE_CAP = 10 ** 8
 ENERGY_ORACLE_CAP = 10 ** 8
+#: absolute error allowed in the sinc-power integral identity
+SINC_BUDGET = 1e-8
+#: sign interpolants are checked for lam = 1..SIGN_LEMMA_LAMBDA_MAX
+SIGN_LEMMA_LAMBDA_MAX = 6
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +315,7 @@ def _gauss_legendre_panels(f, n_panels: int, nodes: int) -> float:
     return total
 
 
-def sinc_integral_check(s: int, budget: float = 1e-8) -> BoundReport:
+def sinc_integral_check(s: int) -> BoundReport:
     """Integral of (sin x / x)^(2s) over the line vs pi A(2s-1,s-1)/(2s-1)!.
 
     For s = 1 the integral is the classical Dirichlet value pi and the
@@ -319,7 +323,7 @@ def sinc_integral_check(s: int, budget: float = 1e-8) -> BoundReport:
     For s >= 2 the even integrand is integrated over [0, X] with
     Gauss-Legendre panels of width pi (node count doubled until the
     estimate stabilizes), where X is chosen so the analytic tail bound
-    2 X^(1-2s)/(2s-1) fits inside half the error budget.
+    2 X^(1-2s)/(2s-1) fits inside half the error budget SINC_BUDGET.
     """
     if not 1 <= s <= 8:
         raise ValueError(f"identity checked for 1 <= s <= 8, got {s}")
@@ -329,14 +333,14 @@ def sinc_integral_check(s: int, budget: float = 1e-8) -> BoundReport:
         return BoundReport(
             exact_value=ratio,
             bound_value=target,
-            slack=budget,
+            slack=SINC_BUDGET,
             holds=True,
             context={"s": s, "method": "classical-closed-form",
                      "estimate": math.pi, "check": "sinc-power-integral"},
         )
 
     n_panels = 1
-    while 2 * (n_panels * math.pi) ** (1 - 2 * s) / (2 * s - 1) > budget / 2:
+    while 2 * (n_panels * math.pi) ** (1 - 2 * s) / (2 * s - 1) > SINC_BUDGET / 2:
         n_panels += 1
     tail = 2 * (n_panels * math.pi) ** (1 - 2 * s) / (2 * s - 1)
 
@@ -352,7 +356,7 @@ def sinc_integral_check(s: int, budget: float = 1e-8) -> BoundReport:
     while nodes <= 512:
         nodes *= 2
         est = _gauss_legendre_panels(f, n_panels, nodes)
-        if abs(est - prev) <= budget / 8:
+        if abs(est - prev) <= SINC_BUDGET / 8:
             break
         prev = est
     else:
@@ -362,8 +366,8 @@ def sinc_integral_check(s: int, budget: float = 1e-8) -> BoundReport:
     return BoundReport(
         exact_value=ratio,
         bound_value=value,
-        slack=budget - diff,
-        holds=diff <= budget,
+        slack=SINC_BUDGET - diff,
+        holds=diff <= SINC_BUDGET,
         context={"s": s, "estimate": value, "target": target,
                  "panels": n_panels, "nodes": nodes, "tail_bound": tail,
                  "check": "sinc-power-integral"},
@@ -442,7 +446,7 @@ def sign_interpolant(lam: int, m: int) -> ExactPolynomial:
     return ExactPolynomial.from_coeffs(coeffs)
 
 
-def sign_lemma_check(lambda_max: int = 6) -> CampaignResult:
+def sign_lemma_check() -> CampaignResult:
     """Parity, exact degree, and leading sign of every sign interpolant.
 
     Expected shape: even m -> odd function of degree 2 lam - 1 with
@@ -455,7 +459,7 @@ def sign_lemma_check(lambda_max: int = 6) -> CampaignResult:
     passed = True
     first_bad = None
     checked = 0
-    for lam in range(1, lambda_max + 1):
+    for lam in range(1, SIGN_LEMMA_LAMBDA_MAX + 1):
         for m in range(0, 2 * lam):
             poly = sign_interpolant(lam, m)
             pts_ok = all(poly(j) == _sgn(j) * j ** m for j in range(-lam, lam + 1))
@@ -473,11 +477,11 @@ def sign_lemma_check(lambda_max: int = 6) -> CampaignResult:
                 first_bad = first_bad or (lam, m)
     return CampaignResult(
         label="sign-interpolant-shape",
-        t_range=(1, lambda_max),
-        k_range=(0, 2 * lambda_max - 1),
+        t_range=(1, SIGN_LEMMA_LAMBDA_MAX),
+        k_range=(0, 2 * SIGN_LEMMA_LAMBDA_MAX - 1),
         passed=passed,
         worst_margin=1.0 if passed else -1.0,
-        argmin=first_bad or (lambda_max, 2 * lambda_max - 1),
+        argmin=first_bad or (SIGN_LEMMA_LAMBDA_MAX, 2 * SIGN_LEMMA_LAMBDA_MAX - 1),
         sup_ratio=None,
         arg_sup=None,
         wall_time=time.perf_counter() - t0,

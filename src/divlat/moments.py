@@ -43,7 +43,7 @@ from .certify import (
     scaled_le,
 )
 from .core import Factorization, binomial, divisor_table, factorize, primorial
-from .errors import CapacityError, DomainError, InconclusiveError
+from .errors import CapacityError, DomainError
 from .reports import BoundReport
 
 #: largest n for which H_theta enumerates j = 1..n (walked gap-wise)
@@ -483,7 +483,9 @@ def optimal_even_t(theta: float, omega: int) -> int:
 
     Requires alpha - 1 < log(omega); the unconstrained optimum sits at
     t0 = log(omega)/(alpha - 1) and concavity confines the even argmin
-    to the two even integers flanking t0.  Ties break to the smaller t.
+    to the two even integers flanking t0.  Interval arithmetic decides
+    between them; the smaller t wins when its value is provably no
+    larger, and a tie no precision separates raises InconclusiveError.
     """
     alpha = alpha_of_theta(theta)
     if omega < 1 or not alpha - 1 < math.log(omega):
@@ -493,14 +495,6 @@ def optimal_even_t(theta: float, omega: int) -> int:
     t0 = math.log(omega) / (alpha - 1)
     lo_even = max(2, 2 * math.floor(t0 / 2))
     candidates = (lo_even, lo_even + 2)
-
-    def objective(t: int) -> float:
-        return t * (omega ** (-1.0 / t) - theta * math.log(2))
-
-    g0, g1 = objective(candidates[0]), objective(candidates[1])
-    scale = max(abs(g0), abs(g1), 1e-300)
-    if abs(g0 - g1) > 1e-9 * scale:
-        return candidates[0] if g0 < g1 else candidates[1]
 
     def decide(level: int):
         with iv_prec(level):
@@ -514,10 +508,7 @@ def optimal_even_t(theta: float, omega: int) -> int:
                 return candidates[1]
         return None
 
-    try:
-        return escalate(decide, what="even-t tie break")
-    except InconclusiveError:
-        return candidates[0]  # indistinguishable at the ceiling: treat as tie
+    return escalate(decide, what="even-t choice")
 
 
 def corollary_exponent(theta: float, omega: int) -> float:

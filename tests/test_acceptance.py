@@ -269,7 +269,7 @@ def test_c11_asymptotics_witness():
 
 
 def test_c12_polynomial_lemmas():
-    ok = sign_lemma_check(6).passed
+    ok = sign_lemma_check().passed
     rng = random.Random(314_159)
     for _ in range(1000):
         ell = rng.randint(1, 6)

@@ -16,6 +16,7 @@ from divlat import (
     CapacityError,
     EtaAccumulator,
     InconclusiveError,
+    campaigns,
     certify,
     concavity_threshold,
     constant_C_search,
@@ -182,17 +183,19 @@ def test_hard_small_t(small_table):
         assert r.passed and r.inconclusive == 0, (t, r)
 
 
-def test_hard_k1_with_printed_constant(small_table):
-    r = verify_c_hard(4, 1, small_table, C="1.07073472")
+def test_hard_k1_with_printed_constant(small_table, monkeypatch):
+    monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", "1.07073472")
+    r = verify_c_hard(4, 1, small_table)
     lhs = math.log(1 + 2 ** -0.25)
     rhs = 1.07073472 / (0.75 * math.log(2) ** 0.25) - math.log(4) / 4
     assert r.passed
     assert r.worst_margin == pytest.approx(rhs - lhs, abs=1e-6)
 
 
-def test_hard_rejects_too_small_constant(small_table):
+def test_hard_rejects_too_small_constant(small_table, monkeypatch):
     # with C clearly below the supremum the inequality fails somewhere
-    r = verify_c_hard(2, 3000, small_table, C="1.0")
+    monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", "1.0")
+    r = verify_c_hard(2, 3000, small_table)
     assert not r.passed
     assert r.worst_margin < 0
 
@@ -256,7 +259,7 @@ def test_checkpoint_mismatch_detected(tmp_path, medium_table):
 # ---------------------------------------------------------------------------
 
 def test_constant_search(campaign_table):
-    cc = constant_C_search(99, campaign_table)
+    cc = constant_C_search(campaign_table)
     assert cc.attained_at == (2, 2149)
     assert 1.070734 <= cc.value <= 1.070735
     # containment in the frozen enclosure, compared in decimal

@@ -135,6 +135,10 @@ def test_energy_sweep(capsys):
     (["verify-eta", "--t", "2", "--precision", "256"], "--precision"),
     # NaN is not JSON, so no report could echo it in its inputs
     (["moments", "--n", "30", "--t", "2", "--theta", "nan"], "--theta"),
+    # the constant search always sweeps the paper's t = 2..99
+    (["constant-c", "--t-max", "99"], "--t-max"),
+    # the scan's sample ranges are fixed
+    (["scan", "--omega-max", "8"], "--omega-max"),
 ])
 def test_usage_error_exits_2(capsys, argv, named):
     with pytest.raises(SystemExit) as exc:
@@ -162,8 +166,9 @@ def test_error_report_keeps_the_pass_report_inputs(capsys, ok_argv, bad_argv):
     (["verify-eta", "--t", "5:3"], "'5:3' is empty"),
     (["verify-eta", "--t", "2:9:1"], "'2:9:1'"),
     (["verify-eta", "--t", "x"], "'x'"),
-    (["scan", "--omega-max", "30"], "--omega-max must lie in 1..25"),
-    (["scan", "--t-max", "1"], "--t-max"),
+    # theta outside (0, 1] is refused whether or not a check would read it
+    (["moments", "--n", "30", "--t", "2", "--theta", "7"], "--theta must lie in (0, 1]"),
+    (["moments", "--n", "30", "--t", "3", "--all-checks", "--theta", "7"], "got 7.0"),
 ])
 def test_malformed_ranges_name_the_input(capsys, argv, named):
     code, report, _ = run_cli(capsys, *argv)
@@ -224,10 +229,11 @@ def test_verify_eta_report_is_host_independent(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["moments", "--n", "30", "--t", "1000", "--all-checks"],
     ["moments", "--n", "30", "--t", "3000", "--all-checks"],
-    ["scan", "--count", "30", "--t-max", "200"],
+    ["scan", "--count", "30"],
 ])
-def test_large_t_bounds_past_float_range(capsys, argv):
+def test_large_t_bounds_past_float_range(capsys, monkeypatch, argv):
     """Moment bounds that overflow to inf are valid upper bounds, not a crash."""
+    monkeypatch.setattr(cli, "SCAN_T_MAX", 200)
     code, report, _ = run_cli(capsys, *argv)
     assert code == 0 and report["status"] == "pass"
 

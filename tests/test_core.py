@@ -16,13 +16,13 @@ from divlat import (
     eulerian,
     factorize,
     mobius,
-    nth_prime,
     primorial,
     rosser_check,
     sieve_for_count,
     sieve_primes,
     surjections,
 )
+from divlat import core
 from divlat.core import divisor_table, prime_upper_bound
 
 
@@ -118,22 +118,23 @@ def test_sieve_deep_window_matches_trial_division(small_table):
     assert window == oracle
 
 
-def test_factorize_capacity_on_hard_semiprime(small_table):
+def test_factorize_capacity_on_hard_semiprime(small_table, monkeypatch):
     p = int(small_table.primes[9999])   # 104729
     q = int(small_table.primes[9998])   # 104723
+    monkeypatch.setattr(core, "FACTOR_TRIAL_LIMIT", 10_000)
     with pytest.raises(CapacityError, match="unfactored residue"):
-        factorize(p * q, trial_limit=10_000)
+        factorize(p * q)
 
 
 def test_nth_prime(small_table):
-    assert nth_prime(1, small_table) == 2
-    assert nth_prime(4, small_table) == 7
-    assert nth_prime(2149, small_table) == 18_869
+    assert small_table.nth(1) == 2
+    assert small_table.nth(4) == 7
+    assert small_table.nth(2149) == 18_869
 
 
 def test_nth_prime_capacity(small_table):
     with pytest.raises(CapacityError, match="sieve limit"):
-        nth_prime(small_table.count + 1, small_table)
+        small_table.nth(small_table.count + 1)
 
 
 def test_primorial():
@@ -311,7 +312,7 @@ def test_rosser_small(small_table):
 def test_rosser_worst_location(small_table):
     res = rosser_check(small_table, 1000)
     k = res.argmin[0]
-    p = nth_prime(k, small_table)
+    p = small_table.nth(k)
     assert p - k * math.log(k) == pytest.approx(res.worst_margin, abs=1e-6)
     assert res.worst_margin > 0
 

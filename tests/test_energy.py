@@ -237,7 +237,7 @@ def test_interpolant_domain():
 
 
 def test_sign_lemma_sweep():
-    res = sign_lemma_check(6)
+    res = sign_lemma_check()
     assert res.passed
     assert res.t_range == (1, 6)
 
