@@ -52,7 +52,6 @@ from .campaigns import (
 )
 from .moments import (
     DivisorProfile,
-    WSolution,
     H_chain_check,
     H_theta_exact,
     J_rho,

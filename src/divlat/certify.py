@@ -23,8 +23,9 @@ DEFAULT_PREC bits, doubling up to PREC_CEILING.  Its callers are
 `fraction_le_enclosure` (the interval fallback of `int_vs_pow2` and
 `scaled_le`, and the eta^t side of `moments.chain_check`), the campaign
 escalation pass and the best-constant search in `campaigns`, the even-t
-choice in `moments.optimal_even_t`, and the interval path of
-`energy.vandermonde_positivity`.
+choice in `moments.optimal_even_t`, the interval path of
+`energy.vandermonde_positivity`, and the monotone-block search of
+`core.rosser_check`.
 """
 
 from __future__ import annotations

@@ -7,9 +7,8 @@ numbers, surjection counts) from arbitrary-precision integer formulas.
 A table of the first k primes is sieved up to a proven bound on p_k:
 Dusart's k(ln k + ln ln k - 0.9484) for k >= 39017, Rosser's
 k(ln k + ln ln k) for 6 <= k < 39017.  Floating point appears only in
-that bound, rounded up by a margin far above its error, and in
-`rosser_check`, where the analytic side k*log(k) is compared with a
-certified error allowance.
+that bound, rounded up by a margin far above its error; `rosser_check`
+compares the analytic side k*log(k) through `certify.escalate`.
 
 Key objects:
     PrimeTable      immutable ascending table of primes (1-indexed access)
@@ -18,13 +17,16 @@ Key objects:
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+from mpmath import iv
 
+from .certify import escalate, iv_prec
 from .errors import CapacityError
 from .reports import CampaignResult
 
@@ -256,11 +258,15 @@ def surjections(i: int, j: int) -> int:
 
 
 def rosser_check(table: PrimeTable, k_max: int) -> CampaignResult:
-    """Verify p_k > k*log(k) for k = 1..k_max.
+    """Certify p_k > k*log(k) for k = 1..k_max, and find the worst k.
 
-    The comparison p_k - k*log(k) is done in float64 with an explicit
-    allowance for the rounding of k*log(k); known margins are orders of
-    magnitude above that allowance.
+    The table must be ascending, as the sieve guarantees.  On a block
+    [k0, k1], p_k >= p_{k0} and k log k <= k1 log k1, so an enclosure of
+    p_{k0} - k1 log k1 bounds every margin in the block from below.  A
+    best-first search splits the block of lowest bound at its midpoint
+    until that block is a single k: its enclosure is then the certified
+    worst margin, and one straddling 0 escalates.  By Rosser's theorem
+    (1939) every margin of a true prime table is positive.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -268,20 +274,30 @@ def rosser_check(table: PrimeTable, k_max: int) -> CampaignResult:
         raise CapacityError(
             f"table holds {table.count} primes, campaign needs {k_max}")
     t0 = time.perf_counter()
-    k = np.arange(1, k_max + 1, dtype=np.float64)
-    rhs = k * np.log(k)  # k=1 gives exactly 0.0
-    p = table.primes[:k_max].astype(np.float64)
-    slack = p - rhs
-    allowance = 8.0 * np.spacing(rhs) + 8.0 * np.spacing(p)
-    margins = slack - allowance
-    i = int(np.argmin(margins))
-    passed = bool(margins[i] > 0.0)
+
+    def block(k0: int, k1: int) -> tuple:
+        m = iv.mpf(int(table.primes[k0 - 1])) - iv.mpf(k1) * iv.log(k1)
+        # m.a is a point, so ties fall to k0 and no interval is compared
+        return (m.a, k0, k1, m)
+
+    def decide(level: int):
+        with iv_prec(level):
+            heap = [block(1, k_max)]
+            while True:
+                _, k0, k1, m = heapq.heappop(heap)
+                if k0 == k1:
+                    return None if (m > 0) is None else (k0, m)
+                mid = (k0 + k1) // 2
+                heapq.heappush(heap, block(k0, mid))
+                heapq.heappush(heap, block(mid + 1, k1))
+
+    k, m = escalate(decide, what=f"p_k > k log k for k <= {k_max}")
     return CampaignResult(
         label="p_k > k log k",
         t_range=None,
         k_range=(1, k_max),
-        passed=passed,
-        worst_margin=float(margins[i]),
-        argmin=(i + 1,),
+        passed=(m > 0) is True,
+        worst_margin=float(m.a),
+        argmin=(k,),
         wall_time=time.perf_counter() - t0,
     )

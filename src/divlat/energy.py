@@ -324,6 +324,8 @@ def sinc_integral_check(s: int) -> BoundReport:
     Gauss-Legendre panels of width pi (node count doubled until the
     estimate stabilizes), where X is chosen so the analytic tail bound
     2 X^(1-2s)/(2s-1) fits inside half the error budget SINC_BUDGET.
+    The quadrature has no rigorous error bound, so every report carries
+    `"certified": False` in its context.
     """
     if not 1 <= s <= 8:
         raise ValueError(f"identity checked for 1 <= s <= 8, got {s}")
@@ -336,7 +338,8 @@ def sinc_integral_check(s: int) -> BoundReport:
             slack=SINC_BUDGET,
             holds=True,
             context={"s": s, "method": "classical-closed-form",
-                     "estimate": math.pi, "check": "sinc-power-integral"},
+                     "estimate": math.pi, "check": "sinc-power-integral",
+                     "certified": False},
         )
 
     n_panels = 1
@@ -370,7 +373,7 @@ def sinc_integral_check(s: int) -> BoundReport:
         holds=diff <= SINC_BUDGET,
         context={"s": s, "estimate": value, "target": target,
                  "panels": n_panels, "nodes": nodes, "tail_bound": tail,
-                 "check": "sinc-power-integral"},
+                 "check": "sinc-power-integral", "certified": False},
     )
 
 

@@ -14,10 +14,10 @@ Two independent identities give the moment
 
 and their agreement is used as a cross-check everywhere.
 
-Analytic bounds (the eta product, the closed-form moment bounds, the
-alpha(theta) solution of exp(w)/w = x) are evaluated with upward-rounded
-enclosures: a bound comparison can fail only because the inequality
-fails, never because of rounding.
+Analytic bounds (the eta product, the closed-form moment bounds) are
+evaluated with upward-rounded enclosures: a bound comparison can fail
+only because the inequality fails, never because of rounding.  The
+alpha(theta) solution of exp(w)/w = x is a float from mpmath's Lambert W.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from mpmath import iv
+from mpmath import iv, lambertw, mpf
 
 from . import campaigns
 from .certify import (
@@ -379,53 +379,31 @@ def thm_bounds(f: Factorization, t: int) -> tuple[float, float]:
     return thm1, thm2
 
 
-@dataclass(frozen=True)
-class WSolution:
-    """Solution w >= 1 of exp(w)/w = x (upper branch), x >= e."""
+def W_solve(x: float) -> float:
+    """The solution w >= 1 of exp(w)/w = x, for x >= e.
 
-    x: float
-    w: float
-
-
-def W_solve(x: float) -> WSolution:
-    """Bracketed Newton solve of exp(w)/w = x on the branch w >= 1.
-
-    Equivalent to w - log(w) = log(x), whose left side increases on
-    [1, inf).  Residual guarantee: |exp(w)/w - x| <= 1e-12 x.
+    w = -W_{-1}(-1/x), the lower real branch of Lambert W (Corless et
+    al., Adv. Comput. Math. 5, 1996), by `mpmath.lambertw`.  Residual
+    guarantee: |exp(w)/w - x| <= 1e-12 x.
     """
     if x < math.e:
         raise DomainError(f"exp(w)/w = x has no solution w >= 1 for x = {x} < e")
     y = math.log(x)
     if y <= 1.0:
-        return WSolution(x=x, w=1.0)
-    lo, hi = 1.0, y + math.log(y) + 1.0  # w - log w is increasing; root below hi
-    while hi - math.log(hi) < y:
-        hi *= 2
-    w = min(max(y + math.log(y), lo), hi)
-    for _ in range(100):
-        g = w - math.log(w) - y
-        if g > 0:
-            hi = w
-        else:
-            lo = w
-        gp = 1.0 - 1.0 / w
-        step = w - g / gp if gp > 1e-18 else 0.5 * (lo + hi)
-        w_next = step if lo < step < hi else 0.5 * (lo + hi)
-        if abs(w_next - w) <= 1e-16 * w:
-            w = w_next
-            break
-        w = w_next
+        # float e lies below the true e, so -1/x sits just past the branch point
+        return 1.0
+    w = float(-lambertw(-1 / mpf(x), -1).real)
     # |exp(w)/w - x| / x = |expm1((w - log w) - log x)|, overflow-free
     if abs(math.expm1((w - math.log(w)) - y)) > 1e-12:
-        raise ArithmeticError(f"Newton iteration failed to converge for x = {x}")
-    return WSolution(x=x, w=w)
+        raise ArithmeticError(f"Lambert W solve missed its residual bound for x = {x}")
+    return w
 
 
 def alpha_of_theta(theta: float) -> float:
     """alpha(theta) = W(e / (theta log 2)) for theta in (0, 1]."""
     if not 0 < theta <= 1:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    return W_solve(math.e / (theta * math.log(2))).w
+    return W_solve(math.e / (theta * math.log(2)))
 
 
 def H_theta_exact(profile: DivisorProfile, theta: float) -> int:

@@ -369,6 +369,30 @@ def test_rosser_at_campaign_scale(campaign_table):
     res = rosser_check(campaign_table, 3_750_230)
     assert res.passed
     assert res.worst_margin > 0
+    assert res.argmin == (4,)
+
+
+def test_rosser_campaign_scale_is_small(campaign_table, monkeypatch):
+    """Monotone blocks: no array of length k_max, few interval evaluations."""
+    import tracemalloc
+    from divlat import rosser_check
+    calls = []
+    log = iv.log
+
+    def counted_log(x):
+        calls.append(x)
+        return log(x)
+
+    monkeypatch.setattr(iv, "log", counted_log)
+    tracemalloc.start()
+    try:
+        res = rosser_check(campaign_table, 3_750_230)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed and res.argmin == (4,)
+    assert peak < 1 << 20
+    assert len(calls) < 1000
 
 
 def test_concavity_threshold():

@@ -4,6 +4,7 @@ import math
 from functools import lru_cache
 from itertools import permutations, product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,6 +316,28 @@ def test_rosser_worst_location(small_table):
     p = small_table.nth(k)
     assert p - k * math.log(k) == pytest.approx(res.worst_margin, abs=1e-6)
     assert res.worst_margin > 0
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, 4, 5, 17, 100, 999, 5000])
+def test_rosser_matches_exact_oracle(small_table, k_max):
+    """argmin and worst margin against a 200-bit per-k minimum."""
+    with mpmath.workprec(200):
+        margin, k = min((int(small_table.primes[k - 1]) - k * mpmath.log(k), k)
+                        for k in range(1, k_max + 1))
+        res = rosser_check(small_table, k_max)
+        assert res.passed
+        assert res.argmin == (k,)
+        assert abs(res.worst_margin - margin) <= 1e-15
+
+
+def test_rosser_fails_on_non_prime_table():
+    """Ascending integers 2, 3, 4, ...: p_k = k + 1 loses to k log k, worst at k_max."""
+    k_max = 3_750_230
+    table = core.PrimeTable(limit=k_max + 1, primes=np.arange(2, k_max + 2, dtype=np.int64))
+    res = rosser_check(table, k_max)
+    assert res.passed is False
+    assert res.argmin == (k_max,)
+    assert res.worst_margin < 0
 
 
 def test_rosser_capacity(small_table):

@@ -192,6 +192,8 @@ def test_sinc_integral():
     assert five.holds
     assert five.context["estimate"] == pytest.approx(
         math.pi * eulerian(9, 4) / math.factorial(9), abs=1e-8)
+    # the quadrature has no rigorous error bound, so no s claims one
+    assert all(sinc_integral_check(s).context["certified"] is False for s in range(1, 9))
     with pytest.raises(ValueError):
         sinc_integral_check(9)
 
