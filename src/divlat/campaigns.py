@@ -80,7 +80,7 @@ def eta_constant_interval():
 
 def eta_constant_upper() -> float:
     """Certified float upper bound of C."""
-    with iv_prec(64):
+    with iv_prec(DEFAULT_PREC):
         return interval_upper(iv.mpf(ETA_CONSTANT_HI))
 
 
@@ -226,7 +226,7 @@ def _hard_factor_mid(t: int, karr: np.ndarray) -> np.ndarray:
 
 
 def _hard_factor_iv(t: int, k: int):
-    """Enclosure of _hard_factor_mid at one k (inside iv_prec)."""
+    """Enclosure of _hard_factor_mid at one k, at the active precision."""
     ex = 1 - iv.mpf(1) / t
     logplus = iv.log(iv.mpf(max(k, 2)))
     return iv.exp(iv.log(iv.mpf(k)) * ex) / (ex * iv.exp(iv.log(logplus) / t))
@@ -258,7 +258,8 @@ def log_eta_sums(primes, t, ks) -> dict[int, "iv.mpf"]:
     """Enclosures of sum_{j<=k} log(1 + primes[j-1]^(-1/t)) at each k in ks.
 
     divlat's one interval log-eta sum: a running pass over primes[:max(ks)]
-    inside the active iv_prec context; t is any real >= 1.
+    at the active precision (escalate's level inside a decide); t is any
+    real >= 1.
     """
     want = set(ks)
     e = iv.mpf(-1) / t
@@ -272,13 +273,32 @@ def log_eta_sums(primes, t, ks) -> dict[int, "iv.mpf"]:
 
 
 def eta_log_enclosures(t: int, ks: list[int], table: PrimeTable) -> dict[int, "iv.mpf"]:
-    """Interval enclosures of log_sum(t, k) at the requested ks (inside iv_prec)."""
+    """Interval enclosures of log_sum(t, k) at the requested ks, at the active precision."""
     return log_eta_sums(table.primes, t, ks)
 
 
 # ---------------------------------------------------------------------------
 # campaign engine
 # ---------------------------------------------------------------------------
+
+def _margin_rule(strict: bool, ks: np.ndarray, m_lo: np.ndarray, m_hi: np.ndarray,
+                 violations: list[int], worst: list) -> list[int]:
+    """A campaign's one margin rule, on per-k margin enclosures [m_lo, m_hi].
+
+    k fails when m_hi <= 0 (m_hi < 0 if not strict) and is appended to
+    `violations`; otherwise it is decided when m_lo > 0 and pending if
+    not.  The lowest m_lo of the k not pending replaces worst = [margin,
+    k] when below it (first k on ties).  Returns the pending k.
+    """
+    fail = m_hi <= 0.0 if strict else m_hi < 0.0
+    pending = ~fail & (m_lo <= 0.0)
+    decided = np.where(pending, np.inf, m_lo)
+    i = int(np.argmin(decided))
+    if decided[i] < worst[0]:
+        worst[:] = float(decided[i]), int(ks[i])
+    violations.extend(int(k) for k in ks[fail])
+    return [int(k) for k in ks[pending]]
+
 
 def _float_pass(t: int, k_max: int, table: PrimeTable):
     """The float64 pass over k = 1..k_max, one CHECKPOINT_STRIDE at a time.
@@ -314,8 +334,7 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
 
     strict = mode == "easy"
     tail = math.log(t) / t
-    worst_margin = math.inf
-    worst_k = None
+    worst = [math.inf, None]  # (margin, k)
     sup_ratio = -math.inf
     sup_k = None
     pending: list[int] = []  # ascending k, each once
@@ -329,19 +348,8 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
             rhs = c_float * fac
         rhs = rhs - np.where(_has_tail(mode, t, karr), tail, 0.0)
         w = _REL_RHS * np.abs(rhs) + 4.0 * np.spacing(np.abs(rhs))
-        margin_lo = (rhs - w) - hi_arr
-        margin_hi = (rhs + w) - lo_arr
-
-        certain_fail = margin_hi <= 0.0 if strict else margin_hi < 0.0
-        unresolved = ~certain_fail & (margin_lo <= 0.0)
-        decided = ~unresolved
-        if np.any(decided):
-            i = int(np.argmin(np.where(decided, margin_lo, np.inf)))
-            if margin_lo[i] < worst_margin:
-                worst_margin = float(margin_lo[i])
-                worst_k = int(karr[i])
-        violations.extend(int(x) for x in karr[certain_fail])
-        pending.extend(int(x) for x in karr[unresolved])
+        pending += _margin_rule(strict, karr, (rhs - w) - hi_arr, (rhs + w) - lo_arr,
+                                violations, worst)
 
         if mode == "easy":
             ratio = hi_arr / np.maximum(rhs - w, 1e-300)
@@ -367,23 +375,12 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
     beyond_default = 0
 
     def decide(level: int) -> bool | None:
-        nonlocal pending, worst_margin, worst_k, beyond_default
-        still = []
-        with iv_prec(level):
-            enclosures = eta_log_enclosures(t, pending, table)
-            c_iv = iv.mpf(c_str) if mode == "hard" else None
-            for kk in pending:
-                m = _rhs_iv(mode, t, kk, c_iv) - enclosures[kk]
-                m_lo, m_hi = float(m.a), float(m.b)
-                if m_lo > 0.0:
-                    if m_lo < worst_margin:
-                        worst_margin, worst_k = m_lo, kk
-                elif (m_hi <= 0.0) if strict else (m_hi < 0.0):
-                    violations.append(kk)
-                    if m_lo < worst_margin:
-                        worst_margin, worst_k = m_lo, kk
-                else:
-                    still.append(kk)
+        nonlocal pending, beyond_default
+        enclosures = eta_log_enclosures(t, pending, table)
+        c_iv = iv.mpf(c_str) if mode == "hard" else None
+        ms = [_rhs_iv(mode, t, k, c_iv) - enclosures[k] for k in pending]
+        still = _margin_rule(strict, np.array(pending), np.array([float(m.a) for m in ms]),
+                             np.array([float(m.b) for m in ms]), violations, worst)
         if level == DEFAULT_PREC:
             beyond_default = len(still)
         pending = still
@@ -393,14 +390,13 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
         escalate(decide,
                  what=lambda: f"{len(pending)} comparisons at t={t} (first k={pending[0]})")
 
-    passed = not violations and worst_margin > 0.0
     return CampaignResult(
         label=f"eta-{mode}",
         t_range=(t, t),
         k_range=(1, k_max),
-        passed=passed,
-        worst_margin=worst_margin,
-        argmin=(t, worst_k),
+        passed=not violations and worst[0] > 0.0,
+        worst_margin=worst[0],
+        argmin=(t, worst[1]),
         sup_ratio=sup_ratio,
         arg_sup=(t, sup_k),
         wall_time=time.perf_counter() - t0,
@@ -485,31 +481,30 @@ def constant_C_search(table: PrimeTable) -> ConstantC:
     finalists = [(t, k) for _, t, k in candidates]
 
     def decide(level: int) -> ConstantC | None:
-        with iv_prec(level):
-            intervals: dict[tuple[int, int], "iv.mpf"] = {}
-            for t in sorted({t for t, _ in finalists}):
-                ks = sorted(k for tt, k in finalists if tt == t)
-                encl = eta_log_enclosures(t, ks, table)
-                tail = iv.log(iv.mpf(t)) / t if _has_tail("hard", t, None) else 0
-                for k in ks:
-                    intervals[(t, k)] = (encl[k] + tail) / _hard_factor_iv(t, k)
-            winner = max(intervals, key=lambda tk: float(intervals[tk].a))
-            win = intervals[winner]
-            others = {tk: v for tk, v in intervals.items() if tk != winner}
-            runner = max(others, key=lambda tk: float(others[tk].b)) if others else None
-            if runner is not None and float(others[runner].b) >= float(win.a):
-                return None
-            return ConstantC(
-                value=float(win.mid),
-                attained_at=winner,
-                lower=math.nextafter(float(win.a), -math.inf),
-                upper=math.nextafter(float(win.b), math.inf),
-                lower_decimal=_mpf_to_str(win._mpi_[0], 30),
-                upper_decimal=_mpf_to_str(win._mpi_[1], 30),
-                runner_up=math.nextafter(float(others[runner].b), math.inf)
-                if runner else -math.inf,
-                runner_up_at=runner if runner else (-1, -1),
-            )
+        intervals: dict[tuple[int, int], "iv.mpf"] = {}
+        for t in sorted({t for t, _ in finalists}):
+            ks = sorted(k for tt, k in finalists if tt == t)
+            encl = eta_log_enclosures(t, ks, table)
+            tail = iv.log(iv.mpf(t)) / t if _has_tail("hard", t, None) else 0
+            for k in ks:
+                intervals[(t, k)] = (encl[k] + tail) / _hard_factor_iv(t, k)
+        winner = max(intervals, key=lambda tk: float(intervals[tk].a))
+        win = intervals[winner]
+        others = {tk: v for tk, v in intervals.items() if tk != winner}
+        runner = max(others, key=lambda tk: float(others[tk].b)) if others else None
+        if runner is not None and float(others[runner].b) >= float(win.a):
+            return None
+        return ConstantC(
+            value=float(win.mid),
+            attained_at=winner,
+            lower=math.nextafter(float(win.a), -math.inf),
+            upper=math.nextafter(float(win.b), math.inf),
+            lower_decimal=_mpf_to_str(win._mpi_[0], 30),
+            upper_decimal=_mpf_to_str(win._mpi_[1], 30),
+            runner_up=math.nextafter(float(others[runner].b), math.inf)
+            if runner else -math.inf,
+            runner_up_at=runner if runner else (-1, -1),
+        )
 
     return escalate(decide, what="separation of the supremum candidates")
 
@@ -528,23 +523,26 @@ def ln2_bound_check(t: int, k: int) -> BoundReport:
     if not 1 <= k <= 56:
         raise ValueError(f"side chain applies to 1 <= k <= 56, got {k}")
     primes = sieve_for_count(k).primes[:k]
-    with iv_prec(DEFAULT_PREC):
+
+    def decide(level: int) -> BoundReport | None:
         lhs = iv.log(iv.mpf(t)) / t + log_eta_sums(primes, t, [k])[k]
         mid = iv.log(iv.mpf(100)) / 100 + k * iv.log(iv.mpf(2))
         cap = iv.mpf("0.74") * k
         kpow = iv.exp(iv.log(iv.mpf(k)) * (1 - iv.mpf(1) / t))
-        first = (lhs <= mid) is True
-        second = (mid < cap) is True
-        third = (cap <= kpow) is True
+        chain = [lhs <= mid, mid < cap, cap <= kpow]
+        if None in chain:
+            return None
         return BoundReport(
             exact_value=float(lhs.b),
             bound_value=float(cap.b),
             slack=float((cap - lhs).a),
-            holds=first and second and third,
-            context={"t": t, "k": k, "chain": [first, second, third],
+            holds=all(chain),
+            context={"t": t, "k": k, "chain": chain,
                      "middle": float(mid.b), "k_pow": float(kpow.a),
                      "check": "log2-side-chain"},
         )
+
+    return escalate(decide, what=f"log2 side chain at t={t}, k={k}")
 
 
 def induction_margin(t: int, k: int, variant: str = "hard") -> BoundReport:
@@ -564,26 +562,28 @@ def induction_margin(t: int, k: int, variant: str = "hard") -> BoundReport:
         raise ValueError(
             f"hard induction certificate applies beyond the threshold "
             f"{hard_threshold(t)}, got k = {k}")
-    with iv_prec(DEFAULT_PREC):
+
+    def decide(level: int) -> BoundReport | None:
         if variant == "easy":
             lhs = 1 / iv.log(iv.mpf(k))
             rhs = iv.exp(iv.log(1 - iv.mpf(1) / t) * t)
-            margin = rhs - lhs
-            holds = (lhs < rhs) is True
         else:
             c = eta_constant_interval()
             lhs = c / ((t - 1) * (c - 1))
             rhs = iv.log(iv.mpf(k))
-            margin = rhs - lhs
-            holds = (lhs < rhs) is True
+        holds = lhs < rhs
+        if holds is None:
+            return None
         return BoundReport(
             exact_value=float(lhs.b),
             bound_value=float(rhs.b),
-            slack=float(margin.a),
+            slack=float((rhs - lhs).a),
             holds=holds,
             context={"t": t, "k": k, "variant": variant,
                      "check": "induction-step-condition"},
         )
+
+    return escalate(decide, what=f"{variant} induction step at t={t}, k={k}")
 
 
 def concavity_threshold(t: int) -> float:

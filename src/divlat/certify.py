@@ -2,28 +2,32 @@
 
 Exact integers/rationals live on one side of every inequality we check;
 the other side is analytic.  These helpers decide such comparisons so
-that a "holds" verdict can never be a rounding artifact:
+that a "holds" verdict can never be a rounding artifact.  Every
+comparison lhs * 2^q <= rhs (m >= 2^q is the case lhs = 1) goes through
+one bracket, `_le_pow2`:
 
 * exact path: a threshold 2^q with integral q is compared in integer
   arithmetic, because that is the only case where the two sides can be
   *equal*;
 * integer bracket: for non-integral q, a = floor(q B) with B = BRACKET
-  gives 2^a <= 2^(qB) < 2^(a+1), so m^B or lhs^B compared against both
-  ends in integer arithmetic decides every case outside that one-step
-  band, as certified as the exact path;
+  gives 2^a <= 2^(qB) < 2^(a+1), so lhs^B and rhs^B compared against
+  both ends in integer arithmetic decide every case outside that
+  one-step band, as certified as the exact path;
 * otherwise mpmath interval arithmetic through `fraction_le_enclosure`,
-  comparing q against an enclosure of log2 m (or of log2 rhs - log2 lhs);
+  comparing q against an enclosure of log2 rhs - log2 lhs;
 * still undecided at the ceiling -> InconclusiveError.
 
 mpmath interval comparisons return True/False/None; None means the
 enclosures overlap and the verdict must be sought at higher precision.
 
-`escalate` is the only doubling loop in divlat, and its ladder is fixed:
-DEFAULT_PREC bits, doubling up to PREC_CEILING.  Its callers are
-`fraction_le_enclosure` (the interval fallback of `int_vs_pow2` and
-`scaled_le`, and the eta^t side of `moments.chain_check`), the campaign
-escalation pass and the best-constant search in `campaigns`, the even-t
-choice in `moments.optimal_even_t`, the interval path of
+`escalate` is the only doubling loop in divlat, and it owns the
+precision: its ladder is fixed at DEFAULT_PREC bits doubling up to
+PREC_CEILING, and it runs each `decide(level)` inside `iv_prec(level)`,
+so no decide sets the precision itself.  Its callers are
+`fraction_le_enclosure` (the interval fallback of `_le_pow2`, and the
+eta^t side of `moments.chain_check`), the campaign escalation pass, the
+best-constant search and the two side conditions in `campaigns`, the
+even-t choice in `moments.optimal_even_t`, the interval path of
 `energy.vandermonde_positivity`, and the monotone-block search of
 `core.rosser_check`.
 """
@@ -57,8 +61,8 @@ def iv_prec(bits: int):
 
 def escalate(decide: Callable[[int], Optional[bool]],
              what: str | Callable[[], str] = "comparison"):
-    """Run `decide` at DEFAULT_PREC bits, doubling up to PREC_CEILING,
-    until it returns a verdict.
+    """Run `decide(level)` inside iv_prec(level) at DEFAULT_PREC bits,
+    doubling up to PREC_CEILING, until it returns a verdict.
 
     `what` names the comparison if the ceiling is passed; a callable is
     called only then, so it can report what `decide` left pending.
@@ -69,7 +73,8 @@ def escalate(decide: Callable[[int], Optional[bool]],
     if level < 1:
         raise ValueError(f"working precision must be >= 1 bit, got {level}")
     while level <= PREC_CEILING:
-        verdict = decide(level)
+        with iv_prec(level):
+            verdict = decide(level)
         if verdict is not None:
             return verdict
         level *= 2
@@ -96,9 +101,22 @@ def _shift_le(x: int, e: int, y: int) -> bool:
     return (x << e) <= y if e >= 0 else x <= (y << -e)
 
 
-def _bracket(q: Fraction) -> int:
-    """a = floor(q * BRACKET), so 2^a <= 2^(q BRACKET) < 2^(a+1)."""
-    return q.numerator * BRACKET // q.denominator
+def _le_pow2(lhs: int, q: Fraction, rhs: int) -> bool:
+    """Certified lhs * 2^q <= rhs for integers lhs, rhs >= 1: the one bracket."""
+    if q.denominator == 1:
+        return _shift_le(lhs, q.numerator, rhs)
+    a = q.numerator * BRACKET // q.denominator  # 2^a <= 2^(q BRACKET) < 2^(a+1)
+    lhs_b, rhs_b = lhs ** BRACKET, rhs ** BRACKET
+    if _shift_le(lhs_b, a + 1, rhs_b):
+        return True
+    if not _shift_le(lhs_b, a, rhs_b):
+        return False
+
+    def log2_ratio(level: int):
+        ln2 = iv.log(iv.mpf(2))
+        return iv.log(iv.mpf(rhs)) / ln2 - iv.log(iv.mpf(lhs)) / ln2
+
+    return fraction_le_enclosure(q, log2_ratio, what=f"{lhs}*2^{float(q)} vs {rhs}")
 
 
 def int_vs_pow2(m: int, q) -> int:
@@ -112,20 +130,10 @@ def int_vs_pow2(m: int, q) -> int:
     qe = Fraction(q)  # exact, floats included
     if qe < 0:
         return 1  # 2^q in (0,1) and m >= 1
-    if qe.denominator == 1:
-        thr = 1 << qe.numerator
-        return (m > thr) - (m < thr)
-    top = m ** BRACKET >> _bracket(qe)  # m^B / 2^a, rounded down
-    if top >= 2:
-        return 1
-    if top == 0:
-        return -1
-
-    def log2_m(level: int):
-        return iv.log(iv.mpf(m)) / iv.log(iv.mpf(2))
-
-    # 2^q is irrational for non-integral q, so q <= log2 m means m > 2^q
-    return 1 if fraction_le_enclosure(qe, log2_m, what=f"{m} vs 2^{float(qe)}") else -1
+    if qe.denominator == 1 and m == 1 << qe.numerator:
+        return 0
+    # otherwise m != 2^q, so 2^q <= m means m > 2^q
+    return 1 if _le_pow2(1, qe, m) else -1
 
 
 def scaled_le(lhs: int, q, rhs: int) -> bool:
@@ -134,39 +142,24 @@ def scaled_le(lhs: int, q, rhs: int) -> bool:
         return rhs >= 0
     if rhs <= 0:
         return False
-    qe = Fraction(q)  # exact, floats included
-    if qe.denominator == 1:
-        return _shift_le(lhs, qe.numerator, rhs)
-    a = _bracket(qe)
-    lhs_b, rhs_b = lhs ** BRACKET, rhs ** BRACKET
-    if _shift_le(lhs_b, a + 1, rhs_b):
-        return True
-    if not _shift_le(lhs_b, a, rhs_b):
-        return False
-
-    def log2_ratio(level: int):
-        ln2 = iv.log(iv.mpf(2))
-        return iv.log(iv.mpf(rhs)) / ln2 - iv.log(iv.mpf(lhs)) / ln2
-
-    return fraction_le_enclosure(qe, log2_ratio, what=f"{lhs}*2^{float(qe)} vs {rhs}")
+    return _le_pow2(lhs, Fraction(q), rhs)  # exact, floats included
 
 
 def fraction_le_enclosure(x: Fraction, make_interval: Callable[[int], "iv.mpf"],
                           what: str = "rational vs enclosure") -> bool:
     """Certified x <= Y, with Y given by a precision-indexed enclosure.
 
-    `make_interval(level)` must return (inside an active iv_prec(level))
-    an interval guaranteed to contain the true value of Y.
+    `make_interval(level)` is called inside escalate's iv_prec(level) and
+    must return an interval guaranteed to contain the true value of Y.
     """
 
     def decide(level: int) -> Optional[bool]:
-        with iv_prec(level):
-            y = make_interval(level)
-            xq = iv_exact(x)
-            if (xq <= iv.mpf(y.a)) is True:
-                return True
-            if (xq > iv.mpf(y.b)) is True:
-                return False
+        y = make_interval(level)
+        xq = iv_exact(x)
+        if (xq <= iv.mpf(y.a)) is True:
+            return True
+        if (xq > iv.mpf(y.b)) is True:
+            return False
         return None
 
     return escalate(decide, what=what)

@@ -26,7 +26,7 @@ from functools import reduce
 import numpy as np
 from mpmath import iv
 
-from .certify import escalate, iv_prec
+from .certify import escalate
 from .errors import CapacityError
 from .reports import CampaignResult
 
@@ -281,15 +281,14 @@ def rosser_check(table: PrimeTable, k_max: int) -> CampaignResult:
         return (m.a, k0, k1, m)
 
     def decide(level: int):
-        with iv_prec(level):
-            heap = [block(1, k_max)]
-            while True:
-                _, k0, k1, m = heapq.heappop(heap)
-                if k0 == k1:
-                    return None if (m > 0) is None else (k0, m)
-                mid = (k0 + k1) // 2
-                heapq.heappush(heap, block(k0, mid))
-                heapq.heappush(heap, block(mid + 1, k1))
+        heap = [block(1, k_max)]
+        while True:
+            _, k0, k1, m = heapq.heappop(heap)
+            if k0 == k1:
+                return None if (m > 0) is None else (k0, m)
+            mid = (k0 + k1) // 2
+            heapq.heappush(heap, block(k0, mid))
+            heapq.heappush(heap, block(mid + 1, k1))
 
     k, m = escalate(decide, what=f"p_k > k log k for k <= {k_max}")
     return CampaignResult(

@@ -35,7 +35,7 @@ from itertools import accumulate, product
 import numpy as np
 from mpmath import iv
 
-from .certify import escalate, iv_exact, iv_prec
+from .certify import escalate, iv_exact
 from .core import Factorization, binomial, divisors_sorted, eulerian, factorize
 from .errors import CapacityError, InconclusiveError
 from .reports import BoundReport, CampaignResult
@@ -553,21 +553,20 @@ def vandermonde_positivity(u, x) -> BoundReport:
         )
 
     def decide(level: int) -> BoundReport | None:
-        with iv_prec(level):
-            det = _det([[iv.exp(iv.log(iv_exact(xi)) * iv_exact(uj)) for uj in u]
-                        for xi in x])
-            if det is None:
-                return None
-            lo, hi = float(det.a), float(det.b)
-            if not (lo > 0.0 or hi < 0.0):
-                return None
-            return BoundReport(
-                exact_value=float(det.mid),
-                bound_value=0.0,
-                slack=lo,
-                holds=lo > 0.0,
-                context={"size": ell, "method": f"interval-{level}bit",
-                         "check": "vandermonde-positivity"},
-            )
+        det = _det([[iv.exp(iv.log(iv_exact(xi)) * iv_exact(uj)) for uj in u]
+                    for xi in x])
+        if det is None:
+            return None
+        lo, hi = float(det.a), float(det.b)
+        if not (lo > 0.0 or hi < 0.0):
+            return None
+        return BoundReport(
+            exact_value=float(det.mid),
+            bound_value=0.0,
+            slack=lo,
+            holds=lo > 0.0,
+            context={"size": ell, "method": f"interval-{level}bit",
+                     "check": "vandermonde-positivity"},
+        )
 
     return escalate(decide, what="determinant sign")

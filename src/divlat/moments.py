@@ -257,8 +257,8 @@ def J_rho(profile: DivisorProfile, rho: int) -> Fraction:
 def eta_log_interval(primes, t) -> "iv.mpf":
     """Enclosure of log eta = sum over p of log(1 + p^(-1/t)).
 
-    Must be called inside an active iv_prec context; t may be any real
-    >= 1 (converted exactly if int/float).  The sum is
+    Evaluated at the active precision (iv_prec or escalate's level); t
+    may be any real >= 1 (converted exactly if int/float).  The sum is
     `campaigns.log_eta_sums` over all of `primes`.
     """
     return campaigns.log_eta_sums(primes, t, [len(primes)])[len(primes)]
@@ -347,11 +347,8 @@ def _thm_exponentials(omega: int, t: int,
             pow_term = iv.mpf(0)
             expo1 = iv.mpf(0)
         else:
-            c = iv.mpf([c_lo, c_hi])
             pow_term = iv.exp(iv.log(iv.mpf(omega)) * (1 - iv.mpf(1) / t))
-            logplus = iv.log(iv.mpf(max(omega, 2)))
-            logplus_root = iv.exp(iv.log(logplus) / t)
-            expo1 = c * t * pow_term / ((1 - iv.mpf(1) / t) * logplus_root)
+            expo1 = iv.mpf([c_lo, c_hi]) * t * campaigns._hard_factor_iv(t, omega)
         return iv.exp(expo1), iv.exp(t * pow_term)
 
 
@@ -475,15 +472,14 @@ def optimal_even_t(theta: float, omega: int) -> int:
     candidates = (lo_even, lo_even + 2)
 
     def decide(level: int):
-        with iv_prec(level):
-            th = iv.mpf(theta)
-            ln2 = iv.log(iv.mpf(2))
-            vals = [iv.mpf(tt) * (iv.exp(-iv.log(iv.mpf(omega)) / tt) - th * ln2)
-                    for tt in candidates]
-            if (vals[0] <= vals[1]) is True:
-                return candidates[0]
-            if (vals[1] < vals[0]) is True:
-                return candidates[1]
+        th = iv.mpf(theta)
+        ln2 = iv.log(iv.mpf(2))
+        vals = [iv.mpf(tt) * (iv.exp(-iv.log(iv.mpf(omega)) / tt) - th * ln2)
+                for tt in candidates]
+        if (vals[0] <= vals[1]) is True:
+            return candidates[0]
+        if (vals[1] < vals[0]) is True:
+            return candidates[1]
         return None
 
     return escalate(decide, what="even-t choice")

@@ -200,6 +200,47 @@ def test_hard_rejects_too_small_constant(small_table, monkeypatch):
     assert r.worst_margin < 0
 
 
+def _verdict(verify, t, k_max, table, mp):
+    """(passed, argmin, sorted violations) of one campaign, and the ks of
+    each escalation level, read through the margin rule's arguments."""
+    found_lists, escalated = [], []
+    rule, enclose = campaigns._margin_rule, campaigns.eta_log_enclosures
+
+    def recorded_rule(strict, ks, m_lo, m_hi, found, worst):
+        found_lists.append(found)  # the campaign's own list, filled in place
+        return rule(strict, ks, m_lo, m_hi, found, worst)
+
+    def recorded_enclose(t, ks, table):
+        escalated.append(list(ks))
+        return enclose(t, ks, table)
+
+    mp.setattr(campaigns, "_margin_rule", recorded_rule)
+    mp.setattr(campaigns, "eta_log_enclosures", recorded_enclose)
+    r = verify(t, k_max, table)
+    return (r.passed, r.argmin, sorted(found_lists[-1])), escalated
+
+
+@pytest.mark.parametrize("verify, t, k_max, c_hi", [
+    *[(verify_c_easy, t, 56, None) for t in (2, 3, 4)],
+    *[(verify_c_hard, t, hard_threshold(t), None) for t in (3, 4, 5)],
+    (verify_c_hard, 2, 3000, "1.0"),  # as in test_hard_rejects_too_small_constant
+])
+def test_margin_rule_agrees_on_the_interval_path(verify, t, k_max, c_hi, small_table,
+                                                 monkeypatch):
+    """With a right-hand-side envelope so wide that the float pass decides
+    no k, the interval levels alone give the same verdict."""
+    if c_hi is not None:
+        monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", c_hi)
+    with pytest.MonkeyPatch.context() as mp:
+        base, _ = _verdict(verify, t, k_max, small_table, mp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(campaigns, "_REL_RHS", 2.0)
+        wide, escalated = _verdict(verify, t, k_max, small_table, mp)
+    assert escalated[0] == list(range(1, k_max + 1))
+    assert wide == base
+    assert base[0] is (c_hi is None) and bool(base[2]) is (c_hi is not None)
+
+
 def test_escalation_past_ceiling_names_pending(small_table, monkeypatch):
     # a ceiling below the first level leaves k = 2149 (the attained point) pending
     monkeypatch.setattr(certify, "PREC_CEILING", 64)
@@ -318,6 +359,29 @@ def test_ln2_bound():
         ln2_bound_check(99, 1)
     with pytest.raises(ValueError):
         ln2_bound_check(100, 57)
+
+
+@pytest.mark.parametrize("check, args", [
+    (ln2_bound_check, (100, 56)),
+    (ln2_bound_check, (316, 1)),
+    (induction_margin, (2, 57, "easy")),
+    (induction_margin, (2, hard_threshold(2) + 1, "hard")),
+])
+def test_side_conditions_escalate(check, args, monkeypatch):
+    """At a 4-bit start every side condition overlaps its bound: the verdict
+    comes from a higher level, never a holds=False read at the first."""
+    levels = []
+
+    def counted(decide, what):
+        return certify.escalate(lambda level: levels.append(level) or decide(level), what)
+
+    monkeypatch.setattr(certify, "DEFAULT_PREC", 4)
+    monkeypatch.setattr(campaigns, "escalate", counted)
+    assert check(*args).holds is True
+    assert levels[0] == 4 and len(levels) > 1
+    monkeypatch.setattr(certify, "PREC_CEILING", levels[-2])
+    with pytest.raises(InconclusiveError):
+        check(*args)
 
 
 def test_hard_inequality_spot_check_large_t(small_table):

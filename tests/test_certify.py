@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 from divlat import certify, moments
 from divlat.certify import BRACKET, escalate, int_vs_pow2, scaled_le
@@ -151,6 +152,46 @@ def test_escalate_runs_the_fixed_ladder():
         escalate(lambda prec: tried.append(prec), what="probe")
     assert tried == [128, 256, 512, 1024, 2048, 4096]
     assert escalate(lambda prec: prec if prec >= 512 else None) == 512
+
+
+def test_escalate_owns_the_precision(monkeypatch):
+    """Each decide(level) runs at iv.prec == level, and the caller's
+    precision is back after a verdict, an InconclusiveError or an error."""
+    seen = []
+
+    def probe(answer_at: int):
+        def decide(level: int):
+            seen.append((level, iv.prec))
+            if level > 1024:
+                raise ZeroDivisionError("decide failed")
+            return True if level == answer_at else None
+        return decide
+
+    with certify.iv_prec(53):
+        assert escalate(probe(512)) is True
+        assert seen == [(128, 128), (256, 256), (512, 512)] and iv.prec == 53
+        monkeypatch.setattr(certify, "PREC_CEILING", 1024)
+        with pytest.raises(InconclusiveError):
+            escalate(probe(0))
+        assert seen[3:] == [(128, 128), (256, 256), (512, 512), (1024, 1024)]
+        assert iv.prec == 53
+        monkeypatch.setattr(certify, "PREC_CEILING", 4096)
+        with pytest.raises(ZeroDivisionError):
+            escalate(probe(0))
+        assert seen[-1] == (2048, 2048) and iv.prec == 53
+
+
+def test_no_decide_sets_its_own_precision():
+    """escalate enters iv_prec(level); no decide closure in src names it."""
+    src = Path(certify.__file__).parent
+    decides = [(path.name, node) for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "decide"]
+    assert len(decides) == 8
+    for name, node in decides:
+        opened = [sub.lineno for sub in ast.walk(node)
+                  if isinstance(sub, ast.Name) and sub.id == "iv_prec"]
+        assert not opened, (name, opened)
 
 
 def test_bracket_decides_threshold_sweep(monkeypatch):
