@@ -372,19 +372,17 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
                 cp.append(t, acc.k, acc.lo, acc.hi)
 
     # escalation pass: each precision level re-decides the k still pending
-    beyond_default = 0
+    left: list[int] = []  # how many k each level leaves pending
 
     def decide(level: int) -> bool | None:
-        nonlocal pending, beyond_default
+        nonlocal pending
         enclosures = eta_log_enclosures(t, pending, table)
         c_iv = iv.mpf(c_str) if mode == "hard" else None
         ms = [_rhs_iv(mode, t, k, c_iv) - enclosures[k] for k in pending]
-        still = _margin_rule(strict, np.array(pending), np.array([float(m.a) for m in ms]),
-                             np.array([float(m.b) for m in ms]), violations, worst)
-        if level == DEFAULT_PREC:
-            beyond_default = len(still)
-        pending = still
-        return None if still else True
+        pending = _margin_rule(strict, np.array(pending), np.array([float(m.a) for m in ms]),
+                               np.array([float(m.b) for m in ms]), violations, worst)
+        left.append(len(pending))
+        return None if pending else True
 
     if pending:
         escalate(decide,
@@ -400,7 +398,7 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
         sup_ratio=sup_ratio,
         arg_sup=(t, sup_k),
         wall_time=time.perf_counter() - t0,
-        inconclusive=beyond_default,
+        inconclusive=left[0] if left else 0,
     )
 
 
@@ -533,8 +531,8 @@ def ln2_bound_check(t: int, k: int) -> BoundReport:
         if None in chain:
             return None
         return BoundReport(
-            exact_value=float(lhs.b),
-            bound_value=float(cap.b),
+            exact_value=interval_upper(lhs),
+            bound_value=interval_upper(cap),
             slack=float((cap - lhs).a),
             holds=all(chain),
             context={"t": t, "k": k, "chain": chain,
@@ -575,8 +573,8 @@ def induction_margin(t: int, k: int, variant: str = "hard") -> BoundReport:
         if holds is None:
             return None
         return BoundReport(
-            exact_value=float(lhs.b),
-            bound_value=float(rhs.b),
+            exact_value=interval_upper(lhs),
+            bound_value=interval_upper(rhs),
             slack=float((rhs - lhs).a),
             holds=holds,
             context={"t": t, "k": k, "variant": variant,

@@ -32,6 +32,8 @@ from .moments import ALPHA_REFERENCE, divisor_profile
 from .reports import _jsonable
 
 DEFAULT_SIEVE_CEILING = 80_000_000
+#: largest tau(n)^(2s) for which `energy --n` and scan check brute_energy_oracle too
+_ORACLE_BUDGET = 10 ** 6
 
 
 def _table_for_count(k: int):
@@ -240,16 +242,9 @@ def cmd_moments(args) -> int:
         results["envelope_violations"] = [r.to_jsonable() for r in bad]
         ok = ok and not bad
         if args.theta is not None and args.t % 2 == 0:
-            try:
-                h = moments.H_chain_check(profile, args.theta, args.t)
-            except CapacityError as exc:
-                # n too large to count j = 1..n; the other results still stand
-                results["threshold_count_chain"] = {"error": str(exc),
-                                                    "error_kind": "capacity"}
-                ok = False
-            else:
-                results["threshold_count_chain"] = h.to_jsonable()
-                ok = ok and h.holds
+            h = moments.H_chain_check(profile, args.theta, args.t)
+            results["threshold_count_chain"] = h.to_jsonable()
+            ok = ok and h.holds
     status = "pass" if ok else "fail"
     return _emit(args, results, status, t0)
 
@@ -265,7 +260,7 @@ def cmd_energy(args) -> int:
         rep = energy(f, args.s)
         results: dict = {"report": rep.to_jsonable()}
         ok = rep.strict_lower_holds and rep.upper_holds
-        if f.tau ** (2 * args.s) <= 10 ** 6:
+        if f.tau ** (2 * args.s) <= _ORACLE_BUDGET:
             oracle = brute_energy_oracle(args.n, args.s)
             results["oracle"] = oracle
             ok = ok and oracle == rep.energy
@@ -289,6 +284,8 @@ _SCAN_POOL = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
               53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
 #: a scan sample's largest omega(n), moment exponent t and energy exponent s
 SCAN_OMEGA_MAX, SCAN_T_MAX, SCAN_S_MAX = 8, 6, 4
+#: a scan sample runs the threshold-count chain only when n is at most this
+SCAN_H_N_MAX = 10 ** 7
 
 
 def _scan_one(rng: random.Random) -> dict:
@@ -324,7 +321,7 @@ def _scan_one(rng: random.Random) -> dict:
     a, b = min(a, b), max(a, b)
     check("interval-sum", moments.interval_sum_check(profile, a, b).holds,
           {"a": a, "b": b})
-    if n <= moments.H_THETA_CAP:
+    if n <= SCAN_H_N_MAX:
         theta = rng.choice([x / 10 for x in range(1, 11)])
         te = rng.choice([2, 4])
         check("threshold-count-chain",
@@ -333,7 +330,7 @@ def _scan_one(rng: random.Random) -> dict:
     s = rng.randint(2, SCAN_S_MAX)
     rep = energy(f, s)
     ok_energy = rep.strict_lower_holds and rep.upper_holds and rep.upper_is_equality
-    if f.tau ** (2 * s) <= 10 ** 6:
+    if f.tau ** (2 * s) <= _ORACLE_BUDGET:
         ok_energy = ok_energy and brute_energy_oracle(n, s) == rep.energy
     check("energy-sandwich", ok_energy, {"s": s})
     rho = rng.randint(0, 3)

@@ -43,11 +43,8 @@ from .certify import (
     scaled_le,
 )
 from .core import Factorization, binomial, divisor_table, factorize, primorial
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .reports import BoundReport
-
-#: largest n for which H_theta enumerates j = 1..n (walked gap-wise)
-H_THETA_CAP = 10 ** 7
 
 #: reference values alpha(theta), truncated to two decimals
 ALPHA_REFERENCE = {
@@ -293,17 +290,15 @@ def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
     middle = t * n * j
     first_holds = Fraction(lt) <= middle
     primes = [p for p, _ in profile.factorization.factors]
-    with iv_prec(DEFAULT_PREC):
-        eta_t = iv.exp(eta_log_interval(primes, t) * t)
-        bound = interval_upper(iv.mpf(t * n) * eta_t)
+    eta_ts = []  # the eta^t enclosure of each level escalate tries
 
     def eta_pow(level: int):
-        # the first level is DEFAULT_PREC: reuse the enclosure behind `bound`
-        if level == DEFAULT_PREC:
-            return eta_t
-        return iv.exp(eta_log_interval(primes, t) * t)
+        eta_ts.append(iv.exp(eta_log_interval(primes, t) * t))
+        return eta_ts[-1]
 
     second_holds = fraction_le_enclosure(j, eta_pow)
+    with iv_prec(DEFAULT_PREC):
+        bound = interval_upper(iv.mpf(t * n) * eta_ts[0])
     return BoundReport(
         exact_value=lt,
         bound_value=bound,
@@ -407,14 +402,13 @@ def H_theta_exact(profile: DivisorProfile, theta: float) -> int:
     """Count of j in [1,n] with |M(n,j)| >= 2^(theta omega(n)).
 
     M is constant between consecutive divisors, so the count walks the
-    divisor gaps instead of enumerating j.  The threshold comparison is
-    certified: exact when theta*omega is an integer, interval-escalated
-    otherwise.
+    tau(n) - 1 divisor gaps instead of enumerating j: the work is
+    O(tau(n)) whatever n is, and `core.DIVISOR_CAP` bounds tau(n) when
+    the profile is built.  The threshold comparison is certified: exact
+    when theta*omega is an integer, interval-escalated otherwise.
     """
     if profile.n < 2:
         raise ValueError(f"count needs n >= 2, got {profile.n}")
-    if profile.n > H_THETA_CAP:
-        raise CapacityError(f"n = {profile.n} exceeds enumeration cap {H_THETA_CAP}")
     if not 0 < theta <= 1:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     q = Fraction(theta) * profile.omega

@@ -241,6 +241,15 @@ def test_margin_rule_agrees_on_the_interval_path(verify, t, k_max, c_hi, small_t
     assert base[0] is (c_hi is None) and bool(base[2]) is (c_hi is not None)
 
 
+def test_inconclusive_counts_what_the_first_level_leaves(small_table, monkeypatch):
+    # a 64-bit start leaves k = 2149 (the attained point) to the 128-bit level
+    monkeypatch.setattr(certify, "DEFAULT_PREC", 64)
+    r = verify_c_hard(2, 3000, small_table)
+    assert r.passed and r.inconclusive == 1
+    monkeypatch.setattr(certify, "DEFAULT_PREC", 128)
+    assert verify_c_hard(2, 3000, small_table).inconclusive == 0
+
+
 def test_escalation_past_ceiling_names_pending(small_table, monkeypatch):
     # a ceiling below the first level leaves k = 2149 (the attained point) pending
     monkeypatch.setattr(certify, "PREC_CEILING", 64)
@@ -359,6 +368,16 @@ def test_ln2_bound():
         ln2_bound_check(99, 1)
     with pytest.raises(ValueError):
         ln2_bound_check(100, 57)
+
+
+def test_side_condition_bounds_round_up():
+    """Every bound_value is at or above its bound evaluated at 300 bits."""
+    reports = [(induction_margin(t, hard_threshold(t) + 1, variant="hard"),
+                lambda k=hard_threshold(t) + 1: mp.log(k)) for t in range(2, 100)]
+    reports.append((ln2_bound_check(100, 56), lambda: mp.mpf("0.74") * 56))
+    with mp.workprec(300):
+        low = [r.context for r, bound in reports if not mp.mpf(r.bound_value) >= bound()]
+    assert low == []
 
 
 @pytest.mark.parametrize("check, args", [

@@ -84,16 +84,13 @@ def test_moments_divisor_cap_is_capacity_error(capsys, monkeypatch):
     assert "divisor cap" in report["results"]["error"]
 
 
-def test_moments_keeps_report_past_H_theta_cap(capsys, monkeypatch):
-    monkeypatch.setattr(moments, "H_THETA_CAP", 1000)
-    code, report, _ = run_cli(capsys, "moments", "--n", "30030", "--t", "4",
-                              "--all-checks", "--theta", "0.5")
-    assert code == 1 and report["status"] == "fail"
-    res = report["results"]
-    assert res["identities_agree"] and res["chain"]["holds"]
-    assert res["envelope_checked"] == 64 and res["envelope_violations"] == []
-    chain = res["threshold_count_chain"]
-    assert chain["error_kind"] == "capacity" and "1000" in chain["error"]
+def test_moments_counts_H_theta_at_nine_primes(capsys):
+    # primorial(9) = 223,092,870 > 10^7: H_theta walks its 512 divisor gaps
+    code, report, _ = run_cli(capsys, "moments", "--n", "223092870", "--t", "6",
+                              "--all-checks", "--theta", "0.3")
+    assert code == 0 and report["status"] == "pass"
+    chain = report["results"]["threshold_count_chain"]
+    assert chain["holds"] and chain["exact_value"] == 1405489
 
 
 def test_inconclusive_report_keeps_inputs(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 from divlat import campaigns
 from divlat import (
@@ -238,6 +239,23 @@ def test_chain_check():
         chain_check(divisor_profile(12), 2)
 
 
+def test_chain_check_encloses_eta_once_per_level(monkeypatch):
+    """Wherever certify starts the ladder, eta^t is enclosed once at each
+    level escalate tries, and `bound` comes from the first of them."""
+    from divlat import certify, moments
+    levels = []
+    original = moments.eta_log_interval
+
+    def counted(primes, t):
+        levels.append(iv.prec)
+        return original(primes, t)
+
+    monkeypatch.setattr(certify, "DEFAULT_PREC", 64)
+    monkeypatch.setattr(moments, "eta_log_interval", counted)
+    rep = chain_check(divisor_profile(30030), 3)
+    assert rep.holds and levels == [64 << i for i in range(len(levels))]
+
+
 def test_chain_check_sums_log_eta_once(monkeypatch):
     from divlat import moments
     calls = []
@@ -377,11 +395,31 @@ def test_divisor_profile_cap(monkeypatch):
         divisor_profile(210)
 
 
-def test_H_theta_cap_and_domain():
-    from divlat import CapacityError
-    big = divisor_profile(factorize(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23))
-    with pytest.raises(CapacityError):
-        H_theta_exact(big, 0.5)
+def H_gap_oracle(primes, theta):
+    """H_theta(prod primes) walked over divisor gaps: divisors are products
+    of each prime's trial divisors, mu is mu_int, the threshold a float."""
+    divs = [1]
+    for p in primes:
+        divs = [d * e for d in divs for e in trial_divisors(p)]
+    divs.sort()
+    thr = 2.0 ** (theta * len(primes))
+    m = total = 0
+    for d, nxt in zip(divs, divs[1:]):
+        m += mu_int(d)
+        assert abs(abs(m) - thr) > 1e-9 * thr, "near tie: a float threshold cannot decide"
+        if abs(m) >= thr:
+            total += nxt - d
+    return total
+
+
+def test_H_theta_primorials_and_domain():
+    # primorials 9..12 lie past 10^7; the count's work is tau(n) gaps
+    for omega in range(9, 13):
+        primes = SMALL_PRIMES[:omega]
+        profile = divisor_profile(math.prod(primes))
+        for theta in (0.15, 0.35):
+            h = H_theta_exact(profile, theta)
+            assert h > 0 and h == H_gap_oracle(primes, theta), (omega, theta)
     with pytest.raises(ValueError):
         H_theta_exact(divisor_profile(30), 1.5)
     with pytest.raises(ValueError):
