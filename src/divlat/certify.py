@@ -24,12 +24,12 @@ enclosures overlap and the verdict must be sought at higher precision.
 precision: its ladder is fixed at DEFAULT_PREC bits doubling up to
 PREC_CEILING, and it runs each `decide(level)` inside `iv_prec(level)`,
 so no decide sets the precision itself.  Its callers are
-`fraction_le_enclosure` (the interval fallback of `_le_pow2`, and the
-eta^t side of `moments.chain_check`), the campaign escalation pass, the
-best-constant search and the two side conditions in `campaigns`, the
-even-t choice in `moments.optimal_even_t`, the interval path of
-`energy.vandermonde_positivity`, and the monotone-block search of
-`core.rosser_check`.
+`fraction_le_enclosure` (the interval fallback of `_le_pow2`, and of
+`moments.chain_check` and `moments.thm_bounds`), the campaign
+escalation pass, the best-constant search and the two side conditions
+in `campaigns`, the even-t choice in `moments.optimal_even_t`, the
+interval path of `energy.vandermonde_positivity`, and the
+monotone-block search of `core.rosser_check`.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def scaled_le(lhs: int, q, rhs: int) -> bool:
     return _le_pow2(lhs, Fraction(q), rhs)  # exact, floats included
 
 
-def fraction_le_enclosure(x: Fraction, make_interval: Callable[[int], "iv.mpf"],
+def fraction_le_enclosure(x: int | Fraction, make_interval: Callable[[int], "iv.mpf"],
                           what: str = "rational vs enclosure") -> bool:
     """Certified x <= Y, with Y given by a precision-indexed enclosure.
 
@@ -154,17 +154,27 @@ def fraction_le_enclosure(x: Fraction, make_interval: Callable[[int], "iv.mpf"],
     """
 
     def decide(level: int) -> Optional[bool]:
-        y = make_interval(level)
-        xq = iv_exact(x)
-        if (xq <= iv.mpf(y.a)) is True:
-            return True
-        if (xq > iv.mpf(y.b)) is True:
-            return False
-        return None
+        return le_enclosure(x, make_interval(level))
 
     return escalate(decide, what=what)
+
+
+def le_enclosure(x: int | Fraction, y: "iv.mpf") -> Optional[bool]:
+    """x <= Y from one enclosure y of Y at the active precision; None on overlap."""
+    xq = iv_exact(x)
+    if (xq <= iv.mpf(y.a)) is True:
+        return True
+    if (xq > iv.mpf(y.b)) is True:
+        return False
+    return None
 
 
 def interval_upper(x) -> float:
     """Float upper bound of an mpmath interval (rounded away from zero)."""
     return math.nextafter(float(x.b), math.inf)
+
+
+def exact_upper(v: int | Fraction) -> float:
+    """The least float >= the exact int or Fraction v (float() rounds to nearest)."""
+    x = float(v)
+    return x if v <= x else math.nextafter(x, math.inf)

@@ -228,14 +228,12 @@ def cmd_moments(args) -> int:
                 f"closed-form bound checks need squarefree n, got {args.n}; "
                 f"rerun with its radical {f.gamma}")
         if args.t >= 2:
-            b1, b2 = moments.thm_bounds(f, args.t)
-            ok_b1 = abs(stepwise) <= b1
-            ok_b2 = abs(stepwise) <= b2
+            first, second = moments.thm_bounds(f, args.t, stepwise)
             chain = moments.chain_check(profile, args.t)
-            results["first_bound"] = {"value": b1, "holds": ok_b1}
-            results["second_bound"] = {"value": b2, "holds": ok_b2}
+            results["first_bound"] = {"value": first.bound_value, "holds": first.holds}
+            results["second_bound"] = {"value": second.bound_value, "holds": second.holds}
             results["chain"] = chain.to_jsonable()
-            ok = ok and ok_b1 and ok_b2 and chain.holds
+            ok = ok and first.holds and second.holds and chain.holds
         envelope = [moments.pe_envelope_check(profile, z) for z in profile.divisors]
         bad = [r for r in envelope if not r.holds]
         results["envelope_checked"] = len(envelope)
@@ -251,32 +249,23 @@ def cmd_moments(args) -> int:
 
 def cmd_energy(args) -> int:
     t0 = time.perf_counter()
-    if args.sweep is None and args.n is None:
-        raise ValueError("energy needs --n or --sweep")
+    if (args.sweep is None) == (args.n is None):
+        raise ValueError("energy needs exactly one of --n and --sweep")
     if args.sweep is not None and args.sweep < 2:
         raise ValueError(f"--sweep must be >= 2 (it checks n = 2..sweep), got {args.sweep}")
     if args.sweep is None:
         f = factorize(args.n)
         rep = energy(f, args.s)
         results: dict = {"report": rep.to_jsonable()}
-        ok = rep.strict_lower_holds and rep.upper_holds
+        ok = rep.holds
         if f.tau ** (2 * args.s) <= _ORACLE_BUDGET:
-            oracle = brute_energy_oracle(args.n, args.s)
-            results["oracle"] = oracle
-            ok = ok and oracle == rep.energy
-        status = "pass" if ok else "fail"
-        return _emit(args, results, status, t0)
-    violations = []
-    checked = 0
-    for n in range(2, args.sweep + 1):
-        f = factorize(n)
-        rep = energy(f, args.s)
-        checked += 1
-        if not (rep.strict_lower_holds and rep.upper_holds
-                and rep.upper_is_equality == f.is_squarefree):
-            violations.append(rep.to_jsonable())
+            results["oracle"] = brute_energy_oracle(args.n, args.s)
+            ok = ok and results["oracle"] == rep.energy
+        return _emit(args, results, "pass" if ok else "fail", t0)
+    reps = (energy(factorize(n), args.s) for n in range(2, args.sweep + 1))
+    violations = [rep.to_jsonable() for rep in reps if not rep.holds]
     status = "pass" if not violations else "fail"
-    return _emit(args, {"checked": checked, "violations": violations}, status, t0)
+    return _emit(args, {"checked": args.sweep - 1, "violations": violations}, status, t0)
 
 
 #: the primes a scan sample draws its squarefree n from
@@ -310,10 +299,8 @@ def _scan_one(rng: random.Random) -> dict:
     l1 = moments.moment_stepwise(profile, 1)
     closed = -math.prod(1 - p for p in primes)
     check("first-moment-closed-form", l1 == closed)
-    b1, b2 = moments.thm_bounds(f, t)
-    check("moment-bounds", abs(sw) <= b1 and abs(sw) <= b2, {"t": t})
-    chain = moments.chain_check(profile, t)
-    check("moment-chain", chain.holds, {"t": t})
+    check("moment-bounds", all(r.holds for r in moments.thm_bounds(f, t, sw)), {"t": t})
+    check("moment-chain", moments.chain_check(profile, t).holds, {"t": t})
     z = rng.choice(profile.divisors)
     check("envelope", moments.pe_envelope_check(profile, z).holds, {"z": z})
     a = rng.choice(profile.divisors)
@@ -329,10 +316,8 @@ def _scan_one(rng: random.Random) -> dict:
               {"theta": theta, "t": te})
     s = rng.randint(2, SCAN_S_MAX)
     rep = energy(f, s)
-    ok_energy = rep.strict_lower_holds and rep.upper_holds and rep.upper_is_equality
-    if f.tau ** (2 * s) <= _ORACLE_BUDGET:
-        ok_energy = ok_energy and brute_energy_oracle(n, s) == rep.energy
-    check("energy-sandwich", ok_energy, {"s": s})
+    oracle_ok = f.tau ** (2 * s) > _ORACLE_BUDGET or brute_energy_oracle(n, s) == rep.energy
+    check("energy-sandwich", rep.holds and oracle_ok, {"s": s})
     rho = rng.randint(0, 3)
     check("primorial-domination", moments.domination_check(profile, rho).holds,
           {"rho": rho})

@@ -35,7 +35,7 @@ from itertools import accumulate, product
 import numpy as np
 from mpmath import iv
 
-from .certify import escalate, iv_exact
+from .certify import escalate, exact_upper, iv_exact
 from .core import Factorization, binomial, divisors_sorted, eulerian, factorize
 from .errors import CapacityError, InconclusiveError
 from .reports import BoundReport, CampaignResult
@@ -126,7 +126,7 @@ def multinomial_identity_check(s: int, v: int) -> BoundReport:
     rhs = binomial(2 * s, s - v)
     return BoundReport(
         exact_value=total,
-        bound_value=float(rhs),
+        bound_value=exact_upper(rhs),
         slack=float(rhs - total),
         holds=total == rhs,
         context={"s": s, "v": v, "rhs": rhs, "check": "multinomial-identity"},
@@ -149,6 +149,7 @@ class EnergyReport:
     strict_lower_holds: bool
     upper_holds: bool
     upper_is_equality: bool
+    holds: bool  # strict lower, upper, equality iff squarefree; not in the JSON
 
     def to_jsonable(self) -> dict:
         return {
@@ -189,15 +190,17 @@ def energy(f: Factorization, s: int) -> EnergyReport:
     lo, up = _sandwich_constants(s)
     lower = tau_pow * lo ** f.omega
     upper = tau_pow * up ** f.omega
+    strict, fits, equal = lower < e_val, e_val <= upper, e_val == upper
     return EnergyReport(
         n=f.n,
         s=s,
         energy=e_val,
         lower_bound=lower,
         upper_bound=upper,
-        strict_lower_holds=lower < e_val,
-        upper_holds=e_val <= upper,
-        upper_is_equality=e_val == upper,
+        strict_lower_holds=strict,
+        upper_holds=fits,
+        upper_is_equality=equal,
+        holds=strict and fits and equal == f.is_squarefree,
     )
 
 

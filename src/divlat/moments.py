@@ -35,11 +35,13 @@ from . import campaigns
 from .certify import (
     DEFAULT_PREC,
     escalate,
+    exact_upper,
     fraction_le_enclosure,
     int_vs_pow2,
     interval_upper,
     iv_exact,
     iv_prec,
+    le_enclosure,
     scaled_le,
 )
 from .core import Factorization, binomial, divisor_table, factorize, primorial
@@ -132,7 +134,7 @@ def interval_sum_check(profile: DivisorProfile, a: float, b: float) -> BoundRepo
     bound = binomial(profile.omega, profile.omega // 2)
     return BoundReport(
         exact_value=s,
-        bound_value=float(bound),
+        bound_value=exact_upper(bound),
         slack=float(bound - abs(s)),
         holds=abs(s) <= bound,
         context={"n": profile.n, "a": a, "b": b, "check": "interval-mobius-sum"},
@@ -160,7 +162,7 @@ def tau_trunc_check(profile: DivisorProfile, z: float) -> BoundReport:
     bound = sum(binomial(profile.omega, j) for j in range(d + 1))
     return BoundReport(
         exact_value=tz,
-        bound_value=float(bound),
+        bound_value=exact_upper(bound),
         slack=float(bound - tz),
         holds=tz <= bound,
         context={"n": profile.n, "z": z, "D": d, "check": "tau-truncated"},
@@ -193,12 +195,19 @@ def pe_envelope_check(profile: DivisorProfile, z: float) -> BoundReport:
     holds = lower <= m <= upper
     return BoundReport(
         exact_value=m,
-        bound_value=float(upper),
+        bound_value=exact_upper(upper),
         slack=float(min(m - lower, upper - m)),
         holds=holds,
         context={"n": profile.n, "z": z, "lower": lower, "upper": upper,
                  "D": d, "check": "mertens-envelope"},
     )
+
+
+def _enclosure_report(exact: int, bound, holds: bool, context: dict) -> BoundReport:
+    """`exact` against a 128-bit bound enclosure, read at its upper end."""
+    value = interval_upper(bound)
+    slack = math.inf if value == math.inf else value - float(exact)
+    return BoundReport(exact, value, slack, holds, context)
 
 
 def moment_stepwise(profile: DivisorProfile, t: int) -> int:
@@ -298,16 +307,10 @@ def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
 
     second_holds = fraction_le_enclosure(j, eta_pow)
     with iv_prec(DEFAULT_PREC):
-        bound = interval_upper(iv.mpf(t * n) * eta_ts[0])
-    return BoundReport(
-        exact_value=lt,
-        bound_value=bound,
-        slack=math.inf if bound == math.inf else bound - float(lt),
-        holds=first_holds and second_holds,
-        context={"n": n, "t": t, "middle": middle,
-                 "middle_holds": first_holds, "eta_holds": second_holds,
-                 "check": "moment-chain"},
-    )
+        bound = iv.mpf(t * n) * eta_ts[0]
+    return _enclosure_report(lt, bound, first_holds and second_holds, {
+        "n": n, "t": t, "middle": middle, "middle_holds": first_holds,
+        "eta_holds": second_holds, "check": "moment-chain"})
 
 
 def domination_check(profile: DivisorProfile, rho: int) -> BoundReport:
@@ -319,7 +322,7 @@ def domination_check(profile: DivisorProfile, rho: int) -> BoundReport:
     rhs = J_rho(divisor_profile(top), rho)
     return BoundReport(
         exact_value=lhs,
-        bound_value=float(rhs),
+        bound_value=exact_upper(rhs),
         slack=float(rhs - lhs),
         holds=lhs <= rhs,
         context={"n": profile.n, "rho": rho, "primorial": top,
@@ -328,47 +331,53 @@ def domination_check(profile: DivisorProfile, rho: int) -> BoundReport:
 
 
 @lru_cache(maxsize=256)
-def _thm_exponentials(omega: int, t: int,
-                      c_lo: str, c_hi: str) -> tuple["iv.mpf", "iv.mpf"]:
-    """exp of both moment-bound exponents, at DEFAULT_PREC bits.
+def _thm_exponentials(omega: int, t: int, c: str, level: int) -> tuple["iv.mpf", "iv.mpf"]:
+    """exp of both moment-bound exponents, at `level` bits.
 
     n enters thm_bounds only as a final factor, so these depend on
-    (omega, t) and on the decimal bounds of C; the latter are part of
-    the key, so a changed campaigns.ETA_CONSTANT_* is never served a
-    stale enclosure.
+    (omega, t) and on C's decimal string, which is part of the key: a
+    changed campaigns.ETA_CONSTANT_HI is never served a stale enclosure.
     """
-    with iv_prec(DEFAULT_PREC):
+    with iv_prec(level):
         if omega == 0:
-            pow_term = iv.mpf(0)
-            expo1 = iv.mpf(0)
+            pow_term = expo1 = iv.mpf(0)
         else:
             pow_term = iv.exp(iv.log(iv.mpf(omega)) * (1 - iv.mpf(1) / t))
-            expo1 = iv.mpf([c_lo, c_hi]) * t * campaigns._hard_factor_iv(t, omega)
+            expo1 = iv.mpf(c) * t * campaigns._hard_factor_iv(t, omega)
         return iv.exp(expo1), iv.exp(t * pow_term)
 
 
-def thm_bounds(f: Factorization, t: int) -> tuple[float, float]:
-    """Both closed-form moment bounds, rounded up.
+def thm_bounds(f: Factorization, t: int, moment: int) -> tuple[BoundReport, BoundReport]:
+    """|moment| against both closed-form moment bounds, each certified.
 
     First:  (1 + [t==2]) n exp( C t omega^(1-1/t) / ((1-1/t) logplus(omega)^(1/t)) )
     Second: 2n exp(t omega^(1-1/t)) when t = 2 and omega <= 55,
             n exp(t omega^(1-1/t)) otherwise,
-    with logplus(x) = log(max(x, 2)) and C the eta-campaign constant.
+    with logplus(x) = log(max(x, 2)) and C = campaigns.ETA_CONSTANT_HI,
+    which the hard campaign certifies.  Each verdict is read off the
+    128-bit enclosure its bound is reported from, escalating on overlap.
     """
     if t < 2:
         raise ValueError(f"moment bounds need t >= 2, got {t}")
     if not f.is_squarefree:
         raise ValueError(f"moment bounds stated for squarefree n, got {f.n}")
-    om = f.omega
-    n = f.n
-    delta2 = 1 if t == 2 else 0
-    factor = 2 if (t == 2 and om <= 55) else 1
-    exp1, exp2 = _thm_exponentials(om, t, campaigns.ETA_CONSTANT_LO,
-                                   campaigns.ETA_CONSTANT_HI)
+    om, n, c = f.omega, f.n, campaigns.ETA_CONSTANT_HI
+    scales = ((2 if t == 2 else 1) * n, (2 if t == 2 and om <= 55 else 1) * n)
+    lt = abs(moment)
+
+    def enclosure(i: int, level: int) -> "iv.mpf":
+        return iv.mpf(scales[i]) * _thm_exponentials(om, t, c, level)[i]
+
+    reports = []
     with iv_prec(DEFAULT_PREC):
-        thm1 = interval_upper(iv.mpf((1 + delta2) * n) * exp1)
-        thm2 = interval_upper(iv.mpf(factor * n) * exp2)
-    return thm1, thm2
+        for i in (0, 1):
+            y = enclosure(i, DEFAULT_PREC)
+            holds = le_enclosure(lt, y)
+            if holds is None:
+                holds = fraction_le_enclosure(lt, lambda level: enclosure(i, level))
+            reports.append(_enclosure_report(
+                lt, y, holds, {"n": n, "t": t, "check": f"moment-bound-{i + 1}"}))
+    return tuple(reports)
 
 
 def W_solve(x: float) -> float:
@@ -435,16 +444,9 @@ def H_chain_check(profile: DivisorProfile, theta: float, t: int) -> BoundReport:
     q = Fraction(t) * Fraction(theta) * profile.omega
     holds = scaled_le(h, q, lt)
     with iv_prec(DEFAULT_PREC):
-        bound = interval_upper(
-            iv.mpf(lt) * iv.exp(-iv.log(iv.mpf(2)) * iv_exact(q)))
-    return BoundReport(
-        exact_value=h,
-        bound_value=bound,
-        slack=bound - float(h),
-        holds=holds,
-        context={"n": profile.n, "theta": theta, "t": t, "moment": lt,
-                 "check": "threshold-count-chain"},
-    )
+        bound = iv.mpf(lt) * iv.exp(-iv.log(iv.mpf(2)) * iv_exact(q))
+    return _enclosure_report(h, bound, holds, {"n": profile.n, "theta": theta, "t": t,
+                                               "moment": lt, "check": "threshold-count-chain"})
 
 
 def optimal_even_t(theta: float, omega: int) -> int:

@@ -158,9 +158,9 @@ def test_c06_moment_bounds():
         f = factorize(math.prod(rng.sample(pool, omega)))
         profile = divisor_profile(f)
         for t in range(2, 7):
-            lt = abs(moment_stepwise(profile, t))
-            b1, b2 = thm_bounds(f, t)
-            ok_bounds &= Fraction(lt) <= Fraction(b1) and Fraction(lt) <= Fraction(b2)
+            lt = moment_stepwise(profile, t)
+            for rep in thm_bounds(f, t, lt):
+                ok_bounds &= rep.holds and Fraction(abs(lt)) <= Fraction(rep.bound_value)
         t = rng.randint(2, 6)
         ok_chain &= chain_check(profile, t).holds
     verdict(6, ok_bounds and ok_chain,

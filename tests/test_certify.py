@@ -126,6 +126,17 @@ def test_scaled_le_matches_integer_oracle(case):
         assert scaled_le(lhs, Fraction(a, b), rhs) is want
 
 
+@given(st.one_of(st.integers(-(1 << 80), 1 << 80),
+                 st.fractions().filter(lambda v: abs(v) < 1e300)))
+@example((1 << 53) + 1)
+@example(Fraction(11, 3))
+@example(Fraction(-11, 3))
+def test_exact_upper_is_the_least_float_above(v):
+    up = certify.exact_upper(v)
+    assert v <= Fraction(up)
+    assert Fraction(math.nextafter(up, -math.inf)) < v
+
+
 def test_exact_ties_on_integral_exponents():
     assert int_vs_pow2(16, Fraction(8, 2)) == 0
     assert int_vs_pow2(1, Fraction(-6, 3)) == 1

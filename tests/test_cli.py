@@ -1,5 +1,6 @@
 """CLI contract: JSON report schema, exit codes, determinism."""
 
+import importlib
 import json
 
 import pytest
@@ -120,6 +121,21 @@ def test_energy_equality_case(capsys):
     assert rep["energy"] == 36 and rep["upper_is_equality"]
 
 
+def test_energy_single_needs_equality_iff_squarefree(capsys, monkeypatch):
+    """Both energy paths read EnergyReport.holds: a squarefree n whose
+    upper bound is no longer an equality fails under --n as under --sweep."""
+    energy_module = importlib.import_module("divlat.energy")
+    lo, up = energy_module._sandwich_constants(2)
+    monkeypatch.setattr(energy_module, "_sandwich_constants", lambda s: (lo, 2 * up))
+    code, report, _ = run_cli(capsys, "energy", "--s", "2", "--n", "30")
+    assert code == 1 and report["status"] == "fail"
+    rep = report["results"]["report"]
+    assert rep["strict_lower_holds"] and rep["upper_holds"] and not rep["upper_is_equality"]
+    assert report["results"]["oracle"] == rep["energy"]
+    code, report, _ = run_cli(capsys, "energy", "--s", "2", "--sweep", "6")
+    assert code == 1 and [v["n"] for v in report["results"]["violations"]] == [2, 3, 5, 6]
+
+
 def test_energy_sweep(capsys):
     code, report, _ = run_cli(capsys, "energy", "--s", "3", "--sweep", "60")
     assert code == 0
@@ -166,6 +182,8 @@ def test_error_report_keeps_the_pass_report_inputs(capsys, ok_argv, bad_argv):
     # theta outside (0, 1] is refused whether or not a check would read it
     (["moments", "--n", "30", "--t", "2", "--theta", "7"], "--theta must lie in (0, 1]"),
     (["moments", "--n", "30", "--t", "3", "--all-checks", "--theta", "7"], "got 7.0"),
+    # the sweep would run and --n would sit unread in the report's inputs
+    (["energy", "--s", "2", "--n", "12", "--sweep", "10"], "exactly one of --n and --sweep"),
 ])
 def test_malformed_ranges_name_the_input(capsys, argv, named):
     code, report, _ = run_cli(capsys, *argv)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
-from divlat import campaigns
+from divlat import campaigns, certify
 from divlat import (
     DomainError,
     H_chain_check,
@@ -45,6 +45,7 @@ from divlat import (
     tau_trunc,
     tau_trunc_check,
 )
+from divlat.certify import iv_prec
 from divlat.moments import ALPHA_REFERENCE, thm_bounds
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -293,40 +294,99 @@ def test_domination_random(primes, rho):
 
 
 def test_thm_bounds():
-    b1, b2 = thm_bounds(factorize(6), 2)
-    assert b2 == pytest.approx(2 * 6 * math.exp(2 * math.sqrt(2)), rel=1e-9)
-    assert abs(moment_stepwise(divisor_profile(6), 2)) <= b2 <= b1
-    b1, b2 = thm_bounds(factorize(1), 3)
-    assert b1 == pytest.approx(1.0) and b2 == pytest.approx(1.0)
+    lt = moment_stepwise(divisor_profile(6), 2)
+    r1, r2 = thm_bounds(factorize(6), 2, lt)
+    assert r2.bound_value == pytest.approx(2 * 6 * math.exp(2 * math.sqrt(2)), rel=1e-9)
+    assert abs(lt) <= r2.bound_value <= r1.bound_value
+    assert r1.holds and r2.holds and r1.exact_value == r2.exact_value == abs(lt)
+    r1, r2 = thm_bounds(factorize(1), 3, 0)
+    assert r1.bound_value == pytest.approx(1.0) and r2.bound_value == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        thm_bounds(factorize(6), 1)
+        thm_bounds(factorize(6), 1, 0)
     with pytest.raises(ValueError):
-        thm_bounds(factorize(12), 2)
+        thm_bounds(factorize(12), 2, 0)
 
 
 def test_thm_bounds_follows_patched_constant(monkeypatch):
     # the n-independent enclosures are cached; a changed C must not be
     # served the enclosure cached under the old one
     f = factorize(2 * 3 * 5 * 7)
-    b1, b2 = thm_bounds(f, 3)
+
+    def values():
+        return tuple(r.bound_value for r in thm_bounds(f, 3, 0))
+
+    b1, b2 = values()
     monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", "1.5")
-    p1, p2 = thm_bounds(f, 3)
+    p1, p2 = values()
     assert p1 > b1 and p2 == b2
     monkeypatch.setattr(campaigns, "ETA_CONSTANT_LO", "0.10")
     monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", "0.11")
-    assert thm_bounds(f, 3)[0] < b1
+    assert values()[0] < b1
     monkeypatch.undo()
-    assert thm_bounds(f, 3) == (b1, b2)
+    assert values() == (b1, b2)
 
 
 @given(squarefree_subset_strategy(), st.integers(2, 6))
 @settings(max_examples=80, deadline=None)
 def test_thm_bounds_dominate(primes, t):
     f = factorize(math.prod(primes))
-    lt = abs(moment_stepwise(divisor_profile(f), t))
-    b1, b2 = thm_bounds(f, t)
-    assert Fraction(lt) <= Fraction(b1)
-    assert Fraction(lt) <= Fraction(b2)
+    lt = moment_stepwise(divisor_profile(f), t)
+    for rep in thm_bounds(f, t, lt):
+        assert rep.holds
+        assert Fraction(abs(lt)) <= Fraction(rep.bound_value)
+
+
+def _first_bound(n: int, t: int) -> "iv.mpf":
+    """(1 + [t==2]) n exp(C t w^(1-1/t) / ((1-1/t) log(w)^(1/t))) for w = omega(n) >= 2,
+    written out from the statement at the active precision."""
+    w = iv.mpf(factorize(n).omega)
+    ex = 1 - iv.mpf(1) / t
+    expo = (iv.mpf(campaigns.ETA_CONSTANT_HI) * t * iv.exp(iv.log(w) * ex)
+            / (ex * iv.exp(iv.log(iv.log(w)) / t)))
+    return (2 if t == 2 else 1) * n * iv.exp(expo)
+
+
+def test_thm_bounds_refuse_what_the_rounded_float_admits():
+    """A moment above the true first bound but below its upward-rounded
+    float: the float rule m <= b1 passes it, the certified verdict not."""
+    n = primorial(14)
+    with iv_prec(256):
+        m = 1 + int(_first_bound(n, 4).b)
+    first, _ = thm_bounds(factorize(n), 4, m)
+    assert m <= first.bound_value
+    assert not first.holds
+
+
+def test_thm_bounds_escalate_inside_the_128_bit_enclosure(monkeypatch):
+    """floor(bound) > 2^140 lies inside the 128-bit enclosure; a higher
+    level decides it, and floor(bound) + 1 the other way."""
+    n, t = 30, 60
+    with iv_prec(512):
+        y = _first_bound(n, t)
+        m = int(y.a)
+        assert m == int(y.b) and m > 2 ** 140  # floor(bound), exactly
+    levels = []
+    escalate = certify.escalate
+
+    def spy(decide, what="comparison"):
+        def logged(level):
+            levels.append((level, decide(level)))
+            return levels[-1][1]
+        return escalate(logged, what)
+
+    monkeypatch.setattr(certify, "escalate", spy)
+    for moment, verdict in ((m, True), (m + 1, False)):
+        levels.clear()
+        assert thm_bounds(factorize(n), t, moment)[0].holds is verdict
+        assert levels[0] == (128, None) and levels[-1][1] is verdict
+        assert len(levels) > 1
+
+
+def test_exact_bounds_are_reported_rounded_up():
+    rep = domination_check(divisor_profile(15), 1)
+    assert rep.context["rhs_exact"] == Fraction(11, 3)
+    assert Fraction(rep.bound_value) >= Fraction(11, 3)  # float(11/3) lies below
+    assert rep.slack == float(Fraction(11, 3) - rep.exact_value)
 
 
 # ---------------------------------------------------------------------------
