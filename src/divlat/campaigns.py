@@ -38,13 +38,14 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 from mpmath import iv
 from mpmath.libmp import to_str as _mpf_to_str
 
-from .certify import DEFAULT_PREC, escalate, interval_upper, iv_prec
+from .certify import escalate, exact_upper, interval_upper
 from .core import PrimeTable, sieve_for_count
 from .errors import CapacityError
 from .reports import BoundReport, CampaignResult
@@ -80,8 +81,7 @@ def eta_constant_interval():
 
 def eta_constant_upper() -> float:
     """Certified float upper bound of C."""
-    with iv_prec(DEFAULT_PREC):
-        return interval_upper(iv.mpf(ETA_CONSTANT_HI))
+    return exact_upper(Fraction(ETA_CONSTANT_HI))
 
 
 @dataclass

@@ -24,12 +24,14 @@ enclosures overlap and the verdict must be sought at higher precision.
 precision: its ladder is fixed at DEFAULT_PREC bits doubling up to
 PREC_CEILING, and it runs each `decide(level)` inside `iv_prec(level)`,
 so no decide sets the precision itself.  Its callers are
-`fraction_le_enclosure` (the interval fallback of `_le_pow2`, and of
-`moments.chain_check` and `moments.thm_bounds`), the campaign
-escalation pass, the best-constant search and the two side conditions
-in `campaigns`, the even-t choice in `moments.optimal_even_t`, the
-interval path of `energy.vandermonde_positivity`, and the
-monotone-block search of `core.rosser_check`.
+`fraction_le_enclosure`, the one exact-versus-enclosure decision (it
+returns the verdict with the DEFAULT_PREC enclosure a report reads;
+`_le_pow2`, `moments.chain_check`, `moments.thm_bounds` and the alpha
+truncation check call it), the campaign escalation pass, the
+best-constant search and the two side conditions in `campaigns`, the
+even-t choice in `moments.optimal_even_t`, the interval path of
+`energy.vandermonde_positivity`, and the monotone-block search of
+`core.rosser_check`.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def _le_pow2(lhs: int, q: Fraction, rhs: int) -> bool:
         ln2 = iv.log(iv.mpf(2))
         return iv.log(iv.mpf(rhs)) / ln2 - iv.log(iv.mpf(lhs)) / ln2
 
-    return fraction_le_enclosure(q, log2_ratio, what=f"{lhs}*2^{float(q)} vs {rhs}")
+    return fraction_le_enclosure(q, log2_ratio, what=f"{lhs}*2^{float(q)} vs {rhs}")[0]
 
 
 def int_vs_pow2(m: int, q) -> int:
@@ -146,27 +148,26 @@ def scaled_le(lhs: int, q, rhs: int) -> bool:
 
 
 def fraction_le_enclosure(x: int | Fraction, make_interval: Callable[[int], "iv.mpf"],
-                          what: str = "rational vs enclosure") -> bool:
+                          what: str = "rational vs enclosure") -> tuple[bool, "iv.mpf"]:
     """Certified x <= Y, with Y given by a precision-indexed enclosure.
 
     `make_interval(level)` is called inside escalate's iv_prec(level) and
     must return an interval guaranteed to contain the true value of Y.
+    Returns the verdict and the DEFAULT_PREC enclosure, the first level
+    escalate tries: the one a report reads Y from.
     """
+    enclosures = []
 
     def decide(level: int) -> Optional[bool]:
-        return le_enclosure(x, make_interval(level))
+        y, xq = make_interval(level), iv_exact(x)
+        enclosures.append(y)
+        if (xq <= iv.mpf(y.a)) is True:
+            return True
+        if (xq > iv.mpf(y.b)) is True:
+            return False
+        return None
 
-    return escalate(decide, what=what)
-
-
-def le_enclosure(x: int | Fraction, y: "iv.mpf") -> Optional[bool]:
-    """x <= Y from one enclosure y of Y at the active precision; None on overlap."""
-    xq = iv_exact(x)
-    if (xq <= iv.mpf(y.a)) is True:
-        return True
-    if (xq > iv.mpf(y.b)) is True:
-        return False
-    return None
+    return escalate(decide, what=what), enclosures[0]
 
 
 def interval_upper(x) -> float:

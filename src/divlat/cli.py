@@ -113,13 +113,11 @@ def _emit(args, results: dict, status: str, t0: float,
 def cmd_tables(args) -> int:
     t0 = time.perf_counter()
     alpha_rows = []
-    alpha_ok = True
     for theta, expected in ALPHA_REFERENCE.items():
-        a = moments.alpha_of_theta(theta)
-        shown = _truncate2(a)
-        ok = abs(shown - expected) < 1e-9
-        alpha_ok &= ok
-        alpha_rows.append([theta, f"{shown:.2f}", f"{expected:.2f}", "ok" if ok else "MISMATCH"])
+        shown = f"{_truncate2(moments.alpha_of_theta(theta)):.2f}"
+        ok = shown == f"{expected:.2f}" and moments.alpha_truncation_holds(str(theta), shown)
+        alpha_rows.append([theta, shown, f"{expected:.2f}", "ok" if ok else "MISMATCH"])
+    alpha_ok = all(row[3] == "ok" for row in alpha_rows)
 
     thr_rows = []
     thr_ok = True
@@ -207,6 +205,9 @@ def cmd_moments(args) -> int:
     t0 = time.perf_counter()
     if args.theta is not None and not 0 < args.theta <= 1:
         raise ValueError(f"--theta must lie in (0, 1], got {args.theta}")
+    if args.theta is not None and not (args.all_checks and args.t % 2 == 0):
+        raise ValueError("--theta is read only by the threshold-count chain, "
+                         "which runs with --all-checks and an even --t")
     f = factorize(args.n)
     profile = divisor_profile(f)
     stepwise = moments.moment_stepwise(profile, args.t)
@@ -239,7 +240,7 @@ def cmd_moments(args) -> int:
         results["envelope_checked"] = len(envelope)
         results["envelope_violations"] = [r.to_jsonable() for r in bad]
         ok = ok and not bad
-        if args.theta is not None and args.t % 2 == 0:
+        if args.theta is not None:
             h = moments.H_chain_check(profile, args.theta, args.t)
             results["threshold_count_chain"] = h.to_jsonable()
             ok = ok and h.holds

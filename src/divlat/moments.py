@@ -17,7 +17,8 @@ and their agreement is used as a cross-check everywhere.
 Analytic bounds (the eta product, the closed-form moment bounds) are
 evaluated with upward-rounded enclosures: a bound comparison can fail
 only because the inequality fails, never because of rounding.  The
-alpha(theta) solution of exp(w)/w = x is a float from mpmath's Lambert W.
+alpha(theta) solution of exp(w)/w = x is a float from mpmath's Lambert W;
+`alpha_truncation_holds` certifies its two-decimal truncation.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .certify import (
     interval_upper,
     iv_exact,
     iv_prec,
-    le_enclosure,
     scaled_le,
 )
 from .core import Factorization, binomial, divisor_table, factorize, primorial
@@ -285,9 +285,9 @@ def eta(f: Factorization, t: float) -> float:
 def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
     """Verify |L_t(n)| <= t n J_{t-1}(n) <= t n eta(n,t)^t.
 
-    The left comparison is exact rational; the right compares the exact
-    rational J_{t-1} against a certified enclosure of eta^t, escalating
-    precision if the enclosure straddles it.
+    The left comparison is exact rational; the right, J_{t-1} <= eta^t, is
+    decided as middle <= t n eta^t (t n > 0) against the enclosure the
+    report's bound is read from, escalating precision on overlap.
     """
     if t < 2:
         raise ValueError(f"chain check needs t >= 2, got {t}")
@@ -295,19 +295,11 @@ def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
         raise ValueError(f"chain check needs squarefree n >= 2, got n = {profile.n}")
     n = profile.n
     lt = abs(moment_by_parts(profile, t))
-    j = J_rho(profile, t - 1)
-    middle = t * n * j
+    middle = t * n * J_rho(profile, t - 1)
     first_holds = Fraction(lt) <= middle
     primes = [p for p, _ in profile.factorization.factors]
-    eta_ts = []  # the eta^t enclosure of each level escalate tries
-
-    def eta_pow(level: int):
-        eta_ts.append(iv.exp(eta_log_interval(primes, t) * t))
-        return eta_ts[-1]
-
-    second_holds = fraction_le_enclosure(j, eta_pow)
-    with iv_prec(DEFAULT_PREC):
-        bound = iv.mpf(t * n) * eta_ts[0]
+    second_holds, bound = fraction_le_enclosure(
+        middle, lambda level: iv.mpf(t * n) * iv.exp(eta_log_interval(primes, t) * t))
     return _enclosure_report(lt, bound, first_holds and second_holds, {
         "n": n, "t": t, "middle": middle, "middle_holds": first_holds,
         "eta_holds": second_holds, "check": "moment-chain"})
@@ -365,19 +357,12 @@ def thm_bounds(f: Factorization, t: int, moment: int) -> tuple[BoundReport, Boun
     scales = ((2 if t == 2 else 1) * n, (2 if t == 2 and om <= 55 else 1) * n)
     lt = abs(moment)
 
-    def enclosure(i: int, level: int) -> "iv.mpf":
-        return iv.mpf(scales[i]) * _thm_exponentials(om, t, c, level)[i]
+    def report(i: int) -> BoundReport:
+        holds, y = fraction_le_enclosure(
+            lt, lambda level: iv.mpf(scales[i]) * _thm_exponentials(om, t, c, level)[i])
+        return _enclosure_report(lt, y, holds, {"n": n, "t": t, "check": f"moment-bound-{i + 1}"})
 
-    reports = []
-    with iv_prec(DEFAULT_PREC):
-        for i in (0, 1):
-            y = enclosure(i, DEFAULT_PREC)
-            holds = le_enclosure(lt, y)
-            if holds is None:
-                holds = fraction_le_enclosure(lt, lambda level: enclosure(i, level))
-            reports.append(_enclosure_report(
-                lt, y, holds, {"n": n, "t": t, "check": f"moment-bound-{i + 1}"}))
-    return tuple(reports)
+    return report(0), report(1)
 
 
 def W_solve(x: float) -> float:
@@ -405,6 +390,18 @@ def alpha_of_theta(theta: float) -> float:
     if not 0 < theta <= 1:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     return W_solve(math.e / (theta * math.log(2)))
+
+
+def alpha_truncation_holds(theta: str, shown: str) -> bool:
+    """Certified: the decimal `shown` is alpha(theta) truncated to two places,
+    i.e. shown >= 1 and g(shown) <= 0 < g(shown + 0.01) for the increasing
+    g(w) = w - log(w e / (theta log 2)) on [1, inf), which vanishes at alpha."""
+    def g_le_0(w: Fraction) -> bool:  # w <= 1 + log(w / (theta log 2))
+        return fraction_le_enclosure(w, lambda level: 1 + iv.log(
+            iv_exact(w) / (iv_exact(Fraction(theta)) * iv.log(iv.mpf(2)))))[0]
+
+    lo = Fraction(shown)
+    return lo >= 1 and g_le_0(lo) and not g_le_0(lo + Fraction(1, 100))
 
 
 def H_theta_exact(profile: DivisorProfile, theta: float) -> int:

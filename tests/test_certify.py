@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
+from mpmath.libmp import to_rational
 
 from divlat import certify, moments
 from divlat.certify import BRACKET, escalate, int_vs_pow2, scaled_le
@@ -203,6 +204,24 @@ def test_no_decide_sets_its_own_precision():
         opened = [sub.lineno for sub in ast.walk(node)
                   if isinstance(sub, ast.Name) and sub.id == "iv_prec"]
         assert not opened, (name, opened)
+
+
+@pytest.mark.parametrize("x, verdict", [(Fraction(1), True), (1 + Fraction(1, 2 ** 199), False)])
+def test_fraction_le_enclosure_returns_the_128_bit_enclosure(x, verdict):
+    """Y = 1 + 2^-200 overlaps x at 128 bits and separates at 256; the
+    verdict is 256's, the enclosure handed back is 128's."""
+    y = 1 + Fraction(1, 2 ** 200)
+    tried = []
+
+    def make_interval(level: int):
+        tried.append(level)
+        return certify.iv_exact(y) + iv.mpf([-1, 1]) * iv.mpf(2) ** -level
+
+    holds, enc = certify.fraction_le_enclosure(x, make_interval)
+    assert holds is verdict and tried == [128, 256]
+    lo, hi = (Fraction(*to_rational(end._mpi_[0])) for end in (enc.a, enc.b))
+    assert (lo, hi) == (1 - Fraction(1, 2 ** 128), 1 + Fraction(1, 2 ** 126))
+    assert hi - lo == Fraction(5, 2 ** 128)  # a 256-bit enclosure is 2^-255 wide
 
 
 def test_bracket_decides_threshold_sweep(monkeypatch):

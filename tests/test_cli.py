@@ -42,6 +42,19 @@ def test_tables_csv(capsys):
     assert "theta,alpha,reference,verdict" in err
 
 
+def test_tables_alpha_verdict_is_certified(capsys, monkeypatch):
+    """A shown alpha that matches its reference but is not alpha's
+    truncation fails: alpha(0.3) = 3.94..., so 3.95 is refused."""
+    alpha = moments.alpha_of_theta
+    monkeypatch.setattr(moments, "alpha_of_theta", lambda th: 3.95 if th == 0.3 else alpha(th))
+    monkeypatch.setitem(moments.ALPHA_REFERENCE, 0.3, 3.95)
+    code, report, _ = run_cli(capsys, "tables")
+    assert code == 1 and report["status"] == "fail"
+    rows = {r[0]: r for r in report["results"]["alpha_table"]["rows"]}
+    assert rows[0.3][1:] == ["3.95", "3.95", "MISMATCH"]
+    assert all(r[3] == "ok" for th, r in rows.items() if th != 0.3)
+
+
 def test_moments_basic(capsys):
     code, report, _ = run_cli(capsys, "moments", "--n", "30", "--t", "2", "--all-checks")
     assert code == 0
@@ -184,6 +197,9 @@ def test_error_report_keeps_the_pass_report_inputs(capsys, ok_argv, bad_argv):
     (["moments", "--n", "30", "--t", "3", "--all-checks", "--theta", "7"], "got 7.0"),
     # the sweep would run and --n would sit unread in the report's inputs
     (["energy", "--s", "2", "--n", "12", "--sweep", "10"], "exactly one of --n and --sweep"),
+    # no threshold-count chain runs, so --theta would sit unread in the inputs
+    (["moments", "--n", "30", "--t", "2", "--theta", "0.5"], "--theta is read only by"),
+    (["moments", "--n", "30", "--t", "3", "--all-checks", "--theta", "0.5"], "an even --t"),
 ])
 def test_malformed_ranges_name_the_input(capsys, argv, named):
     code, report, _ = run_cli(capsys, *argv)

@@ -365,10 +365,13 @@ def test_thm_bounds_escalate_inside_the_128_bit_enclosure(monkeypatch):
         y = _first_bound(n, t)
         m = int(y.a)
         assert m == int(y.b) and m > 2 ** 140  # floor(bound), exactly
-    levels = []
+    escalations = []  # one list of (level, verdict) per escalate call
     escalate = certify.escalate
 
     def spy(decide, what="comparison"):
+        levels = []
+        escalations.append(levels)
+
         def logged(level):
             levels.append((level, decide(level)))
             return levels[-1][1]
@@ -376,8 +379,9 @@ def test_thm_bounds_escalate_inside_the_128_bit_enclosure(monkeypatch):
 
     monkeypatch.setattr(certify, "escalate", spy)
     for moment, verdict in ((m, True), (m + 1, False)):
-        levels.clear()
+        escalations.clear()
         assert thm_bounds(factorize(n), t, moment)[0].holds is verdict
+        levels = escalations[0]  # the first bound's; the second escalates too
         assert levels[0] == (128, None) and levels[-1][1] is verdict
         assert len(levels) > 1
 
