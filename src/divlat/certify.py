@@ -127,15 +127,11 @@ def int_vs_pow2(m: int, q) -> int:
     q may be int, float, or Fraction; its exact binary value is used.
     Equality is only reachable when q is an integer, decided exactly.
     """
-    if m <= 0:
-        return -1  # 2^q > 0 always
     qe = Fraction(q)  # exact, floats included
-    if qe < 0:
-        return 1  # 2^q in (0,1) and m >= 1
-    if qe.denominator == 1 and m == 1 << qe.numerator:
+    if qe >= 0 and qe.denominator == 1 and m == 1 << qe.numerator:
         return 0
-    # otherwise m != 2^q, so 2^q <= m means m > 2^q
-    return 1 if _le_pow2(1, qe, m) else -1
+    # otherwise m != 2^q, so 2^q <= m means m > 2^q; 2^q > 0 >= m for m <= 0
+    return 1 if m > 0 and _le_pow2(1, qe, m) else -1
 
 
 def scaled_le(lhs: int, q, rhs: int) -> bool:

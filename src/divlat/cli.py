@@ -2,7 +2,9 @@
 
 Every command prints one JSON report on stdout (keys: command, inputs,
 results, status, timing_seconds) and a human summary on stderr; --csv
-switches the tabular stderr sections to CSV.  Exit code 0 means
+switches the tabular stderr sections to CSV.  A command returns its
+results, verdict and summary; `main` emits every report, once, with
+timing_seconds counted from after parsing.  Exit code 0 means
 status == "pass"; capacity and inconclusive outcomes exit nonzero.
 Every report's inputs are the parsed arguments except the command name
 and --csv.  An error report names its results.error_kind: capacity,
@@ -23,6 +25,7 @@ import os
 import random
 import sys
 import time
+from fractions import Fraction
 
 from . import campaigns, moments
 from .core import factorize, prime_upper_bound, rosser_check, sieve_primes
@@ -84,9 +87,7 @@ class _Table:
                 "rows": [[_jsonable(c) for c in row] for row in self.rows]}
 
 
-def _emit(args, results: dict, status: str, t0: float,
-          tables: list[_Table] | None = None,
-          summary: list[str] | None = None) -> int:
+def _emit(args, results: dict, status: str, t0: float, shown: list | tuple = ()) -> int:
     report = {
         "command": args.command,
         "inputs": _jsonable({k: v for k, v in vars(args).items()
@@ -96,10 +97,8 @@ def _emit(args, results: dict, status: str, t0: float,
         "timing_seconds": round(time.perf_counter() - t0, 6),
     }
     sys.stdout.write(json.dumps(report, allow_nan=False) + "\n")
-    for line in summary or []:
-        print(line, file=sys.stderr)
-    for tab in tables or []:
-        print(tab.render(args.csv), file=sys.stderr)
+    for item in shown:
+        print(item.render(args.csv) if isinstance(item, _Table) else item, file=sys.stderr)
     print(f"[{args.command}] status: {status}", file=sys.stderr)
     if status == "pass":
         return 0
@@ -110,8 +109,7 @@ def _emit(args, results: dict, status: str, t0: float,
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_tables(args) -> int:
-    t0 = time.perf_counter()
+def cmd_tables(args) -> tuple[dict, bool, list]:
     alpha_rows = []
     for theta, expected in ALPHA_REFERENCE.items():
         shown = f"{_truncate2(moments.alpha_of_theta(theta)):.2f}"
@@ -127,7 +125,6 @@ def cmd_tables(args) -> int:
         thr_ok &= cert.holds
         thr_rows.append([t, thr, f"{cert.slack:.3e}", "ok" if cert.holds else "FAIL"])
 
-    status = "pass" if alpha_ok and thr_ok else "fail"
     tables = [
         _Table("alpha(theta), recomputed and truncated to 2 decimals",
                ["theta", "alpha", "reference", "verdict"], alpha_rows),
@@ -138,7 +135,7 @@ def cmd_tables(args) -> int:
         "alpha_table": tables[0].to_jsonable(),
         "threshold_table": tables[1].to_jsonable(),
     }
-    return _emit(args, results, status, t0, tables)
+    return results, alpha_ok and thr_ok, tables
 
 
 def _parse_t_range(text: str) -> list[int]:
@@ -155,8 +152,7 @@ def _parse_t_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def cmd_verify_eta(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify_eta(args) -> tuple[dict, bool, list]:
     ts = _parse_t_range(args.t)
     variants = ["easy", "hard"] if args.variant == "both" else [args.variant]
 
@@ -172,21 +168,18 @@ def cmd_verify_eta(args) -> int:
         for variant in variants:
             verify = campaigns.verify_c_easy if variant == "easy" else campaigns.verify_c_hard
             results.append(verify(t, k_for(t, variant), table, checkpoint=args.checkpoint))
-    status = "pass" if all(r.passed for r in results) else "fail"
     rows = [[r.label, r.t_range[0], r.k_range[1], f"{r.worst_margin:.3e}",
              r.argmin, r.inconclusive, "ok" if r.passed else "FAIL"] for r in results]
     tab = _Table("eta campaigns", ["variant", "t", "k_max", "worst_margin",
                                    "argmin", "beyond_prec", "verdict"], rows)
-    return _emit(args, {"campaigns": [r.to_jsonable() for r in results]},
-                 status, t0, [tab])
+    return ({"campaigns": [r.to_jsonable() for r in results]},
+            all(r.passed for r in results), [tab])
 
 
-def cmd_constant_c(args) -> int:
-    t0 = time.perf_counter()
+def cmd_constant_c(args) -> tuple[dict, bool, list]:
     table = _table_for_count(campaigns.hard_threshold(2))
     found = campaigns.constant_C_search(table)
     unique = found.runner_up < found.lower
-    status = "pass" if (found.attained_at == campaigns.ETA_CONSTANT_AT and unique) else "fail"
     results = {
         "value": found.value,
         "value_8dp": f"{found.value:.8f}",
@@ -196,13 +189,12 @@ def cmd_constant_c(args) -> int:
         "runner_up_at": list(found.runner_up_at),
         "unique_maximum": unique,
     }
-    summary = [f"best constant = {found.value:.8f} attained at (t,k) = {found.attained_at}",
-               f"runner-up {found.runner_up:.10f} at {found.runner_up_at}"]
-    return _emit(args, results, status, t0, summary=summary)
+    return results, found.attained_at == campaigns.ETA_CONSTANT_AT and unique, [
+        f"best constant = {found.value:.8f} attained at (t,k) = {found.attained_at}",
+        f"runner-up {found.runner_up:.10f} at {found.runner_up_at}"]
 
 
-def cmd_moments(args) -> int:
-    t0 = time.perf_counter()
+def cmd_moments(args) -> tuple[dict, bool, list]:
     if args.theta is not None and not 0 < args.theta <= 1:
         raise ValueError(f"--theta must lie in (0, 1], got {args.theta}")
     if args.theta is not None and not (args.all_checks and args.t % 2 == 0):
@@ -241,15 +233,14 @@ def cmd_moments(args) -> int:
         results["envelope_violations"] = [r.to_jsonable() for r in bad]
         ok = ok and not bad
         if args.theta is not None:
-            h = moments.H_chain_check(profile, args.theta, args.t)
+            # the decimal as typed, not its nearest double
+            h = moments.H_chain_check(profile, Fraction(repr(args.theta)), args.t)
             results["threshold_count_chain"] = h.to_jsonable()
             ok = ok and h.holds
-    status = "pass" if ok else "fail"
-    return _emit(args, results, status, t0)
+    return results, ok, []
 
 
-def cmd_energy(args) -> int:
-    t0 = time.perf_counter()
+def cmd_energy(args) -> tuple[dict, bool, list]:
     if (args.sweep is None) == (args.n is None):
         raise ValueError("energy needs exactly one of --n and --sweep")
     if args.sweep is not None and args.sweep < 2:
@@ -262,11 +253,10 @@ def cmd_energy(args) -> int:
         if f.tau ** (2 * args.s) <= _ORACLE_BUDGET:
             results["oracle"] = brute_energy_oracle(args.n, args.s)
             ok = ok and results["oracle"] == rep.energy
-        return _emit(args, results, "pass" if ok else "fail", t0)
+        return results, ok, []
     reps = (energy(factorize(n), args.s) for n in range(2, args.sweep + 1))
     violations = [rep.to_jsonable() for rep in reps if not rep.holds]
-    status = "pass" if not violations else "fail"
-    return _emit(args, {"checked": args.sweep - 1, "violations": violations}, status, t0)
+    return {"checked": args.sweep - 1, "violations": violations}, not violations, []
 
 
 #: the primes a scan sample draws its squarefree n from
@@ -310,11 +300,11 @@ def _scan_one(rng: random.Random) -> dict:
     check("interval-sum", moments.interval_sum_check(profile, a, b).holds,
           {"a": a, "b": b})
     if n <= SCAN_H_N_MAX:
-        theta = rng.choice([x / 10 for x in range(1, 11)])
+        theta = rng.choice([Fraction(x, 10) for x in range(1, 11)])
         te = rng.choice([2, 4])
         check("threshold-count-chain",
               moments.H_chain_check(profile, theta, te).holds,
-              {"theta": theta, "t": te})
+              {"theta": float(theta), "t": te})
     s = rng.randint(2, SCAN_S_MAX)
     rep = energy(f, s)
     oracle_ok = f.tau ** (2 * s) > _ORACLE_BUDGET or brute_energy_oracle(n, s) == rep.energy
@@ -325,14 +315,12 @@ def _scan_one(rng: random.Random) -> dict:
     return record
 
 
-def cmd_scan(args) -> int:
-    t0 = time.perf_counter()
+def cmd_scan(args) -> tuple[dict, bool, list]:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     rng = random.Random(args.seed)
     records = [_scan_one(rng) for _ in range(args.count)]
     failures = [fail for rec in records for fail in rec["failures"]]
-    status = "pass" if not failures else "fail"
     results = {
         "seed": args.seed,
         "count": args.count,
@@ -340,18 +328,16 @@ def cmd_scan(args) -> int:
         "failures": failures,
         "records": records,
     }
-    summary = [f"scan: {results['checks_run']} checks over {args.count} samples"]
+    shown = [f"scan: {results['checks_run']} checks over {args.count} samples"]
     if failures:
-        summary += [f"MINIMAL REPRODUCER: {json.dumps(failures[0])}"]
-    return _emit(args, results, status, t0, summary=summary)
+        shown += [f"MINIMAL REPRODUCER: {json.dumps(failures[0])}"]
+    return results, not failures, shown
 
 
-def cmd_rosser(args) -> int:
-    t0 = time.perf_counter()
+def cmd_rosser(args) -> tuple[dict, bool, list]:
     table = _table_for_count(args.k_max)
     res = rosser_check(table, args.k_max)
-    status = "pass" if res.passed else "fail"
-    return _emit(args, {"campaign": res.to_jsonable()}, status, t0)
+    return {"campaign": res.to_jsonable()}, res.passed, []
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +418,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        return _COMMANDS[args.command](args)
+        results, ok, shown = _COMMANDS[args.command](args)
+        return _emit(args, results, "pass" if ok else "fail", t0, shown)
     except (InconclusiveError, CapacityError, ValueError) as exc:
         kind = _error_kind(exc)
         status = "inconclusive" if kind == "inconclusive" else "fail"

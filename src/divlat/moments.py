@@ -121,8 +121,6 @@ def interval_sum(profile: DivisorProfile, a: float, b: float) -> int:
         raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
     hi = bisect_right(profile.divisors, b)
     lo = bisect_left(profile.divisors, a)
-    if hi == 0:
-        return 0
     upper = profile.mobius_prefix[hi - 1]
     lower = profile.mobius_prefix[lo - 1] if lo > 0 else 0
     return upper - lower
@@ -214,8 +212,6 @@ def moment_stepwise(profile: DivisorProfile, t: int) -> int:
     """L_t(n) as the stepwise integral sum_i M_i^t (d_{i+1} - d_i)."""
     if t < 1:
         raise ValueError(f"moment order must be >= 1, got {t}")
-    if profile.n == 1:
-        return 0
     divs, pref = profile.divisors, profile.mobius_prefix
     total = 0
     for i in range(len(divs) - 1):
@@ -404,14 +400,15 @@ def alpha_truncation_holds(theta: str, shown: str) -> bool:
     return lo >= 1 and g_le_0(lo) and not g_le_0(lo + Fraction(1, 100))
 
 
-def H_theta_exact(profile: DivisorProfile, theta: float) -> int:
+def H_theta_exact(profile: DivisorProfile, theta: float | Fraction) -> int:
     """Count of j in [1,n] with |M(n,j)| >= 2^(theta omega(n)).
 
     M is constant between consecutive divisors, so the count walks the
     tau(n) - 1 divisor gaps instead of enumerating j: the work is
     O(tau(n)) whatever n is, and `core.DIVISOR_CAP` bounds tau(n) when
-    the profile is built.  The threshold comparison is certified: exact
-    when theta*omega is an integer, interval-escalated otherwise.
+    the profile is built.  The threshold comparison is certified at
+    theta's exact value (a float's binary value, a Fraction as is):
+    exact when theta*omega is an integer, interval-escalated otherwise.
     """
     if profile.n < 2:
         raise ValueError(f"count needs n >= 2, got {profile.n}")
@@ -432,7 +429,7 @@ def H_theta_exact(profile: DivisorProfile, theta: float) -> int:
     return total
 
 
-def H_chain_check(profile: DivisorProfile, theta: float, t: int) -> BoundReport:
+def H_chain_check(profile: DivisorProfile, theta: float | Fraction, t: int) -> BoundReport:
     """H_theta(n) <= L_t(n) / 2^(t theta omega) for even t."""
     if t % 2 or t < 2:
         raise ValueError(f"chain needs even t >= 2, got {t}")
@@ -442,7 +439,7 @@ def H_chain_check(profile: DivisorProfile, theta: float, t: int) -> BoundReport:
     holds = scaled_le(h, q, lt)
     with iv_prec(DEFAULT_PREC):
         bound = iv.mpf(lt) * iv.exp(-iv.log(iv.mpf(2)) * iv_exact(q))
-    return _enclosure_report(h, bound, holds, {"n": profile.n, "theta": theta, "t": t,
+    return _enclosure_report(h, bound, holds, {"n": profile.n, "theta": float(theta), "t": t,
                                                "moment": lt, "check": "threshold-count-chain"})
 
 

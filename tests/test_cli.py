@@ -107,6 +107,30 @@ def test_moments_counts_H_theta_at_nine_primes(capsys):
     assert chain["holds"] and chain["exact_value"] == 1405489
 
 
+def test_moments_theta_is_the_decimal_typed(capsys):
+    """--theta 0.2 is 1/5, not its double (0.2 * 5 = 1 + 5.6e-17 in binary),
+    so |M(2310, j)| = 2 = 2^(theta omega) meets the threshold."""
+    code, report, _ = run_cli(capsys, "moments", "--n", "2310", "--t", "2",
+                              "--all-checks", "--theta", "0.2")
+    assert code == 0
+    profile = moments.divisor_profile(core.factorize(2310))
+    brute = sum(abs(moments.mertens_truncated(profile, j)) >= 2 for j in range(1, 2311))
+    assert brute == 301
+    chain = report["results"]["threshold_count_chain"]
+    assert chain["exact_value"] == brute and chain["context"]["theta"] == 0.2
+
+
+def test_unserializable_results_are_one_argument_report(capsys, monkeypatch):
+    """A NaN in a command's results cannot be strict JSON: the run prints
+    one error report instead, never a partial one."""
+    monkeypatch.setattr(moments, "moment_stepwise", lambda profile, t: float("nan"))
+    code = cli.main(["moments", "--n", "30", "--t", "2"])
+    out = capsys.readouterr().out
+    assert code == 1 and out.count("\n") == 1
+    report = json.loads(out)
+    assert report["status"] == "fail" and report["results"]["error_kind"] == "argument"
+
+
 def test_inconclusive_report_keeps_inputs(capsys, monkeypatch):
     def undecided(*args, **kwargs):
         raise InconclusiveError("undecidable at the ceiling")
