@@ -62,6 +62,7 @@ from .moments import (
     corollary_exponent,
     divisor_profile,
     domination_check,
+    envelope_violations,
     eta,
     interval_sum,
     interval_sum_check,

@@ -393,7 +393,7 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
         t_range=(t, t),
         k_range=(1, k_max),
         passed=not violations and worst[0] > 0.0,
-        worst_margin=worst[0],
+        worst_margin=math.nextafter(worst[0], -math.inf),  # a float at or below the margin
         argmin=(t, worst[1]),
         sup_ratio=sup_ratio,
         arg_sup=(t, sup_k),
@@ -511,6 +511,13 @@ def constant_C_search(table: PrimeTable) -> ConstantC:
 # side conditions
 # ---------------------------------------------------------------------------
 
+def _side_report(lhs, rhs, holds: bool, context: dict) -> BoundReport:
+    """A decided lhs-vs-rhs enclosure pair: both sides read at their upper
+    ends, the slack at the lower end of rhs - lhs."""
+    return BoundReport(interval_upper(lhs), interval_upper(rhs), float((rhs - lhs).a),
+                       holds, context)
+
+
 def ln2_bound_check(t: int, k: int) -> BoundReport:
     """Side chain used for t >= 100, k <= 56:
 
@@ -530,15 +537,9 @@ def ln2_bound_check(t: int, k: int) -> BoundReport:
         chain = [lhs <= mid, mid < cap, cap <= kpow]
         if None in chain:
             return None
-        return BoundReport(
-            exact_value=interval_upper(lhs),
-            bound_value=interval_upper(cap),
-            slack=float((cap - lhs).a),
-            holds=all(chain),
-            context={"t": t, "k": k, "chain": chain,
-                     "middle": float(mid.b), "k_pow": float(kpow.a),
-                     "check": "log2-side-chain"},
-        )
+        return _side_report(lhs, cap, all(chain), {
+            "t": t, "k": k, "chain": chain, "middle": float(mid.b), "k_pow": float(kpow.a),
+            "check": "log2-side-chain"})
 
     return escalate(decide, what=f"log2 side chain at t={t}, k={k}")
 
@@ -572,14 +573,8 @@ def induction_margin(t: int, k: int, variant: str = "hard") -> BoundReport:
         holds = lhs < rhs
         if holds is None:
             return None
-        return BoundReport(
-            exact_value=interval_upper(lhs),
-            bound_value=interval_upper(rhs),
-            slack=float((rhs - lhs).a),
-            holds=holds,
-            context={"t": t, "k": k, "variant": variant,
-                     "check": "induction-step-condition"},
-        )
+        return _side_report(lhs, rhs, holds, {"t": t, "k": k, "variant": variant,
+                                              "check": "induction-step-condition"})
 
     return escalate(decide, what=f"{variant} induction step at t={t}, k={k}")
 

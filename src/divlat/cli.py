@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import campaigns, moments
 from .core import factorize, prime_upper_bound, rosser_check, sieve_primes
 from .energy import brute_energy_oracle, energy
-from .errors import CapacityError, DomainError, InconclusiveError
+from .errors import CapacityError, InconclusiveError
 from .moments import ALPHA_REFERENCE, divisor_profile
 from .reports import _jsonable
 
@@ -227,9 +227,8 @@ def cmd_moments(args) -> tuple[dict, bool, list]:
             results["second_bound"] = {"value": second.bound_value, "holds": second.holds}
             results["chain"] = chain.to_jsonable()
             ok = ok and first.holds and second.holds and chain.holds
-        envelope = [moments.pe_envelope_check(profile, z) for z in profile.divisors]
-        bad = [r for r in envelope if not r.holds]
-        results["envelope_checked"] = len(envelope)
+        bad = moments.envelope_violations(profile)
+        results["envelope_checked"] = profile.tau
         results["envelope_violations"] = [r.to_jsonable() for r in bad]
         ok = ok and not bad
         if args.theta is not None:
@@ -403,17 +402,6 @@ _COMMANDS = {
 }
 
 
-def _error_kind(exc: Exception) -> str:
-    """Which of the failure modes in divlat.errors `exc` is."""
-    if isinstance(exc, InconclusiveError):
-        return "inconclusive"
-    if isinstance(exc, CapacityError):
-        return "capacity"
-    if isinstance(exc, DomainError):
-        return "domain"
-    return "argument"
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
@@ -421,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
         results, ok, shown = _COMMANDS[args.command](args)
         return _emit(args, results, "pass" if ok else "fail", t0, shown)
     except (InconclusiveError, CapacityError, ValueError) as exc:
-        kind = _error_kind(exc)
+        kind = getattr(exc, "kind", "argument")
         status = "inconclusive" if kind == "inconclusive" else "fail"
         return _emit(args, {"error": str(exc), "error_kind": kind}, status, t0)
 

@@ -296,7 +296,7 @@ def rosser_check(table: PrimeTable, k_max: int) -> CampaignResult:
         t_range=None,
         k_range=(1, k_max),
         passed=(m > 0) is True,
-        worst_margin=float(m.a),
+        worst_margin=math.nextafter(float(m.a), -math.inf),
         argmin=(k,),
         wall_time=time.perf_counter() - t0,
     )

@@ -27,7 +27,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 
 from mpmath import iv, lambertw, mpf
@@ -61,8 +61,7 @@ class DivisorProfile:
 
     mobius_prefix[i] = sum of mu(d_j) for j <= i, so M(n,z) is a prefix
     lookup at the largest divisor <= z.  divisor_omega[i] counts the
-    distinct primes of d_i, and omega_prefix_max[i] = max of
-    divisor_omega[j] for j <= i, so D(n,z) is a prefix lookup too.
+    distinct primes of d_i; D(n,z) is their maximum up to that divisor.
     """
 
     n: int
@@ -70,12 +69,6 @@ class DivisorProfile:
     mobius_prefix: tuple[int, ...]
     divisor_omega: tuple[int, ...]
     factorization: Factorization
-
-    @cached_property
-    def omega_prefix_max(self) -> tuple[int, ...]:
-        # Built on first use: accumulate with max adds about 30% to the
-        # cost of building a profile, and most profiles never ask for D.
-        return tuple(accumulate(self.divisor_omega, max))
 
     @property
     def tau(self) -> int:
@@ -147,8 +140,8 @@ def tau_trunc(profile: DivisorProfile, z: float) -> int:
 
 
 def max_omega_D(profile: DivisorProfile, z: float) -> int:
-    """D(n,z): largest omega(d) over divisors d <= z."""
-    return profile.omega_prefix_max[tau_trunc(profile, z) - 1]
+    """D(n,z): largest omega(d) over divisors d <= z, by a scan of that prefix."""
+    return max(profile.divisor_omega[:tau_trunc(profile, z)])
 
 
 def tau_trunc_check(profile: DivisorProfile, z: float) -> BoundReport:
@@ -167,13 +160,8 @@ def tau_trunc_check(profile: DivisorProfile, z: float) -> BoundReport:
     )
 
 
-@lru_cache(maxsize=4096)
 def _parity_envelope(omega: int, d: int) -> tuple[int, int]:
-    """(lower, upper) of the parity envelope for D(n,z) = d.
-
-    Depends on (omega, d) only, so a sweep over every divisor of n
-    computes it at most omega + 1 times.
-    """
+    """(lower, upper) of the parity envelope for D(n,z) = d."""
     upper = max((binomial(omega - 1, j) for j in range(0, d + 1, 2)), default=0)
     lower = -max((binomial(omega - 1, j) for j in range(1, d + 1, 2)), default=0)
     return lower, upper
@@ -199,6 +187,16 @@ def pe_envelope_check(profile: DivisorProfile, z: float) -> BoundReport:
         context={"n": profile.n, "z": z, "lower": lower, "upper": upper,
                  "D": d, "check": "mertens-envelope"},
     )
+
+
+def envelope_violations(profile: DivisorProfile) -> list[BoundReport]:
+    """pe_envelope_check at every divisor z, in one walk of the table (D(n,z)
+    is the running maximum of divisor_omega); reports the z that fail."""
+    if profile.n < 2:
+        raise ValueError(f"envelope needs n >= 2, got n = {profile.n}")
+    env = [_parity_envelope(profile.omega, d) for d in range(profile.omega + 1)]
+    walk = zip(profile.divisors, profile.mobius_prefix, accumulate(profile.divisor_omega, max))
+    return [pe_envelope_check(profile, z) for z, m, d in walk if not env[d][0] <= m <= env[d][1]]
 
 
 def _enclosure_report(exact: int, bound, holds: bool, context: dict) -> BoundReport:

@@ -46,8 +46,9 @@ class CampaignResult:
 
     ``t_range``/``k_range`` name the two swept axes; for sweeps whose
     axes are not literally (t, k) the ``label`` says what they are.
-    ``worst_margin`` is min over the box of (rhs_lo - lhs_hi); ``sup_ratio``
-    tracks the largest lhs/rhs-style ratio seen (campaign-specific).
+    ``worst_margin`` is min over the box of (rhs_lo - lhs_hi), which the
+    eta and rosser campaigns round down; ``sup_ratio`` tracks the largest
+    lhs/rhs-style ratio seen (campaign-specific).
     """
 
     label: str

@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import mpmath as mp
 from mpmath import iv
+from mpmath.libmp import to_rational
 
 from divlat import (
     CapacityError,
     EtaAccumulator,
     InconclusiveError,
+    PrimeTable,
     campaigns,
     certify,
     concavity_threshold,
@@ -24,6 +26,7 @@ from divlat import (
     hard_threshold,
     induction_margin,
     ln2_bound_check,
+    rosser_check,
     sieve_for_count,
     verify_c_easy,
     verify_c_hard,
@@ -290,6 +293,17 @@ def test_checkpoint_torn_final_line_is_recomputed(tmp_path, medium_table):
     assert path.read_text() == written
 
 
+def test_checkpoint_is_shared_by_easy_and_hard(tmp_path, medium_table):
+    """Stored states depend only on t and the primes: a hard run verifies
+    the states an easy run wrote and appends nothing."""
+    path = tmp_path / "camp.ckpt"
+    assert verify_c_easy(2, 250_000, medium_table, checkpoint=path).passed
+    written = path.read_bytes()
+    assert len(written.splitlines()) == 2
+    assert verify_c_hard(2, 250_000, medium_table, checkpoint=path).passed
+    assert path.read_bytes() == written
+
+
 def test_checkpoint_malformed_line_raises(tmp_path):
     path = tmp_path / "camp.ckpt"
     path.write_text("2 100000 1.5\n2 200000 1.0 2.0\n")
@@ -302,6 +316,40 @@ def test_checkpoint_mismatch_detected(tmp_path, medium_table):
     CheckpointFile(path).append(2, 100_000, 1.0, 2.0)  # bogus state
     with pytest.raises(ValueError, match="checkpoint mismatch"):
         verify_c_hard(2, 150_000, medium_table, checkpoint=path)
+
+
+def _lower_end(enclosure) -> Fraction:
+    return Fraction(*to_rational(enclosure._mpi_[0]))
+
+
+@pytest.mark.parametrize("verify, k_max, c_hi, argmin", [
+    (verify_c_hard, 3000, ETA_CONSTANT_HI, (2, 2149)),  # decided by the escalation
+    (verify_c_hard, 3000, ETA_CONSTANT_LO, (2, 2149)),  # a negative margin there
+    (verify_c_easy, 56, ETA_CONSTANT_HI, None),         # decided by the float pass
+])
+def test_campaign_worst_margin_is_rounded_down(verify, k_max, c_hi, argmin, small_table,
+                                               monkeypatch):
+    """The reported margin is at or below the lower end of the argmin margin's
+    enclosure at the first level, which decides it, and at 512 bits."""
+    monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", c_hi)
+    res = verify(2, k_max, small_table)
+    assert argmin is None or res.argmin == argmin
+    mode, (t, k) = res.label.removeprefix("eta-"), res.argmin
+    for level in (certify.DEFAULT_PREC, 512):
+        with iv_prec(level):
+            margin = _rhs_iv(mode, t, k, iv.mpf(c_hi)) - log_eta_sums(
+                small_table.primes, t, [k])[k]
+        assert Fraction(res.worst_margin) <= _lower_end(margin), level
+
+
+@pytest.mark.parametrize("primes", [None, np.arange(2, 12)])  # p_k = k + 1 fails from k = 4
+def test_rosser_worst_margin_is_rounded_down(primes, small_table):
+    table = small_table if primes is None else PrimeTable(11, primes)
+    res = rosser_check(table, min(table.count, 50_000))
+    (k,) = res.argmin
+    with iv_prec(512):
+        margin = iv.mpf(int(table.primes[k - 1])) - iv.mpf(k) * iv.log(k)
+    assert Fraction(res.worst_margin) <= _lower_end(margin)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from divlat import campaigns, cli, core, moments
-from divlat.errors import InconclusiveError
+from divlat.errors import DomainError, InconclusiveError
 
 REPORT_KEYS = {"command", "inputs", "results", "status", "timing_seconds"}
 
@@ -140,6 +140,17 @@ def test_inconclusive_report_keeps_inputs(capsys, monkeypatch):
     assert code == 2 and report["status"] == "inconclusive"
     assert report["inputs"]["n"] == 30 and report["inputs"]["t"] == 2
     assert report["results"]["error_kind"] == "inconclusive"
+
+
+def test_domain_error_report(capsys, monkeypatch):
+    """A violated hypothesis is its own error kind, with exit code 1."""
+    def violated(profile, t):
+        raise DomainError("hypothesis violated")
+
+    monkeypatch.setattr(moments, "moment_stepwise", violated)
+    code, report, _ = run_cli(capsys, "moments", "--n", "30", "--t", "2")
+    assert code == 1 and report["status"] == "fail"
+    assert report["results"] == {"error": "hypothesis violated", "error_kind": "domain"}
 
 
 def test_energy_single(capsys):

@@ -11,13 +11,14 @@ Independent oracles used here:
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
-from divlat import campaigns, certify
+from divlat import campaigns, certify, moments
 from divlat import (
     DomainError,
     H_chain_check,
@@ -30,6 +31,7 @@ from divlat import (
     corollary_exponent,
     divisor_profile,
     domination_check,
+    envelope_violations,
     eta,
     factorize,
     interval_sum,
@@ -119,11 +121,13 @@ def test_tau_trunc_and_D():
 
 
 def test_max_omega_D_matches_scan():
-    """The prefix-maximum lookup against a scan of divisor_omega."""
+    """D(n,z) against the running maximum of divisor_omega at the last divisor <= z."""
     for n in range(1, 2001):
         p = divisor_profile(n)
-        for z in (*p.divisors, *(d + 0.5 for d in p.divisors), n + 10):
-            assert max_omega_D(p, z) == max(p.divisor_omega[:tau_trunc(p, z)]), (n, z)
+        running = list(accumulate(p.divisor_omega, max))
+        for i, d in enumerate(p.divisors):
+            assert max_omega_D(p, d) == max_omega_D(p, d + 0.5) == running[i], (n, d)
+        assert max_omega_D(p, n + 10) == running[-1]
 
 
 def test_envelope():
@@ -147,6 +151,35 @@ def test_envelope_matches_uncached_binomials():
         assert rep.context["lower"] == -max((math.comb(om - 1, j) for j in range(1, d + 1, 2)),
                                             default=0)
         assert rep.holds
+
+
+def _failing_checks(p):
+    return [r.to_jsonable() for z in p.divisors if not (r := pe_envelope_check(p, z)).holds]
+
+
+@pytest.mark.parametrize("narrowing", [0, 1])
+def test_envelope_violations_are_the_failing_checks(narrowing, monkeypatch):
+    """The one-walk check reports what pe_envelope_check fails at each divisor.
+
+    With the true envelope that is nothing; with one narrower by `narrowing`
+    on each side it is every divisor on the true edge, so a walk whose
+    filter is one wider or one narrower than the check's fails here.
+    """
+    envelope = moments._parity_envelope
+    monkeypatch.setattr(moments, "_parity_envelope", lambda omega, d: (
+        envelope(omega, d)[0] + narrowing, envelope(omega, d)[1] - narrowing))
+    found = 0
+    for n in (primorial(10), *range(2, 401)):
+        p = divisor_profile(n)
+        walk = [r.to_jsonable() for r in envelope_violations(p)]
+        assert walk == _failing_checks(p), n
+        found += len(walk)
+    assert (found > 0) == bool(narrowing)
+
+
+def test_envelope_violations_need_n_at_least_2():
+    with pytest.raises(ValueError, match="envelope needs n >= 2"):
+        envelope_violations(divisor_profile(1))
 
 
 def test_envelope_exhaustive_small():
