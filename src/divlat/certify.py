@@ -6,13 +6,11 @@ that a "holds" verdict can never be a rounding artifact.  Every
 comparison lhs * 2^q <= rhs (m >= 2^q is the case lhs = 1) goes through
 one bracket, `_le_pow2`:
 
-* exact path: a threshold 2^q with integral q is compared in integer
-  arithmetic, because that is the only case where the two sides can be
-  *equal*;
-* integer bracket: for non-integral q, a = floor(q B) with B = BRACKET
-  gives 2^a <= 2^(qB) < 2^(a+1), so lhs^B and rhs^B compared against
-  both ends in integer arithmetic decide every case outside that
-  one-step band, as certified as the exact path;
+* exact path: q = c/d in lowest terms with d <= BRACKET is the integer
+  comparison lhs^d 2^c <= rhs^d; integral q is the only equality case;
+* integer bracket: otherwise a = floor(q B) with B = BRACKET gives
+  2^a < 2^(qB) < 2^(a+1), so lhs^B and rhs^B compared against both ends
+  in integer arithmetic decide every case outside that one-step band;
 * otherwise mpmath interval arithmetic through `fraction_le_enclosure`,
   comparing q against an enclosure of log2 rhs - log2 lhs;
 * still undecided at the ceiling -> InconclusiveError.
@@ -26,10 +24,11 @@ PREC_CEILING, and it runs each `decide(level)` inside `iv_prec(level)`,
 so no decide sets the precision itself.  Its callers are
 `fraction_le_enclosure`, the one exact-versus-enclosure decision (it
 returns the verdict with the DEFAULT_PREC enclosure a report reads;
-`_le_pow2`, `moments.chain_check`, `moments.thm_bounds` and the alpha
-truncation check call it), the campaign escalation pass, the
-best-constant search and the two side conditions in `campaigns`, the
-even-t choice in `moments.optimal_even_t`, the interval path of
+`_le_pow2`, `moments.chain_check`, `moments.thm_bounds`, the alpha
+truncation check and the corollary hypothesis call it), the campaign
+escalation pass, the best-constant search and the two side conditions
+in `campaigns`, the even-t walk in `moments.optimal_even_t`, the
+interval path of
 `energy.vandermonde_positivity`, and the monotone-block search of
 `core.rosser_check`.
 """
@@ -105,13 +104,12 @@ def _shift_le(x: int, e: int, y: int) -> bool:
 
 def _le_pow2(lhs: int, q: Fraction, rhs: int) -> bool:
     """Certified lhs * 2^q <= rhs for integers lhs, rhs >= 1: the one bracket."""
-    if q.denominator == 1:
-        return _shift_le(lhs, q.numerator, rhs)
-    a = q.numerator * BRACKET // q.denominator  # 2^a <= 2^(q BRACKET) < 2^(a+1)
-    lhs_b, rhs_b = lhs ** BRACKET, rhs ** BRACKET
-    if _shift_le(lhs_b, a + 1, rhs_b):
+    b = min(q.denominator, BRACKET)
+    a, r = divmod(q.numerator * b, q.denominator)  # q b = a + r / denominator
+    lhs_b, rhs_b = lhs ** b, rhs ** b
+    if _shift_le(lhs_b, a + (r > 0), rhs_b):
         return True
-    if not _shift_le(lhs_b, a, rhs_b):
+    if r == 0 or not _shift_le(lhs_b, a, rhs_b):
         return False
 
     def log2_ratio(level: int):

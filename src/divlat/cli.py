@@ -50,14 +50,6 @@ def _table_for_count(k: int):
     return sieve_primes(need)
 
 
-def _not_nan(text: str) -> float:
-    """A float argument other than NaN, which the report's inputs could not hold."""
-    x = float(text)
-    if math.isnan(x):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    return x
-
-
 def _truncate2(x: float) -> float:
     return math.floor(x * 100.0) / 100.0
 
@@ -232,8 +224,7 @@ def cmd_moments(args) -> tuple[dict, bool, list]:
         results["envelope_violations"] = [r.to_jsonable() for r in bad]
         ok = ok and not bad
         if args.theta is not None:
-            # the decimal as typed, not its nearest double
-            h = moments.H_chain_check(profile, Fraction(repr(args.theta)), args.t)
+            h = moments.H_chain_check(profile, args.theta, args.t)
             results["threshold_count_chain"] = h.to_jsonable()
             ok = ok and h.holds
     return results, ok, []
@@ -372,7 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n", type=int, required=True)
     m.add_argument("--t", type=int, required=True)
     m.add_argument("--all-checks", action="store_true")
-    m.add_argument("--theta", type=_not_nan, default=None)
+    # the decimal as typed, not its nearest double
+    m.add_argument("--theta", type=Fraction, default=None)
 
     e = sub.add_parser("energy", parents=[common],
                        help="multiplicative energy and its sandwich")

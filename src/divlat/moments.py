@@ -17,8 +17,8 @@ and their agreement is used as a cross-check everywhere.
 Analytic bounds (the eta product, the closed-form moment bounds) are
 evaluated with upward-rounded enclosures: a bound comparison can fail
 only because the inequality fails, never because of rounding.  The
-alpha(theta) solution of exp(w)/w = x is a float from mpmath's Lambert W;
-`alpha_truncation_holds` certifies its two-decimal truncation.
+alpha(theta) solution of exp(w)/w = x is a float from mpmath's Lambert W
+that no verdict reads; `alpha_truncation_holds` certifies its truncation.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 
 from mpmath import iv, lambertw, mpf
 
@@ -441,36 +441,41 @@ def H_chain_check(profile: DivisorProfile, theta: float | Fraction, t: int) -> B
                                                "moment": lt, "check": "threshold-count-chain"})
 
 
-def optimal_even_t(theta: float, omega: int) -> int:
-    """Even t minimizing t (omega^(-1/t) - theta log 2).
+def _optimizer_hypothesis(theta: float | Fraction, omega: int) -> None:
+    """Certify alpha(theta) - 1 < log(omega): g(w) = w - log(w e / (theta
+    log 2)) increases on [1, inf) and vanishes at alpha, so it is g(1 + log
+    omega) > 0, i.e. theta omega > (1 + log omega) / log 2 (never equal:
+    e is transcendental)."""
+    if not 0 < theta <= 1:
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    if omega < 1 or fraction_le_enclosure(
+            Fraction(theta) * omega,
+            lambda level: (1 + iv.log(iv.mpf(omega))) / iv.ln2,
+            what="optimizer hypothesis")[0]:
+        raise DomainError(f"hypothesis alpha-1 < log(omega) fails at theta = {theta}, "
+                          f"omega = {omega}: theta omega <= (1 + log omega) / log 2")
 
-    Requires alpha - 1 < log(omega); the unconstrained optimum sits at
-    t0 = log(omega)/(alpha - 1) and concavity confines the even argmin
-    to the two even integers flanking t0.  Interval arithmetic decides
-    between them; the smaller t wins when its value is provably no
-    larger, and a tie no precision separates raises InconclusiveError.
+
+def optimal_even_t(theta: float | Fraction, omega: int) -> int:
+    """Even t minimizing f(t) = t (omega^(-1/t) - theta log 2).
+
+    Requires alpha - 1 < log(omega).  f is convex in t (f'' = log(omega)^2
+    t^-3 omega^(-1/t) > 0), so the walk t = 2, 4, ... stops at the first t
+    where f(t + 2) < f(t) fails, the even argmin (ties go to the smaller t);
+    an open step re-walks one precision level up.
     """
-    alpha = alpha_of_theta(theta)
-    if omega < 1 or not alpha - 1 < math.log(omega):
-        raise DomainError(
-            f"optimizer hypothesis alpha-1 < log(omega) fails: "
-            f"alpha-1 = {alpha - 1:.6f}, log(omega) = {math.log(omega) if omega >= 1 else '-inf'}")
-    t0 = math.log(omega) / (alpha - 1)
-    lo_even = max(2, 2 * math.floor(t0 / 2))
-    candidates = (lo_even, lo_even + 2)
+    _optimizer_hypothesis(theta, omega)
 
     def decide(level: int):
-        th = iv.mpf(theta)
-        ln2 = iv.log(iv.mpf(2))
-        vals = [iv.mpf(tt) * (iv.exp(-iv.log(iv.mpf(omega)) / tt) - th * ln2)
-                for tt in candidates]
-        if (vals[0] <= vals[1]) is True:
-            return candidates[0]
-        if (vals[1] < vals[0]) is True:
-            return candidates[1]
-        return None
+        lw, c = iv.log(iv.mpf(omega)), iv_exact(theta) * iv.ln2
+        here = 2 * (iv.exp(-lw / 2) - c)
+        for t in count(2, 2):
+            there = (t + 2) * (iv.exp(-lw / (t + 2)) - c)
+            if (there < here) is not True:
+                return t if (there >= here) is True else None
+            here = there
 
-    return escalate(decide, what="even-t choice")
+    return escalate(decide, what="even-t walk")
 
 
 def corollary_exponent(theta: float, omega: int) -> float:
@@ -478,15 +483,14 @@ def corollary_exponent(theta: float, omega: int) -> float:
 
     -(theta log2 / alpha) omega log(omega)
       + ((alpha-1)/(1-(alpha-1)/log omega))^3
-        * omega / (exp((alpha-1)/(1+(alpha-1)/log omega)) log omega).
+        * omega / (exp((alpha-1)/(1+(alpha-1)/log omega)) log omega),
+    a float from the float alpha; the hypothesis on it is certified.
     """
     if omega < 56:
         raise DomainError(f"bound stated for omega >= 56, got {omega}")
+    _optimizer_hypothesis(theta, omega)
     alpha = alpha_of_theta(theta)
     lw = math.log(omega)
-    if not alpha - 1 < lw:
-        raise DomainError(
-            f"hypothesis alpha-1 < log(omega) fails: {alpha - 1:.6f} >= {lw:.6f}")
     main = -(theta * math.log(2) / alpha) * omega * lw
     a1 = alpha - 1
     correction = (a1 / (1 - a1 / lw)) ** 3 * omega / (math.exp(a1 / (1 + a1 / lw)) * lw)

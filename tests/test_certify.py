@@ -48,8 +48,8 @@ def _near(draw, target: float, top: int) -> int:
 
 
 @st.composite
-def pow2_cases(draw):
-    b = draw(DENOMS)
+def pow2_cases(draw, denoms=DENOMS):
+    b = draw(denoms)
     a = draw(st.integers(-64 * b, 64 * b))
     return _near(draw, 2.0 ** (a / b), 2 ** 64), a, b
 
@@ -70,8 +70,8 @@ def negative_q_cases(draw):
 
 
 @st.composite
-def scaled_cases(draw):
-    b = draw(DENOMS)
+def scaled_cases(draw, denoms=DENOMS):
+    b = draw(denoms)
     a = draw(st.integers(-40 * b, 40 * b))
     lhs = draw(st.integers(0, 2 ** 40))
     return lhs, a, b, _near(draw, lhs * 2.0 ** (a / b), 2 ** 80)
@@ -125,6 +125,29 @@ def test_scaled_le_matches_integer_oracle(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certify, "BRACKET", 1)  # most draws reach the interval path
         assert scaled_le(lhs, Fraction(a, b), rhs) is want
+
+
+@given(st.one_of(pow2_cases(st.integers(1, BRACKET)).map(lambda c: (1, *c[1:], c[0])),
+                 scaled_cases(st.integers(1, BRACKET))))
+@settings(max_examples=600, deadline=None)
+@example((1, 19, 3, 81))    # 2^(19/3) < 81 by 1.2%: inside the one-step band of B = 64
+@example((3, 19, 3, 243))
+@example((1, 7, 64, 1))
+def test_bracket_is_exact_up_to_its_denominator(case):
+    """A q with denominator <= BRACKET never reaches the interval path."""
+    lhs, a, b, rhs = case
+    q = Fraction(a, b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"interval path reached for q = {a}/{b}")
+
+    want = (lhs ** b << max(a, 0)) <= (rhs ** b << max(-a, 0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "fraction_le_enclosure", refuse)
+        assert scaled_le(lhs, q, rhs) is want
+        if lhs == 1:  # m = rhs; m == 2^q only for integral q
+            tie = q.denominator == 1 and q >= 0 and rhs == 1 << q.numerator
+            assert int_vs_pow2(rhs, q) == (0 if tie else 1 if want else -1)
 
 
 @given(st.one_of(st.integers(-(1 << 80), 1 << 80),

@@ -120,6 +120,19 @@ def test_moments_theta_is_the_decimal_typed(capsys):
     assert chain["exact_value"] == brute and chain["context"]["theta"] == 0.2
 
 
+def test_moments_theta_keeps_every_digit_typed(capsys):
+    """--theta 0.20000000000000001 is just above 1/5, so 2^(theta omega) is
+    just above 2 and only |M(2310, j)| >= 3 counts; its double is 0.2."""
+    code, report, _ = run_cli(capsys, "moments", "--n", "2310", "--t", "2",
+                              "--all-checks", "--theta", "0.20000000000000001")
+    assert code == 0
+    profile = moments.divisor_profile(core.factorize(2310))
+    brute = sum(abs(moments.mertens_truncated(profile, j)) >= 3 for j in range(1, 2311))
+    assert brute == 18
+    assert report["results"]["threshold_count_chain"]["exact_value"] == brute
+    assert report["inputs"]["theta"] == "20000000000000001/100000000000000000"
+
+
 def test_unserializable_results_are_one_argument_report(capsys, monkeypatch):
     """A NaN in a command's results cannot be strict JSON: the run prints
     one error report instead, never a partial one."""
@@ -229,7 +242,7 @@ def test_error_report_keeps_the_pass_report_inputs(capsys, ok_argv, bad_argv):
     (["verify-eta", "--t", "x"], "'x'"),
     # theta outside (0, 1] is refused whether or not a check would read it
     (["moments", "--n", "30", "--t", "2", "--theta", "7"], "--theta must lie in (0, 1]"),
-    (["moments", "--n", "30", "--t", "3", "--all-checks", "--theta", "7"], "got 7.0"),
+    (["moments", "--n", "30", "--t", "3", "--all-checks", "--theta", "7"], "got 7"),
     # the sweep would run and --n would sit unread in the report's inputs
     (["energy", "--s", "2", "--n", "12", "--sweep", "10"], "exactly one of --n and --sweep"),
     # no threshold-count chain runs, so --theta would sit unread in the inputs

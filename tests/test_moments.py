@@ -16,7 +16,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import iv
+from mpmath import iv, mp, mpf
 
 from divlat import campaigns, certify, moments
 from divlat import (
@@ -555,6 +555,61 @@ def test_optimal_even_t():
     assert optimal_even_t(1.0, 56) == 4
     with pytest.raises(DomainError):
         optimal_even_t(0.1, 56)  # alpha - 1 = 4.35 > log 56
+
+
+def test_optimal_even_t_on_the_grid():
+    """On theta in {0.01, ..., 1.00} x omega in {1..399, 10^3, 10^4, 10^6,
+    10^9}: the hypothesis holds exactly where theta omega log 2 - 1 -
+    log omega is positive at 256 bits, and there the walk lands on the
+    256-bit argmin of f(t) = t (omega^(-1/t) - theta log 2) over even
+    t <= 2 ceil(t0) + 4."""
+    thetas = [i / 100 for i in range(1, 101)]
+    omegas = [*range(1, 400), 10 ** 3, 10 ** 4, 10 ** 6, 10 ** 9]
+    alpha = {theta: alpha_of_theta(theta) for theta in thetas}
+    with mp.workprec(256):
+        ln2 = mp.log(2)
+        log = {omega: mp.log(omega) for omega in omegas}
+        # t omega^(-1/t) for every even t the oracle reads (t0 < 19 here)
+        head = {omega: {t: t * mp.exp(-log[omega] / t) for t in range(2, 45, 2)}
+                for omega in omegas}
+        walked = 0
+        for theta in thetas:
+            c = mpf(theta) * ln2
+            for omega in omegas:
+                sign = omega * c - 1 - log[omega]
+                assert abs(sign) > mpf(2) ** -200
+                if sign < 0:
+                    with pytest.raises(DomainError):
+                        optimal_even_t(theta, omega)
+                    continue
+                t0 = math.log(omega) / (alpha[theta] - 1)
+                f = {t: head[omega][t] - t * c for t in range(2, 2 * math.ceil(t0) + 5, 2)}
+                assert optimal_even_t(theta, omega) == min(f, key=f.get), (theta, omega)
+                walked += 1
+    assert walked == 37_048
+
+
+def test_optimizer_hypothesis_at_the_doubles_around_its_edge():
+    """(1 + log 56) / (56 log 2) is the least theta at omega = 56: the
+    double below it fails the hypothesis and the double above holds it."""
+    with mp.workprec(256):
+        edge = (1 + mp.log(56)) / (56 * mp.log(2))
+        near = float(edge)
+        lo, hi = ((near, math.nextafter(near, 1)) if mpf(near) < edge
+                  else (math.nextafter(near, 0), near))
+        assert mpf(lo) < edge < mpf(hi)
+    with pytest.raises(DomainError):
+        moments._optimizer_hypothesis(lo, 56)
+    moments._optimizer_hypothesis(hi, 56)
+    assert optimal_even_t(hi, 56) == 2
+
+
+def test_optimal_even_t_reads_no_float_alpha(monkeypatch):
+    def refuse(theta):
+        raise AssertionError("float alpha read")
+
+    monkeypatch.setattr(moments, "alpha_of_theta", refuse)
+    assert [optimal_even_t(1.0, omega) for omega in (56, 10 ** 3, 10 ** 6)] == [4, 6, 12]
 
 
 def g_objective(theta, omega, t):
