@@ -55,7 +55,7 @@ from .moments import (
     H_chain_check,
     H_theta_exact,
     J_rho,
-    W_solve,
+    alpha_enclosure,
     alpha_of_theta,
     chain_check,
     corollary_bound,

@@ -24,13 +24,12 @@ PREC_CEILING, and it runs each `decide(level)` inside `iv_prec(level)`,
 so no decide sets the precision itself.  Its callers are
 `fraction_le_enclosure`, the one exact-versus-enclosure decision (it
 returns the verdict with the DEFAULT_PREC enclosure a report reads;
-`_le_pow2`, `moments.chain_check`, `moments.thm_bounds`, the alpha
-truncation check and the corollary hypothesis call it), the campaign
-escalation pass, the best-constant search and the two side conditions
-in `campaigns`, the even-t walk in `moments.optimal_even_t`, the
-interval path of
-`energy.vandermonde_positivity`, and the monotone-block search of
-`core.rosser_check`.
+`_le_pow2`, `moments.chain_check`, `moments.thm_bounds` and the
+corollary hypothesis call it), the campaign escalation pass, the
+best-constant search and the two side conditions in `campaigns`, the
+even-t walk in `moments.optimal_even_t`, the two-decimal alpha column
+of `cli tables`, the interval path of `energy.vandermonde_positivity`,
+and the monotone-block search of `core.rosser_check`.
 """
 
 from __future__ import annotations

@@ -16,9 +16,11 @@ and their agreement is used as a cross-check everywhere.
 
 Analytic bounds (the eta product, the closed-form moment bounds) are
 evaluated with upward-rounded enclosures: a bound comparison can fail
-only because the inequality fails, never because of rounding.  The
-alpha(theta) solution of exp(w)/w = x is a float from mpmath's Lambert W
-that no verdict reads; `alpha_truncation_holds` certifies its truncation.
+only because the inequality fails, never because of rounding.
+alpha(theta), the root of exp(w)/w = e / (theta log 2), is certified
+too: `alpha_enclosure` bisects a dyadic bracket at one precision level,
+and a reader that needs it narrower reads it at the next level of
+`certify.escalate`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
 
-from mpmath import iv, lambertw, mpf
+from mpmath import iv
 
 from . import campaigns
 from .certify import (
@@ -359,43 +361,38 @@ def thm_bounds(f: Factorization, t: int, moment: int) -> tuple[BoundReport, Boun
     return report(0), report(1)
 
 
-def W_solve(x: float) -> float:
-    """The solution w >= 1 of exp(w)/w = x, for x >= e.
+@lru_cache(maxsize=256)
+def alpha_enclosure(theta: float | Fraction, level: int) -> tuple[Fraction, Fraction]:
+    """Dyadic lo < hi around alpha(theta), bisected at `level` bits.
 
-    w = -W_{-1}(-1/x), the lower real branch of Lambert W (Corless et
-    al., Adv. Comput. Math. 5, 1996), by `mpmath.lambertw`.  Residual
-    guarantee: |exp(w)/w - x| <= 1e-12 x.
+    alpha is the root of g(w) = w - 1 - log w + log(theta log 2), which
+    increases on [1, inf) from g(1) = log(theta log 2) < 0.  hi doubles
+    from 2 until g(hi) > 0 is certified; [1, hi] is then bisected, keeping
+    g(lo) <= 0 < g(hi) certified, until the sign of g(mid) is undecided.
+    theta is read exactly (a float at its binary value, a Fraction as is).
     """
-    if x < math.e:
-        raise DomainError(f"exp(w)/w = x has no solution w >= 1 for x = {x} < e")
-    y = math.log(x)
-    if y <= 1.0:
-        # float e lies below the true e, so -1/x sits just past the branch point
-        return 1.0
-    w = float(-lambertw(-1 / mpf(x), -1).real)
-    # |exp(w)/w - x| / x = |expm1((w - log w) - log x)|, overflow-free
-    if abs(math.expm1((w - math.log(w)) - y)) > 1e-12:
-        raise ArithmeticError(f"Lambert W solve missed its residual bound for x = {x}")
-    return w
-
-
-def alpha_of_theta(theta: float) -> float:
-    """alpha(theta) = W(e / (theta log 2)) for theta in (0, 1]."""
     if not 0 < theta <= 1:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    return W_solve(math.e / (theta * math.log(2)))
+    with iv_prec(level):
+        c = iv.log(iv_exact(theta) * iv.ln2) - 1
+
+        def g_positive(w: Fraction) -> bool | None:
+            x = iv_exact(w)
+            g = x - iv.log(x) + c
+            return True if g.a > 0 else None if g.b > 0 else False
+
+        lo, hi = Fraction(1), Fraction(2)
+        while g_positive(hi) is not True:
+            hi *= 2
+        while (up := g_positive(mid := (lo + hi) / 2)) is not None:
+            lo, hi = (lo, mid) if up else (mid, hi)
+        return lo, hi
 
 
-def alpha_truncation_holds(theta: str, shown: str) -> bool:
-    """Certified: the decimal `shown` is alpha(theta) truncated to two places,
-    i.e. shown >= 1 and g(shown) <= 0 < g(shown + 0.01) for the increasing
-    g(w) = w - log(w e / (theta log 2)) on [1, inf), which vanishes at alpha."""
-    def g_le_0(w: Fraction) -> bool:  # w <= 1 + log(w / (theta log 2))
-        return fraction_le_enclosure(w, lambda level: 1 + iv.log(
-            iv_exact(w) / (iv_exact(Fraction(theta)) * iv.log(iv.mpf(2)))))[0]
-
-    lo = Fraction(shown)
-    return lo >= 1 and g_le_0(lo) and not g_le_0(lo + Fraction(1, 100))
+def alpha_of_theta(theta: float | Fraction) -> float:
+    """alpha(theta), the root w >= 1 of exp(w)/w = e / (theta log 2): the
+    float midpoint of its DEFAULT_PREC `alpha_enclosure`."""
+    return float(sum(alpha_enclosure(theta, DEFAULT_PREC)) / 2)
 
 
 def H_theta_exact(profile: DivisorProfile, theta: float | Fraction) -> int:
@@ -437,7 +434,7 @@ def H_chain_check(profile: DivisorProfile, theta: float | Fraction, t: int) -> B
     holds = scaled_le(h, q, lt)
     with iv_prec(DEFAULT_PREC):
         bound = iv.mpf(lt) * iv.exp(-iv.log(iv.mpf(2)) * iv_exact(q))
-    return _enclosure_report(h, bound, holds, {"n": profile.n, "theta": float(theta), "t": t,
+    return _enclosure_report(h, bound, holds, {"n": profile.n, "theta": theta, "t": t,
                                                "moment": lt, "check": "threshold-count-chain"})
 
 
@@ -484,7 +481,8 @@ def corollary_exponent(theta: float, omega: int) -> float:
     -(theta log2 / alpha) omega log(omega)
       + ((alpha-1)/(1-(alpha-1)/log omega))^3
         * omega / (exp((alpha-1)/(1+(alpha-1)/log omega)) log omega),
-    a float from the float alpha; the hypothesis on it is certified.
+    a float from `alpha_of_theta`, the midpoint of the certified alpha
+    enclosure (cached per theta); the hypothesis on alpha is certified.
     """
     if omega < 56:
         raise DomainError(f"bound stated for omega >= 56, got {omega}")
@@ -499,8 +497,5 @@ def corollary_exponent(theta: float, omega: int) -> float:
 
 def corollary_bound(theta: float, omega: int, n: int) -> float:
     """n exp(corollary_exponent); inf on float overflow (still an upper bound)."""
-    expo = corollary_exponent(theta, omega)
-    log_total = math.log(n) + expo
-    if log_total > 709.0:
-        return math.inf
-    return math.exp(log_total)
+    log_total = math.log(n) + corollary_exponent(theta, omega)
+    return math.inf if log_total > 709.0 else math.exp(log_total)

@@ -222,7 +222,7 @@ def test_no_decide_sets_its_own_precision():
     decides = [(path.name, node) for path in sorted(src.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name == "decide"]
-    assert len(decides) == 8
+    assert len(decides) == 9
     for name, node in decides:
         opened = [sub.lineno for sub in ast.walk(node)
                   if isinstance(sub, ast.Name) and sub.id == "iv_prec"]

@@ -2,10 +2,11 @@
 
 import importlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from divlat import campaigns, cli, core, moments
+from divlat import campaigns, certify, cli, core, moments
 from divlat.errors import DomainError, InconclusiveError
 
 REPORT_KEYS = {"command", "inputs", "results", "status", "timing_seconds"}
@@ -43,16 +44,39 @@ def test_tables_csv(capsys):
 
 
 def test_tables_alpha_verdict_is_certified(capsys, monkeypatch):
-    """A shown alpha that matches its reference but is not alpha's
-    truncation fails: alpha(0.3) = 3.94..., so 3.95 is refused."""
-    alpha = moments.alpha_of_theta
-    monkeypatch.setattr(moments, "alpha_of_theta", lambda th: 3.95 if th == 0.3 else alpha(th))
+    """The shown alpha is read off the certified enclosure, never off the
+    reference: alpha(0.3) = 3.94..., so a reference of 3.95 is refused."""
     monkeypatch.setitem(moments.ALPHA_REFERENCE, 0.3, 3.95)
     code, report, _ = run_cli(capsys, "tables")
     assert code == 1 and report["status"] == "fail"
     rows = {r[0]: r for r in report["results"]["alpha_table"]["rows"]}
-    assert rows[0.3][1:] == ["3.95", "3.95", "MISMATCH"]
+    assert rows[0.3][1:] == ["3.94", "3.95", "MISMATCH"]
     assert all(r[3] == "ok" for th, r in rows.items() if th != 0.3)
+
+
+def test_tables_alpha_escalates_while_the_ends_disagree(capsys, monkeypatch):
+    """A bracket straddling a hundredth is read again one precision level
+    up; one that straddles up to the ceiling is inconclusive (exit 2)."""
+    enclosure, seen = moments.alpha_enclosure, []
+
+    def straddle_below(ceiling: int):
+        def patched(theta, level):
+            if theta == Fraction(3, 10):
+                seen.append(level)
+                if level < ceiling:
+                    return Fraction(3939, 1000), Fraction(3941, 1000)
+            return enclosure(theta, level)
+        return patched
+
+    monkeypatch.setattr(moments, "alpha_enclosure", straddle_below(512))
+    code, report, _ = run_cli(capsys, "tables")
+    assert code == 0 and seen == [128, 256, 512]
+    assert report["results"]["alpha_table"]["rows"][2] == [0.3, "3.94", "3.94", "ok"]
+    monkeypatch.setattr(moments, "alpha_enclosure", straddle_below(2 * certify.PREC_CEILING))
+    code, report, _ = run_cli(capsys, "tables")
+    assert code == 2 and report["status"] == "inconclusive"
+    assert report["results"]["error_kind"] == "inconclusive"
+    assert "alpha(0.3) to 2 decimals" in report["results"]["error"]
 
 
 def test_moments_basic(capsys):
@@ -117,7 +141,7 @@ def test_moments_theta_is_the_decimal_typed(capsys):
     brute = sum(abs(moments.mertens_truncated(profile, j)) >= 2 for j in range(1, 2311))
     assert brute == 301
     chain = report["results"]["threshold_count_chain"]
-    assert chain["exact_value"] == brute and chain["context"]["theta"] == 0.2
+    assert chain["exact_value"] == brute and chain["context"]["theta"] == "1/5"
 
 
 def test_moments_theta_keeps_every_digit_typed(capsys):
@@ -129,8 +153,10 @@ def test_moments_theta_keeps_every_digit_typed(capsys):
     profile = moments.divisor_profile(core.factorize(2310))
     brute = sum(abs(moments.mertens_truncated(profile, j)) >= 3 for j in range(1, 2311))
     assert brute == 18
-    assert report["results"]["threshold_count_chain"]["exact_value"] == brute
+    chain = report["results"]["threshold_count_chain"]
+    assert chain["exact_value"] == brute
     assert report["inputs"]["theta"] == "20000000000000001/100000000000000000"
+    assert chain["context"]["theta"] == report["inputs"]["theta"]
 
 
 def test_unserializable_results_are_one_argument_report(capsys, monkeypatch):

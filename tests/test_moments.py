@@ -24,7 +24,7 @@ from divlat import (
     H_chain_check,
     H_theta_exact,
     J_rho,
-    W_solve,
+    alpha_enclosure,
     alpha_of_theta,
     chain_check,
     corollary_bound,
@@ -427,21 +427,38 @@ def test_exact_bounds_are_reported_rounded_up():
 
 
 # ---------------------------------------------------------------------------
-# W, alpha, H_theta
+# alpha, H_theta
 # ---------------------------------------------------------------------------
 
-def test_W_solve():
-    assert W_solve(math.e) == 1.0
-    for x in (math.e * (1 + 1e-12), math.e + 1e-9, 3.0, 5.7, 39.2, 1e6, 1e12):
-        w = W_solve(x)
-        assert abs(math.exp(w) / w - x) <= 1e-12 * x
-        assert w >= 1
-    # near the float ceiling exp(w) overflows; the relative residual
-    # contract still holds in its log-space form
-    big = W_solve(1e308)
-    assert abs(math.expm1((big - math.log(big)) - math.log(1e308))) <= 1e-12
-    with pytest.raises(DomainError):
-        W_solve(2.0)
+#: the theta grid of test_alpha_monotone
+ALPHA_GRID = [0.01 + 0.0099 * i for i in range(100)]
+
+
+def test_alpha_enclosure_brackets_the_root():
+    """g(lo) <= 0 < g(hi) at 256 bits for g(w) = w - 1 - log w + log(theta
+    log 2), which increases on [1, inf) and vanishes at alpha; the table's
+    thetas are read as the decimals it names."""
+    def exact(v) -> mpf:
+        q = Fraction(v)
+        return mpf(q.numerator) / q.denominator
+
+    thetas = [*ALPHA_GRID, *(Fraction(str(theta)) for theta in ALPHA_REFERENCE)]
+    with mp.workprec(256):
+        for theta in thetas:
+            lo, hi = alpha_enclosure(theta, certify.DEFAULT_PREC)
+            c = mp.log(exact(theta) * mp.log(2))
+            g_lo, g_hi = (exact(w) - 1 - mp.log(exact(w)) + c for w in (lo, hi))
+            assert 1 < lo < hi < lo + Fraction(1, 10 ** 30), theta
+            assert g_lo <= 0 < g_hi, theta
+
+
+def test_alpha_of_theta_matches_lambert_w():
+    """alpha = -W_{-1}(-theta log 2 / e), the lower real branch of Lambert W
+    (Corless et al., Adv. Comput. Math. 5, 1996), here an oracle only."""
+    with mp.workprec(113):
+        for theta in [*ALPHA_GRID, *ALPHA_REFERENCE]:
+            w = -mp.lambertw(-mpf(theta) * mp.log(2) / mp.e, -1).real
+            assert alpha_of_theta(theta) == pytest.approx(float(w), rel=1e-15, abs=0), theta
 
 
 def test_alpha_table_truncated():
@@ -451,7 +468,7 @@ def test_alpha_table_truncated():
 
 
 def test_alpha_monotone():
-    grid = [alpha_of_theta(0.01 + 0.0099 * i) for i in range(100)]
+    grid = [alpha_of_theta(theta) for theta in ALPHA_GRID]
     assert all(a > b for a, b in zip(grid, grid[1:]))
     with pytest.raises(ValueError):
         alpha_of_theta(0.0)
