@@ -18,9 +18,11 @@ Verification strategy (never a false pass):
    an i*u*sum budget, and the carried sum is Neumaier-compensated with
    an analytic 4u*|sum| allowance.  The campaigns and the constant
    search share this one pass, `_float_pass`;
-2. every k whose margin enclosure straddles zero is re-evaluated with
-   mpmath interval arithmetic by `certify.escalate`: at 128 bits, then
-   doubling up to the 4096-bit ceiling;
+2. every k whose margin enclosure straddles zero is re-evaluated by
+   `certify.escalate`: at 128 bits, then doubling up to the 4096-bit
+   ceiling.  At each level the eta product is enclosed by the integer
+   fixed-point kernel `eta_fixed_point` (no interval call per prime),
+   and its log and the right-hand sides by mpmath interval arithmetic;
 3. k still undecided at the ceiling make `certify.escalate` raise
    InconclusiveError, naming t, their count and the first of them.
 
@@ -254,22 +256,106 @@ def _c_required_mid(t: int, fac, lo, hi) -> tuple[np.ndarray, np.ndarray]:
             (hi + tail) / (fac * (1.0 - _REL_RHS)))
 
 
-def log_eta_sums(primes, t, ks) -> dict[int, "iv.mpf"]:
+def _pow_rounded(x: int, t: int, w: int, up: bool) -> tuple[int, int]:
+    """(m, e) with m 2^e >= x^t if up, else <= x^t, for integers x >= 0, t >= 1.
+
+    Binary exponentiation on mantissas cut to w bits, every cut rounded
+    in the one direction, so the bound holds at each product.
+    """
+    def cut(v: int, e: int) -> tuple[int, int]:
+        k = v.bit_length() - w
+        if k <= 0:
+            return v, e
+        return (-(-v >> k) if up else v >> k), e + k
+
+    m, e = 1, 0
+    b, be = cut(x, 0)
+    while True:
+        if t & 1:
+            m, e = cut(m * b, e + be)
+        t >>= 1
+        if not t:
+            return m, e
+        b, be = cut(b * b, 2 * be)
+
+
+def _root_bracket(p: int, t: int, f: int) -> tuple[int, int]:
+    """Integers s <= 2^f p^(-1/t) <= u, certified: s^t p <= 2^(tf) <= u^t p.
+
+    t = 2 takes an exact integer square root.  Otherwise a Newton
+    iteration on truncated powers, seeded from the float root and doubling
+    its good bits per step, estimates the root to about f + 8 bits; s and u
+    are then certified by powers rounded up and down on (f + 64 +
+    bitlength(t))-bit mantissas, each widened by one until its exact
+    integer comparison holds.
+    """
+    if t == 2:
+        s = math.isqrt((1 << 2 * f) // p)
+        return s, s + 1
+    tbits = t.bit_length()
+    lg = math.log2(p) / t
+    d = math.ceil(lg)  # the root at scale 2^g has g - d + 1 bits
+    bits = [f + 8 - d]
+    while bits[-1] > 40:  # the float seed is good to about 44 bits
+        bits.append((bits[-1] + tbits + 4) // 2 + 1)
+    bits.reverse()
+    y = int(math.ldexp(2.0 ** (d - lg), bits[0]))
+    for prev, b in zip(bits, bits[1:]):
+        # y += y (1 - p y^t 2^(-th)) / t at scale h = d + b
+        y <<= b - prev
+        m, e = _pow_rounded(y, t, b + 64 + tbits, False)
+        sh = t * (d + b) - e
+        y += (y * ((1 << sh) - p * m) >> sh) // t
+    top, w = t * f, f + 64 + tbits
+
+    def excess(x: int, up: bool) -> int:
+        """Sign of x^t p - 2^(tf), the power rounded up or down."""
+        m, e = _pow_rounded(x, t, w, up)
+        a, b = m * p << max(e - top, 0), 1 << max(top - e, 0)
+        return (a > b) - (a < b)
+
+    s = y >> 8
+    u = s + 1
+    while excess(s, True) > 0:
+        s -= 1
+    while excess(u, False) < 0:
+        u += 1
+    return s, u
+
+
+def eta_fixed_point(primes, t: int, ks, level: int) -> tuple[int, dict[int, tuple[int, int]]]:
+    """F = level + 32 and, at each k in ks, integers lo <= 2^F eta_k <= hi,
+    where eta_k = prod_{j<=k} (1 + primes[j-1]^(-1/t)).
+
+    divlat's one eta kernel: a running pass over primes[:max(ks)] that
+    brackets each term by `_root_bracket` and keeps lo rounded down and
+    hi rounded up, all in exact integer arithmetic.  t is an int >= 1.
+    """
+    if not isinstance(t, int) or t < 1:
+        raise ValueError(f"eta exponent must be an integer >= 1, got {t!r}")
+    f = level + 32
+    want = set(ks)
+    lo = hi = one = 1 << f
+    out = {0: (lo, hi)} if 0 in want else {}
+    for j, p in enumerate(map(int, primes[:max(ks)]), start=1):
+        s, u = _root_bracket(p, t, f)
+        lo = lo * (one + s) >> f
+        hi = -(-hi * (one + u) >> f)
+        if j in want:
+            out[j] = (lo, hi)
+    return f, out
+
+
+def log_eta_sums(primes, t: int, ks) -> dict[int, "iv.mpf"]:
     """Enclosures of sum_{j<=k} log(1 + primes[j-1]^(-1/t)) at each k in ks.
 
-    divlat's one interval log-eta sum: a running pass over primes[:max(ks)]
-    at the active precision (escalate's level inside a decide); t is any
-    real >= 1.
+    divlat's one interval log-eta sum: `eta_fixed_point` at the active
+    precision (escalate's level inside a decide), then one interval log
+    per k of [lo, hi] / 2^F.  t is an int >= 1.
     """
-    want = set(ks)
-    e = iv.mpf(-1) / t
-    total = iv.mpf(0)
-    out = {0: total} if 0 in want else {}
-    for j in range(max(ks)):
-        total += iv.log(1 + iv.exp(iv.log(iv.mpf(int(primes[j]))) * e))
-        if j + 1 in want:
-            out[j + 1] = total
-    return out
+    f, ends = eta_fixed_point(primes, t, ks, iv.prec)
+    scale = iv.mpf(1 << f)
+    return {k: iv.log(iv.mpf([lo, hi]) / scale) for k, (lo, hi) in ends.items()}
 
 
 def eta_log_enclosures(t: int, ks: list[int], table: PrimeTable) -> dict[int, "iv.mpf"]:

@@ -256,26 +256,25 @@ def J_rho(profile: DivisorProfile, rho: int) -> Fraction:
     return Fraction(total, n)
 
 
-def eta_log_interval(primes, t) -> "iv.mpf":
-    """Enclosure of log eta = sum over p of log(1 + p^(-1/t)).
+def eta_log_interval(primes, t: int) -> "iv.mpf":
+    """Enclosure of log eta = sum over p of log(1 + p^(-1/t)), t an int >= 1.
 
-    Evaluated at the active precision (iv_prec or escalate's level); t
-    may be any real >= 1 (converted exactly if int/float).  The sum is
-    `campaigns.log_eta_sums` over all of `primes`.
+    Evaluated at the active precision (iv_prec or escalate's level): the
+    sum is `campaigns.log_eta_sums` over all of `primes`.
     """
     return campaigns.log_eta_sums(primes, t, [len(primes)])[len(primes)]
 
 
-def eta(f: Factorization, t: float) -> float:
-    """eta(n,t) = prod over p|n of (1 + p^(-1/t)), rounded up.
+def eta(f: Factorization, t: int) -> float:
+    """eta(n,t) = prod over p|n of (1 + p^(-1/t)) for an int t >= 1, rounded up.
 
-    The reported float is a certified upper bound of the true product.
+    The reported float is a certified upper bound of the true product:
+    the least float at or above the upper end of `campaigns.eta_fixed_point`
+    at DEFAULT_PREC.
     """
-    if t < 1:
-        raise ValueError(f"eta exponent must be >= 1, got {t}")
     primes = [p for p, _ in f.factors]
-    with iv_prec(DEFAULT_PREC):
-        return interval_upper(iv.exp(eta_log_interval(primes, t)))
+    bits, ends = campaigns.eta_fixed_point(primes, t, [len(primes)], DEFAULT_PREC)
+    return exact_upper(Fraction(ends[len(primes)][1], 1 << bits))
 
 
 def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
@@ -283,7 +282,9 @@ def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
 
     The left comparison is exact rational; the right, J_{t-1} <= eta^t, is
     decided as middle <= t n eta^t (t n > 0) against the enclosure the
-    report's bound is read from, escalating precision on overlap.
+    report's bound is read from, escalating precision on overlap.  That
+    enclosure is [t n lo^t, t n hi^t] / 2^(tF) from the integer ends of
+    `campaigns.eta_fixed_point`, with no interval log or exp.
     """
     if t < 2:
         raise ValueError(f"chain check needs t >= 2, got {t}")
@@ -294,8 +295,13 @@ def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
     middle = t * n * J_rho(profile, t - 1)
     first_holds = Fraction(lt) <= middle
     primes = [p for p, _ in profile.factorization.factors]
-    second_holds, bound = fraction_le_enclosure(
-        middle, lambda level: iv.mpf(t * n) * iv.exp(eta_log_interval(primes, t) * t))
+
+    def eta_power(level: int) -> "iv.mpf":
+        bits, ends = campaigns.eta_fixed_point(primes, t, [len(primes)], level)
+        lo, hi = ends[len(primes)]
+        return iv.mpf([t * n * lo ** t, t * n * hi ** t]) / iv.mpf(1 << (t * bits))
+
+    second_holds, bound = fraction_le_enclosure(middle, eta_power)
     return _enclosure_report(lt, bound, first_holds and second_holds, {
         "n": n, "t": t, "middle": middle, "middle_holds": first_holds,
         "eta_holds": second_holds, "check": "moment-chain"})

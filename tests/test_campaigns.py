@@ -42,6 +42,8 @@ from divlat.campaigns import (
 )
 from divlat.moments import eta_log_interval
 
+from conftest import iv_log_eta_sums
+
 
 @pytest.mark.parametrize("mode", ["easy", "hard"])
 @pytest.mark.parametrize("t", [2, 3, 7])
@@ -84,7 +86,7 @@ def test_accumulator_encloses_truth(small_table):
     acc = EtaAccumulator(t=2)
     lo, hi = acc.extend(small_table.primes[:500])
     with iv_prec(128):
-        truth = eta_log_enclosures(2, [1, 137, 500], small_table)
+        truth = iv_log_eta_sums(small_table.primes, 2, [1, 137, 500])
     for k, enc in truth.items():
         assert lo[k - 1] <= float(enc.a) and float(enc.b) <= hi[k - 1]
     assert np.all(np.diff(lo) > 0)  # nondecreasing sums
@@ -113,7 +115,7 @@ def test_accumulator_arbitrary_slice_still_encloses(small_table):
     for cut in ((0, 17), (17, 4_113), (4_113, 10_000)):
         a2.extend(small_table.primes[cut[0]:cut[1]])
     with iv_prec(128):
-        truth = eta_log_enclosures(3, [10_000], small_table)[10_000]
+        truth = iv_log_eta_sums(small_table.primes, 3, [10_000])[10_000]
     for acc in (a1, a2):
         assert acc.lo <= float(truth.a) and float(truth.b) <= acc.hi
 
@@ -124,9 +126,9 @@ _PROPERTY_PRIMES = sieve_for_count(_PROPERTY_K).primes[:_PROPERTY_K]
 
 @lru_cache(maxsize=None)
 def outward_truth(t):
-    """Floats just outside the 256-bit enclosures of log_sum(t, k), k = 1..3000."""
+    """Floats just outside the 256-bit oracle enclosures of log_sum(t, k), k = 1..3000."""
     with iv_prec(256):
-        sums = log_eta_sums(_PROPERTY_PRIMES, t, range(1, _PROPERTY_K + 1))
+        sums = iv_log_eta_sums(_PROPERTY_PRIMES, t, range(1, _PROPERTY_K + 1))
     lo = [math.nextafter(float(sums[k].a), -math.inf) for k in range(1, _PROPERTY_K + 1)]
     hi = [math.nextafter(float(sums[k].b), math.inf) for k in range(1, _PROPERTY_K + 1)]
     return np.array(lo), np.array(hi)
@@ -146,6 +148,30 @@ def test_accumulator_encloses_256_bit_sums(t, data):
     truth_lo, truth_hi = outward_truth(t)
     assert np.all(lo <= truth_lo[:k]) and np.all(truth_hi[:k] <= hi)
     assert acc.k == k and acc.lo <= truth_lo[k - 1] and truth_hi[k - 1] <= acc.hi
+
+
+@pytest.mark.parametrize("level", [128, 512])
+@pytest.mark.parametrize("t", [2, 3, 7, 99, 100, 1000])
+def test_kernel_meets_the_interval_oracle(t, level):
+    """The integer kernel's log-eta enclosure overlaps the per-prime interval
+    sum's at every k, and is no wider."""
+    ks = [1, 2, 56, 300]
+    with iv_prec(level):
+        got = log_eta_sums(_PROPERTY_PRIMES, t, ks)
+        want = iv_log_eta_sums(_PROPERTY_PRIMES, t, ks)
+    for k in ks:
+        assert got[k].a <= want[k].b and want[k].a <= got[k].b, k
+        assert got[k].delta <= want[k].delta, k
+
+
+@given(st.sampled_from([int(p) for p in _PROPERTY_PRIMES]), st.integers(1, 1000),
+       st.sampled_from([40, 64, 160, 544]))
+@settings(max_examples=300, deadline=None)
+def test_root_bracket_is_certified(p, t, f):
+    """s <= 2^f p^(-1/t) <= u, checked with exact integer powers, and u - s <= 8."""
+    s, u = campaigns._root_bracket(p, t, f)
+    assert s ** t * p <= 1 << (t * f) <= u ** t * p
+    assert 0 < u - s <= 8
 
 
 def test_accumulator_width_budget(campaign_table):

@@ -276,32 +276,34 @@ def test_chain_check():
 def test_chain_check_encloses_eta_once_per_level(monkeypatch):
     """Wherever certify starts the ladder, eta^t is enclosed once at each
     level escalate tries, and `bound` comes from the first of them."""
-    from divlat import certify, moments
     levels = []
-    original = moments.eta_log_interval
+    original = campaigns.eta_fixed_point
 
-    def counted(primes, t):
-        levels.append(iv.prec)
-        return original(primes, t)
+    def counted(primes, t, ks, level):
+        levels.append(level)
+        return original(primes, t, ks, level)
 
     monkeypatch.setattr(certify, "DEFAULT_PREC", 64)
-    monkeypatch.setattr(moments, "eta_log_interval", counted)
+    monkeypatch.setattr(campaigns, "eta_fixed_point", counted)
     rep = chain_check(divisor_profile(30030), 3)
-    assert rep.holds and levels == [64 << i for i in range(len(levels))]
+    assert rep.holds and levels and levels == [64 << i for i in range(len(levels))]
 
 
 def test_chain_check_sums_log_eta_once(monkeypatch):
-    from divlat import moments
-    calls = []
-    original = moments.eta_log_interval
+    """One pass of the eta kernel over the six primes of 30030, and no
+    interval log or exp: the enclosure is built from its integer ends."""
+    calls, transcendental = [], []
+    original = campaigns.eta_fixed_point
 
-    def counted(primes, t):
-        calls.append(t)
-        return original(primes, t)
+    def counted(primes, t, ks, level):
+        calls.append((t, list(ks)))
+        return original(primes, t, ks, level)
 
-    monkeypatch.setattr(moments, "eta_log_interval", counted)
+    monkeypatch.setattr(campaigns, "eta_fixed_point", counted)
+    for name in ("log", "exp"):
+        monkeypatch.setattr(iv, name, lambda *a, name=name: transcendental.append(name))
     rep = chain_check(divisor_profile(30030), 3)
-    assert rep.holds and calls == [3]
+    assert rep.holds and calls == [(3, [6])] and transcendental == []
 
 
 @given(squarefree_subset_strategy(5), st.integers(2, 6))
@@ -541,8 +543,14 @@ def test_H_theta_primorials_and_domain():
 
 
 def test_eta_domain():
-    with pytest.raises(ValueError):
-        eta(factorize(6), 0.5)
+    """eta, eta_log_interval and log_eta_sums take an int t >= 1 only."""
+    for t in (0.5, 0, 2.0, 2.5, Fraction(3)):
+        with pytest.raises(ValueError):
+            eta(factorize(6), t)
+        with pytest.raises(ValueError):
+            moments.eta_log_interval([2, 3], t)
+        with pytest.raises(ValueError):
+            campaigns.log_eta_sums([2, 3], t, [2])
 
 
 def test_H_chain():
