@@ -41,6 +41,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,7 @@ def _pow_rounded(x: int, t: int, w: int, up: bool) -> tuple[int, int]:
         b, be = cut(b * b, 2 * be)
 
 
+@lru_cache(maxsize=4096)
 def _root_bracket(p: int, t: int, f: int) -> tuple[int, int]:
     """Integers s <= 2^f p^(-1/t) <= u, certified: s^t p <= 2^(tf) <= u^t p.
 
@@ -287,7 +289,8 @@ def _root_bracket(p: int, t: int, f: int) -> tuple[int, int]:
     its good bits per step, estimates the root to about f + 8 bits; s and u
     are then certified by powers rounded up and down on (f + 64 +
     bitlength(t))-bit mantissas, each widened by one until its exact
-    integer comparison holds.
+    integer comparison holds.  Pure in (p, t, f), so cached: a scan draws
+    its primes from a pool of 25 at t = 2..6.
     """
     if t == 2:
         s = math.isqrt((1 << 2 * f) // p)

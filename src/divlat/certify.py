@@ -15,21 +15,29 @@ one bracket, `_le_pow2`:
   comparing q against an enclosure of log2 rhs - log2 lhs;
 * still undecided at the ceiling -> InconclusiveError.
 
-mpmath interval comparisons return True/False/None; None means the
-enclosures overlap and the verdict must be sought at higher precision.
+`le_dyadic` is the one decision of an exact int or Fraction x against
+an analytic Y: each level gives integers lo 2^e <= Y <= hi 2^e, and x is
+compared with both ends by exact cross-multiplication.  It returns the
+verdict with the DEFAULT_PREC ends a report reads (`dyadic_upper`).
+`fraction_le_enclosure` is le_dyadic on the exact ends of an mpmath
+interval (`interval_ends`), never on their 53-bit floats.
+
+Elsewhere, mpmath interval comparisons return True/False/None; None
+means the enclosures overlap and the verdict must be sought at higher
+precision.
 
 `escalate` is the only doubling loop in divlat, and it owns the
 precision: its ladder is fixed at DEFAULT_PREC bits doubling up to
 PREC_CEILING, and it runs each `decide(level)` inside `iv_prec(level)`,
-so no decide sets the precision itself.  Its callers are
-`fraction_le_enclosure`, the one exact-versus-enclosure decision (it
-returns the verdict with the DEFAULT_PREC enclosure a report reads;
-`_le_pow2`, `moments.chain_check`, `moments.thm_bounds` and the
-corollary hypothesis call it), the campaign escalation pass, the
-best-constant search and the two side conditions in `campaigns`, the
-even-t walk in `moments.optimal_even_t`, the two-decimal alpha column
-of `cli tables`, the interval path of `energy.vandermonde_positivity`,
-and the monotone-block search of `core.rosser_check`.
+so no decide sets the precision itself.  Its callers are `le_dyadic`
+(called by `moments.chain_check` on the eta kernel's integer ends, by
+`moments.thm_bounds` on its cached exponentials, and through
+`fraction_le_enclosure` by `_le_pow2` and the corollary hypothesis),
+the campaign escalation pass, the best-constant search and the two side
+conditions in `campaigns`, the even-t walk in `moments.optimal_even_t`,
+the two-decimal alpha column of `cli tables`, the interval path of
+`energy.vandermonde_positivity`, and the monotone-block search of
+`core.rosser_check`.
 """
 
 from __future__ import annotations
@@ -140,32 +148,76 @@ def scaled_le(lhs: int, q, rhs: int) -> bool:
     return _le_pow2(lhs, Fraction(q), rhs)  # exact, floats included
 
 
+def le_dyadic(x: int | Fraction, make_ends: Callable[[int], tuple],
+              what: str = "rational vs dyadic ends") -> tuple[bool, tuple]:
+    """Certified x <= Y, with Y pinned by integers lo 2^e <= Y <= hi 2^e.
+
+    divlat's one exact-versus-enclosure decision.  `make_ends(level)` is
+    called inside escalate's iv_prec(level) and returns (lo, hi, e); an end
+    that is None (no finite bound) decides nothing.  x <= lo 2^e holds and
+    x > hi 2^e fails, by exact cross-multiplication; between them the next
+    level is tried.  Returns the verdict and the DEFAULT_PREC ends, the
+    first level escalate tries: the ones a report reads Y from.
+    """
+    num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
+    first = []
+
+    def decide(level: int) -> Optional[bool]:
+        lo, hi, e = ends = make_ends(level)
+        first.append(ends)
+        if lo is not None and _shift_le(num, -e, den * lo):
+            return True
+        if hi is not None and not _shift_le(num, -e, den * hi):
+            return False
+        return None
+
+    return escalate(decide, what=what), first[0]
+
+
+def interval_ends(y: "iv.mpf") -> tuple:
+    """Integers (lo, hi, e) with lo 2^e and hi 2^e exactly the ends of y,
+    read off its raw (sign, man, exp, bc) ends; a non-finite end is None."""
+    ends = []
+    for sign, man, exp, bc in y._mpi_:
+        # +-inf and nan have man 0 and bc < 0; zero has bc 0
+        ends.append(None if not man and bc else (-man if sign else man, exp))
+    e = min((end[1] for end in ends if end), default=0)
+    lo, hi = (end and end[0] << end[1] - e for end in ends)
+    return lo, hi, e
+
+
 def fraction_le_enclosure(x: int | Fraction, make_interval: Callable[[int], "iv.mpf"],
                           what: str = "rational vs enclosure") -> tuple[bool, "iv.mpf"]:
     """Certified x <= Y, with Y given by a precision-indexed enclosure.
 
     `make_interval(level)` is called inside escalate's iv_prec(level) and
-    must return an interval guaranteed to contain the true value of Y.
-    Returns the verdict and the DEFAULT_PREC enclosure, the first level
-    escalate tries: the one a report reads Y from.
+    must return an interval guaranteed to contain the true value of Y;
+    `le_dyadic` decides on its exact `interval_ends`.  Returns the verdict
+    and the DEFAULT_PREC enclosure: the one a report reads Y from.
     """
     enclosures = []
 
-    def decide(level: int) -> Optional[bool]:
-        y, xq = make_interval(level), iv_exact(x)
-        enclosures.append(y)
-        if (xq <= iv.mpf(y.a)) is True:
-            return True
-        if (xq > iv.mpf(y.b)) is True:
-            return False
-        return None
+    def ends(level: int) -> tuple:
+        enclosures.append(make_interval(level))
+        return interval_ends(enclosures[-1])
 
-    return escalate(decide, what=what), enclosures[0]
+    return le_dyadic(x, ends, what=what)[0], enclosures[0]
 
 
 def interval_upper(x) -> float:
     """Float upper bound of an mpmath interval (rounded away from zero)."""
     return math.nextafter(float(x.b), math.inf)
+
+
+def dyadic_upper(m: int, e: int) -> float:
+    """The least float >= m 2^e; inf past float range."""
+    s = max(abs(m).bit_length() - 53, 0)
+    try:
+        x = math.ldexp(-(-m >> s), e + s)  # ceil(m / 2^s) has at most 53 bits
+    except OverflowError:
+        return math.inf if m > 0 else math.nextafter(-math.inf, 0)
+    a, b = x.as_integer_ratio()  # ldexp rounds only below the normal range
+    return x if _shift_le(m * b, e, a) else math.nextafter(x, math.inf)
 
 
 def exact_upper(v: int | Fraction) -> float:

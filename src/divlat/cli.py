@@ -298,7 +298,7 @@ def _scan_one(rng: random.Random) -> dict:
         te = rng.choice([2, 4])
         check("threshold-count-chain",
               moments.H_chain_check(profile, theta, te).holds,
-              {"theta": float(theta), "t": te})
+              {"theta": _jsonable(theta), "t": te})
     s = rng.randint(2, SCAN_S_MAX)
     rep = energy(f, s)
     oracle_ok = f.tau ** (2 * s) > _ORACLE_BUDGET or brute_energy_oracle(n, s) == rep.energy

@@ -16,10 +16,10 @@ The sandwich for E_s(n) compares exact integers against exact rationals
 central binomials), so strictness/equality verdicts cannot be rounding
 artifacts.  The module also houses the supporting polynomial facts: the
 sign interpolants of minimal degree (exact Lagrange interpolation),
-generalized Vandermonde positivity (one Gaussian elimination, `_det`,
-over exact Fractions or over mpmath intervals, any size), the zero-sum
-count T_s, the asymptotics witness for the sandwich constants, and the
-sinc-power integral identity.
+generalized Vandermonde positivity (one fraction-free elimination,
+`_det`, over exact integers or over mpmath intervals, any size), the
+zero-sum count T_s, the asymptotics witness for the sandwich constants,
+and the sinc-power integral identity.
 """
 
 from __future__ import annotations
@@ -99,12 +99,14 @@ def R_convolution(s: int, alpha: int) -> int:
     return sum(c * c for c in composition_counts(s, alpha))
 
 
+@lru_cache(maxsize=256)
 def R_closed(s: int, alpha: int) -> int:
     """Closed-form kernel value
 
         sum_{v=1}^{s} (-1)^(s-v) C(2s, s-v) C((alpha+1)v + s - 1, 2s-1),
 
-    a polynomial in alpha; the production path inside energy().
+    a polynomial in alpha; the production path inside energy(), cached
+    per (s, alpha).
     """
     if s < 1 or alpha < 0:
         raise ValueError(f"need s >= 1 and alpha >= 0, got s={s}, alpha={alpha}")
@@ -139,25 +141,39 @@ def multinomial_identity_check(s: int, v: int) -> BoundReport:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Exact energy with the two-sided tau-power sandwich."""
+    """Exact energy with the two-sided tau-power sandwich.
+
+    The bounds tau^(2s-1) c^omega are built from `constants` = (c_lo, c_up)
+    only when read; the verdicts were decided without them.
+    """
 
     n: int
     s: int
     energy: int
-    lower_bound: Fraction
-    upper_bound: Fraction
+    tau_pow: int  # tau^(2s-1)
+    omega: int
+    constants: tuple[Fraction, Fraction]
     strict_lower_holds: bool
     upper_holds: bool
     upper_is_equality: bool
     holds: bool  # strict lower, upper, equality iff squarefree; not in the JSON
 
+    @property
+    def lower_bound(self) -> Fraction:
+        return self.tau_pow * self.constants[0] ** self.omega
+
+    @property
+    def upper_bound(self) -> Fraction:
+        return self.tau_pow * self.constants[1] ** self.omega
+
     def to_jsonable(self) -> dict:
+        lower, upper = self.lower_bound, self.upper_bound
         return {
             "n": self.n,
             "s": self.s,
             "energy": self.energy,
-            "lower_bound": f"{self.lower_bound.numerator}/{self.lower_bound.denominator}",
-            "upper_bound": f"{self.upper_bound.numerator}/{self.upper_bound.denominator}",
+            "lower_bound": f"{lower.numerator}/{lower.denominator}",
+            "upper_bound": f"{upper.numerator}/{upper.denominator}",
             "strict_lower_holds": self.strict_lower_holds,
             "upper_holds": self.upper_holds,
             "upper_is_equality": self.upper_is_equality,
@@ -178,6 +194,8 @@ def energy(f: Factorization, s: int) -> EnergyReport:
             <= tau^(2s-1) (C(2s,s)/2^(2s-1))^omega,
 
     all sides exact; the right side is an equality iff n is squarefree.
+    Each side is compared by integer cross-multiplication with the
+    constants' numerators and denominators.
     """
     if s < 2:
         raise ValueError(f"energy sandwich stated for s >= 2, got {s}")
@@ -187,16 +205,19 @@ def energy(f: Factorization, s: int) -> EnergyReport:
     for _, exp_ in f.factors:
         e_val *= R_closed(s, exp_)
     tau_pow = f.tau ** (2 * s - 1)
-    lo, up = _sandwich_constants(s)
-    lower = tau_pow * lo ** f.omega
-    upper = tau_pow * up ** f.omega
-    strict, fits, equal = lower < e_val, e_val <= upper, e_val == upper
+    lo, up = constants = _sandwich_constants(s)
+    om = f.omega
+    lower = tau_pow * lo.numerator ** om   # lower bound times lo.denominator^om
+    upper = tau_pow * up.numerator ** om   # upper bound times up.denominator^om
+    e_up = e_val * up.denominator ** om
+    strict, fits, equal = lower < e_val * lo.denominator ** om, e_up <= upper, e_up == upper
     return EnergyReport(
         n=f.n,
         s=s,
         energy=e_val,
-        lower_bound=lower,
-        upper_bound=upper,
+        tau_pow=tau_pow,
+        omega=om,
+        constants=constants,
         strict_lower_holds=strict,
         upper_holds=fits,
         upper_is_equality=equal,
@@ -495,16 +516,21 @@ def sign_lemma_check() -> CampaignResult:
 
 
 def _det(matrix: list[list]):
-    """Determinant by Gaussian elimination over Fraction or iv.mpf entries.
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968) over int, Fraction or iv.mpf entries.
 
-    The pivot is the first entry of its column that is provably nonzero
-    (an interval must exclude 0; mpmath's `!=` is not certified), and
-    every row swap flips the sign.  Returns None when some column has no
-    provable pivot: a singular exact matrix, or enclosures too wide.
+    Step k replaces each entry below and right of the pivot by the 2x2
+    minor with the pivot, divided by the previous pivot; over the ints
+    that division is exact.  The pivot is the first entry of its column
+    that is provably nonzero (an interval must exclude 0; mpmath's `!=`
+    is not certified), and every row swap flips the sign.  Returns None
+    when some column has no provable pivot: a singular exact matrix, or
+    enclosures too wide.
     """
     m = [row[:] for row in matrix]
     n = len(m)
-    det = 1
+    exact = all(type(v) is int for row in m for v in row)
+    sign, prev = 1, 1
     for col in range(n):
         piv = next((r for r in range(col, n)
                     if (m[r][col] > 0) is True or (m[r][col] < 0) is True), None)
@@ -512,14 +538,15 @@ def _det(matrix: list[list]):
             return None
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            det = -det
+            sign = -sign
         p = m[col][col]
-        det *= p
         for r in range(col + 1, n):
-            factor = m[r][col] / p
+            below = m[r][col]
             for c in range(col + 1, n):
-                m[r][c] -= factor * m[col][c]
-    return det
+                minor = m[r][c] * p - below * m[col][c]
+                m[r][c] = minor // prev if exact else minor / prev
+        prev = p
+    return sign * prev
 
 
 def vandermonde_positivity(u, x) -> BoundReport:
@@ -527,10 +554,11 @@ def vandermonde_positivity(u, x) -> BoundReport:
 
     Strictly positive for 0 <= u_1 < ... < u_l and 0 < x_1 < ... < x_l.
     Integer exponents with rational nodes give the exact determinant by
-    elimination over Fractions; anything else is eliminated in interval
-    arithmetic with escalation (InconclusiveError at the ceiling), where
-    int and Fraction entries are enclosed exactly rather than rounded to
-    float.  Both paths run the same `_det`, in O(l^3) operations.
+    elimination over the integers, each row scaled by den(x_i)^max(u);
+    anything else is eliminated in interval arithmetic with escalation
+    (InconclusiveError at the ceiling), where int and Fraction entries are
+    enclosed exactly rather than rounded to float.  Both paths run the
+    same `_det`, in O(l^3) operations.
     """
     ell = len(u)
     if ell == 0 or len(x) != ell:
@@ -544,8 +572,10 @@ def vandermonde_positivity(u, x) -> BoundReport:
                           for v in u)
     exact_nodes = all(isinstance(v, (int, Fraction)) for v in x)
     if exact_exponents and exact_nodes:
-        det = _det([[Fraction(xi) ** int(uj) for uj in u] for xi in x])
-        det = Fraction(0) if det is None else det
+        # row i times den(x_i)^max(u) is integral; those factors divide out
+        us, nodes = [int(uj) for uj in u], [xi.as_integer_ratio() for xi in x]
+        det = _det([[a ** uj * b ** (us[-1] - uj) for uj in us] for a, b in nodes])
+        det = Fraction(0 if det is None else det, math.prod(b for _, b in nodes) ** us[-1])
         return BoundReport(
             exact_value=det,
             bound_value=0.0,

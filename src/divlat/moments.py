@@ -37,13 +37,16 @@ from mpmath import iv
 from . import campaigns
 from .certify import (
     DEFAULT_PREC,
+    dyadic_upper,
     escalate,
     exact_upper,
     fraction_le_enclosure,
     int_vs_pow2,
+    interval_ends,
     interval_upper,
     iv_exact,
     iv_prec,
+    le_dyadic,
     scaled_le,
 )
 from .core import Factorization, binomial, divisor_table, factorize, primorial
@@ -201,9 +204,8 @@ def envelope_violations(profile: DivisorProfile) -> list[BoundReport]:
     return [pe_envelope_check(profile, z) for z, m, d in walk if not env[d][0] <= m <= env[d][1]]
 
 
-def _enclosure_report(exact: int, bound, holds: bool, context: dict) -> BoundReport:
-    """`exact` against a 128-bit bound enclosure, read at its upper end."""
-    value = interval_upper(bound)
+def _bound_report(exact: int, value: float, holds: bool, context: dict) -> BoundReport:
+    """`exact` against a bound reported as the float `value` (rounded up)."""
     slack = math.inf if value == math.inf else value - float(exact)
     return BoundReport(exact, value, slack, holds, context)
 
@@ -280,11 +282,11 @@ def eta(f: Factorization, t: int) -> float:
 def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
     """Verify |L_t(n)| <= t n J_{t-1}(n) <= t n eta(n,t)^t.
 
-    The left comparison is exact rational; the right, J_{t-1} <= eta^t, is
-    decided as middle <= t n eta^t (t n > 0) against the enclosure the
-    report's bound is read from, escalating precision on overlap.  That
-    enclosure is [t n lo^t, t n hi^t] / 2^(tF) from the integer ends of
-    `campaigns.eta_fixed_point`, with no interval log or exp.
+    The left comparison is exact; the right, J_{t-1} <= eta^t, is decided
+    as middle <= t n eta^t (t n > 0) by `certify.le_dyadic` on the integer
+    ends t n lo^t and t n hi^t at e = -tF of `campaigns.eta_fixed_point`,
+    escalating on overlap.  The report's bound is read off the
+    DEFAULT_PREC upper end, with no interval log or exp.
     """
     if t < 2:
         raise ValueError(f"chain check needs t >= 2, got {t}")
@@ -296,15 +298,22 @@ def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
     first_holds = Fraction(lt) <= middle
     primes = [p for p, _ in profile.factorization.factors]
 
-    def eta_power(level: int) -> "iv.mpf":
+    def eta_power(level: int) -> tuple[int, int, int]:
         bits, ends = campaigns.eta_fixed_point(primes, t, [len(primes)], level)
         lo, hi = ends[len(primes)]
-        return iv.mpf([t * n * lo ** t, t * n * hi ** t]) / iv.mpf(1 << (t * bits))
+        return t * n * lo ** t, t * n * hi ** t, -t * bits
 
-    second_holds, bound = fraction_le_enclosure(middle, eta_power)
-    return _enclosure_report(lt, bound, first_holds and second_holds, {
+    second_holds, (_, hi, e) = le_dyadic(middle, eta_power)
+    return _bound_report(lt, dyadic_upper(hi, e), first_holds and second_holds, {
         "n": n, "t": t, "middle": middle, "middle_holds": first_holds,
         "eta_holds": second_holds, "check": "moment-chain"})
+
+
+@lru_cache(maxsize=64)
+def _primorial_J(omega: int, rho: int) -> tuple[int, Fraction]:
+    """primorial(omega) and its exact J_rho, per (omega, rho)."""
+    top = primorial(omega)
+    return top, J_rho(divisor_profile(top), rho)
 
 
 def domination_check(profile: DivisorProfile, rho: int) -> BoundReport:
@@ -312,8 +321,7 @@ def domination_check(profile: DivisorProfile, rho: int) -> BoundReport:
     if not profile.is_squarefree:
         raise ValueError(f"domination check needs squarefree n, got {profile.n}")
     lhs = J_rho(profile, rho)
-    top = primorial(profile.omega)
-    rhs = J_rho(divisor_profile(top), rho)
+    top, rhs = _primorial_J(profile.omega, rho)
     return BoundReport(
         exact_value=lhs,
         bound_value=exact_upper(rhs),
@@ -325,8 +333,9 @@ def domination_check(profile: DivisorProfile, rho: int) -> BoundReport:
 
 
 @lru_cache(maxsize=256)
-def _thm_exponentials(omega: int, t: int, c: str, level: int) -> tuple["iv.mpf", "iv.mpf"]:
-    """exp of both moment-bound exponents, at `level` bits.
+def _thm_exponentials(omega: int, t: int, c: str, level: int) -> tuple[tuple, tuple]:
+    """exp of both moment-bound exponents, enclosed at `level` bits, as the
+    exact integer ends (lo, hi, e) of each enclosure.
 
     n enters thm_bounds only as a final factor, so these depend on
     (omega, t) and on C's decimal string, which is part of the key: a
@@ -338,7 +347,7 @@ def _thm_exponentials(omega: int, t: int, c: str, level: int) -> tuple["iv.mpf",
         else:
             pow_term = iv.exp(iv.log(iv.mpf(omega)) * (1 - iv.mpf(1) / t))
             expo1 = iv.mpf(c) * t * campaigns._hard_factor_iv(t, omega)
-        return iv.exp(expo1), iv.exp(t * pow_term)
+        return interval_ends(iv.exp(expo1)), interval_ends(iv.exp(t * pow_term))
 
 
 def thm_bounds(f: Factorization, t: int, moment: int) -> tuple[BoundReport, BoundReport]:
@@ -348,8 +357,9 @@ def thm_bounds(f: Factorization, t: int, moment: int) -> tuple[BoundReport, Boun
     Second: 2n exp(t omega^(1-1/t)) when t = 2 and omega <= 55,
             n exp(t omega^(1-1/t)) otherwise,
     with logplus(x) = log(max(x, 2)) and C = campaigns.ETA_CONSTANT_HI,
-    which the hard campaign certifies.  Each verdict is read off the
-    128-bit enclosure its bound is reported from, escalating on overlap.
+    which the hard campaign certifies.  Each verdict is decided by
+    `certify.le_dyadic` on the cached ends scaled by the integer factor,
+    escalating on overlap; the bound is reported from the 128-bit ends.
     """
     if t < 2:
         raise ValueError(f"moment bounds need t >= 2, got {t}")
@@ -360,9 +370,13 @@ def thm_bounds(f: Factorization, t: int, moment: int) -> tuple[BoundReport, Boun
     lt = abs(moment)
 
     def report(i: int) -> BoundReport:
-        holds, y = fraction_le_enclosure(
-            lt, lambda level: iv.mpf(scales[i]) * _thm_exponentials(om, t, c, level)[i])
-        return _enclosure_report(lt, y, holds, {"n": n, "t": t, "check": f"moment-bound-{i + 1}"})
+        def scaled(level: int) -> tuple:
+            lo, hi, e = _thm_exponentials(om, t, c, level)[i]
+            return scales[i] * lo, scales[i] * hi, e
+
+        holds, (_, hi, e) = le_dyadic(lt, scaled)
+        return _bound_report(lt, dyadic_upper(hi, e), holds,
+                             {"n": n, "t": t, "check": f"moment-bound-{i + 1}"})
 
     return report(0), report(1)
 
@@ -440,8 +454,8 @@ def H_chain_check(profile: DivisorProfile, theta: float | Fraction, t: int) -> B
     holds = scaled_le(h, q, lt)
     with iv_prec(DEFAULT_PREC):
         bound = iv.mpf(lt) * iv.exp(-iv.log(iv.mpf(2)) * iv_exact(q))
-    return _enclosure_report(h, bound, holds, {"n": profile.n, "theta": theta, "t": t,
-                                               "moment": lt, "check": "threshold-count-chain"})
+    return _bound_report(h, interval_upper(bound), holds, {
+        "n": profile.n, "theta": theta, "t": t, "moment": lt, "check": "threshold-count-chain"})
 
 
 def _optimizer_hypothesis(theta: float | Fraction, omega: int) -> None:

@@ -1,6 +1,7 @@
 """Eta-product campaigns: accumulator, checkpoints, verifiers, constant."""
 
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +29,7 @@ from divlat import (
     ln2_bound_check,
     rosser_check,
     sieve_for_count,
+    sieve_primes,
     verify_c_easy,
     verify_c_hard,
 )
@@ -162,6 +164,25 @@ def test_kernel_meets_the_interval_oracle(t, level):
     for k in ks:
         assert got[k].a <= want[k].b and want[k].a <= got[k].b, k
         assert got[k].delta <= want[k].delta, k
+
+
+def test_kernel_ends_contain_the_256_bit_sum():
+    """At level 8 (F = 40) the kernel's [lo, hi] / 2^F contains eta_k, whose
+    log the 256-bit per-prime interval sum encloses: a lo rounded up or a hi
+    rounded down by one unit of 2^-F breaks containment in about a sixth
+    of these cases."""
+    rng = random.Random(8)
+    pool = [int(p) for p in sieve_primes(30_000).primes]
+    for _ in range(300):
+        k, t = rng.randint(2, 4), rng.choice([2, 3, 5])
+        primes = rng.sample(pool, k)
+        f, ends = campaigns.eta_fixed_point(primes, t, [k], 8)
+        lo, hi = ends[k]
+        with iv_prec(256):
+            want = iv_log_eta_sums(primes, t, [k])[k]
+            scale = iv.mpf(2) ** f
+            assert (iv.log(iv.mpf(lo) / scale).b <= want.a) is True, (primes, t, "lo")
+            assert (want.b <= iv.log(iv.mpf(hi) / scale).a) is True, (primes, t, "hi")
 
 
 @given(st.sampled_from([int(p) for p in _PROPERTY_PRIMES]), st.integers(1, 1000),

@@ -14,6 +14,7 @@ power above it.
 
 import ast
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -245,6 +246,95 @@ def test_fraction_le_enclosure_returns_the_128_bit_enclosure(x, verdict):
     lo, hi = (Fraction(*to_rational(end._mpi_[0])) for end in (enc.a, enc.b))
     assert (lo, hi) == (1 - Fraction(1, 2 ** 128), 1 + Fraction(1, 2 ** 126))
     assert hi - lo == Fraction(5, 2 ** 128)  # a 256-bit enclosure is 2^-255 wide
+
+
+# dyadic ends lo 2^e <= hi 2^e, e reaching past both ends of float range
+_DYADIC_ENDS = st.tuples(st.integers(-(1 << 200), 1 << 200), st.integers(0, 1 << 70),
+                         st.integers(-1200, 1200)).map(lambda c: (c[0], c[0] + c[1], c[2]))
+# x at a fraction of the band's width from lo 2^e: below, on, inside or above it
+_BAND_POSITION = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]),
+                           st.fractions(-2, 3, max_denominator=1 << 20))
+
+
+def _dyadic(m: int, e: int) -> Fraction:
+    return m * Fraction(2) ** e
+
+
+@given(_DYADIC_ENDS, _BAND_POSITION, st.booleans(), st.booleans())
+@settings(max_examples=400, deadline=None)
+@example((3, 3, -2), Fraction(0), True, False)    # a point: x = lo 2^e holds at once
+@example((5, 7, 1000), Fraction(1), False, True)  # x = hi 2^e is inside the band
+def test_le_dyadic_against_the_exact_oracle(ends, position, integral, settle_low):
+    """Outside the band (lo 2^e, hi 2^e] the 128-bit ends decide, exactly as
+    x <= lo 2^e / not x <= hi 2^e; inside it the decision escalates and the
+    256-bit ends decide.  The ends handed back are the 128-bit ones."""
+    lo, hi, e = ends
+    low, high = _dyadic(lo, e), _dyadic(hi, e)
+    x = low + (high - low) * position
+    if integral:
+        x = math.floor(x)
+    y = lo if settle_low else hi  # Y pinned to one end of the band at 256 bits
+    tried = []
+
+    def make_ends(level: int):
+        tried.append(level)
+        return ends if level == 128 else (y, y, e)
+
+    holds, got = certify.le_dyadic(x, make_ends)
+    assert got == ends
+    if x <= low:
+        assert holds is True and tried == [128]
+    elif x > high:
+        assert holds is False and tried == [128]
+    else:
+        assert holds is (x <= _dyadic(y, e)) and tried == [128, 256]
+
+
+def test_le_dyadic_undecided_to_the_ceiling():
+    """An end that is None decides nothing; an x never separated from the
+    ends is InconclusiveError at the ceiling, every level tried."""
+    tried = []
+
+    def open_above(level: int):
+        tried.append(level)
+        return 1, None, 0
+
+    assert certify.le_dyadic(Fraction(1, 2), open_above) == (True, (1, None, 0))
+    with pytest.raises(InconclusiveError, match="probe undecidable"):
+        certify.le_dyadic(2, open_above, what="probe")
+    assert tried == [128] + [128 << i for i in range(6)]
+    assert certify.le_dyadic(2, lambda level: (None, 1, 0))[0] is False
+
+
+@given(st.integers(-(1 << 200), 1 << 200), st.integers(-1300, 1300))
+@settings(max_examples=400, deadline=None)
+@example(1, -1074)  # the least subnormal
+@example(1, -1075)  # below it: the least float above is the least subnormal
+@example((1 << 53) - 1, 971)  # the largest float
+@example(1 << 53, 971)  # past it: inf
+@example(-(1 << 60) - 1, 1000)  # below -max: the least float above is -max
+def test_dyadic_upper_is_the_least_float_above(m, e):
+    v = _dyadic(m, e)
+    up = certify.dyadic_upper(m, e)
+    if v > Fraction(sys.float_info.max):
+        assert up == math.inf
+        return
+    assert v <= Fraction(up)
+    below = math.nextafter(up, -math.inf)
+    assert below == -math.inf or Fraction(below) < v
+
+
+def test_interval_ends_are_read_exactly():
+    """The ends of iv.exp(3) at 128 bits, not their 53-bit roundings; a
+    non-finite end is None."""
+    with certify.iv_prec(128):
+        y = iv.exp(3)
+    lo, hi, e = certify.interval_ends(y)
+    assert (_dyadic(lo, e), _dyadic(hi, e)) == tuple(
+        Fraction(*to_rational(end)) for end in y._mpi_)
+    assert lo.bit_length() > 120 and 0 < hi - lo < 16
+    assert certify.interval_ends(iv.mpf([2, "inf"])) == (1, None, 1)
+    assert certify.interval_ends(iv.mpf([0, 0])) == (0, 0, 0)
 
 
 def test_bracket_decides_threshold_sweep(monkeypatch):

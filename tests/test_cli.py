@@ -372,6 +372,27 @@ def test_scan_detects_corrupted_constant(capsys, monkeypatch):
     assert "MINIMAL REPRODUCER" in err
 
 
+def test_scan_reproducer_names_the_theta_checked(capsys, monkeypatch):
+    """A failed threshold-count chain is recorded at the exact theta = x/10
+    it ran at, as "p/q", and that theta reproduces the failure."""
+    true_count = moments.H_theta_exact
+    monkeypatch.setattr(moments, "H_theta_exact", lambda profile, theta: profile.n ** 8)
+    code, report, err = run_cli(capsys, "scan", "--seed", "3", "--count", "10")
+    assert code == 1 and "MINIMAL REPRODUCER" in err
+    failures = [f for f in report["results"]["failures"]
+                if f["check"] == "threshold-count-chain"]
+    assert failures
+    for fail in failures:
+        theta = Fraction(fail["theta"])
+        assert fail["theta"] == f"{theta.numerator}/{theta.denominator}"
+        assert (10 * theta).denominator == 1 and 0 < theta <= 1
+        profile = moments.divisor_profile(fail["n"])
+        assert not moments.H_chain_check(profile, theta, fail["t"]).holds
+    monkeypatch.setattr(moments, "H_theta_exact", true_count)
+    assert all(moments.H_chain_check(moments.divisor_profile(f["n"]), Fraction(f["theta"]),
+                                     f["t"]).holds for f in failures)
+
+
 def test_sieve_ceiling_env(capsys, monkeypatch):
     monkeypatch.setenv("DIVLAT_SIEVE_LIMIT", "1000")
     code, report, _ = run_cli(capsys, "rosser", "--k-max", "100000")
