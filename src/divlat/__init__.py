@@ -22,9 +22,7 @@ from .core import (
 from .energy import (
     EnergyReport,
     ExactPolynomial,
-    R_brute,
     R_closed,
-    R_convolution,
     T_monotonicity_check,
     T_ratio,
     T_s,

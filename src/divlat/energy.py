@@ -5,11 +5,8 @@ multiplicative, with prime-power kernel
 
     R_s(a) = #{(a_1..a_2s) in {0..a}^2s : a_1+..+a_s = a_{s+1}+..+a_2s},
 
-computed here by three independent routes that serve as layered oracles:
-
-    R_brute        literal enumeration of tuple halves (ground truth)
-    R_convolution  squared coefficients of (1 + x + .. + x^a)^s
-    R_closed       alternating binomial closed form (production path)
+computed by `R_closed`, an alternating binomial closed form (the tests
+check it against tuple enumeration and squared composition counts).
 
 The sandwich for E_s(n) compares exact integers against exact rationals
 (tau^(2s-1) times per-prime constants built from Eulerian numbers and
@@ -19,7 +16,7 @@ sign interpolants of minimal degree (exact Lagrange interpolation),
 generalized Vandermonde positivity (one fraction-free elimination,
 `_det`, over exact integers or over mpmath intervals, any size), the
 zero-sum count T_s, the asymptotics witness for the sandwich constants,
-and the sinc-power integral identity.
+and the sinc-power integral identity, an exact rational equality.
 """
 
 from __future__ import annotations
@@ -32,25 +29,21 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 
-import numpy as np
 from mpmath import iv
 
 from .certify import escalate, exact_upper, iv_exact
 from .core import Factorization, binomial, divisors_sorted, eulerian, factorize
-from .errors import CapacityError, InconclusiveError
+from .errors import CapacityError
 from .reports import BoundReport, CampaignResult
 
-#: enumeration ceilings
-R_BRUTE_CAP = 10 ** 8
+#: enumeration ceiling of the tuple oracle
 ENERGY_ORACLE_CAP = 10 ** 8
-#: absolute error allowed in the sinc-power integral identity
-SINC_BUDGET = 1e-8
 #: sign interpolants are checked for lam = 1..SIGN_LEMMA_LAMBDA_MAX
 SIGN_LEMMA_LAMBDA_MAX = 6
 
 
 # ---------------------------------------------------------------------------
-# prime-power kernel, three routes
+# prime-power kernel
 # ---------------------------------------------------------------------------
 
 def composition_counts(s: int, alpha: int) -> list[int]:
@@ -68,35 +61,6 @@ def composition_counts(s: int, alpha: int) -> list[int]:
         coeffs = [prefix[min(i + 1, len(coeffs))] - prefix[max(0, i - alpha)]
                   for i in range(n_out)]
     return coeffs
-
-
-def R_brute(s: int, alpha: int) -> int:
-    """Ground-truth kernel count by enumeration of tuple halves.
-
-    Every s-tuple over {0..alpha} appears once in the enumerated sum
-    array; matching pairs are counted across the two halves.  Capped at
-    (alpha+1)^(2s) examined pairs.
-    """
-    if s < 1 or alpha < 0:
-        raise ValueError(f"need s >= 1 and alpha >= 0, got s={s}, alpha={alpha}")
-    if (alpha + 1) ** (2 * s) > R_BRUTE_CAP:
-        raise CapacityError(
-            f"(alpha+1)^(2s) = {(alpha + 1) ** (2 * s)} exceeds cap {R_BRUTE_CAP}")
-    sums = np.zeros(1, dtype=np.int64)
-    step = np.arange(alpha + 1, dtype=np.int64)
-    for _ in range(s):
-        sums = (sums[:, None] + step[None, :]).ravel()
-    ordered = np.sort(sums)
-    lo = np.searchsorted(ordered, sums, side="left")
-    hi = np.searchsorted(ordered, sums, side="right")
-    return int((hi - lo).sum())
-
-
-def R_convolution(s: int, alpha: int) -> int:
-    """Kernel count as the sum of squared composition counts."""
-    if s < 1 or alpha < 0:
-        raise ValueError(f"need s >= 1 and alpha >= 0, got s={s}, alpha={alpha}")
-    return sum(c * c for c in composition_counts(s, alpha))
 
 
 @lru_cache(maxsize=256)
@@ -329,75 +293,30 @@ def eulerian_asymptotic_gap(s_max: int) -> list[AsymptoticGapRow]:
     return rows
 
 
-def _gauss_legendre_panels(f, n_panels: int, nodes: int) -> float:
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    total = 0.0
-    for i in range(n_panels):
-        a, b = i * math.pi, (i + 1) * math.pi
-        xm = 0.5 * (b - a) * xs + 0.5 * (a + b)
-        total += 0.5 * (b - a) * float(np.dot(ws, f(xm)))
-    return total
-
-
 def sinc_integral_check(s: int) -> BoundReport:
     """Integral of (sin x / x)^(2s) over the line vs pi A(2s-1,s-1)/(2s-1)!.
 
-    For s = 1 the integral is the classical Dirichlet value pi and the
-    identity side is exactly pi as well, so no quadrature is needed.
-    For s >= 2 the even integrand is integrated over [0, X] with
-    Gauss-Legendre panels of width pi (node count doubled until the
-    estimate stabilizes), where X is chosen so the analytic tail bound
-    2 X^(1-2s)/(2s-1) fits inside half the error budget SINC_BUDGET.
-    The quadrature has no rigorous error bound, so every report carries
-    `"certified": False` in its context.
+    The integral has the classical closed form (Polya 1913; Medhurst and
+    Roberts, Math. Comp. 19, 1965)
+
+        pi / (2^(2s-1) (2s-1)!) * sum_{k<s} (-1)^k C(2s, k) (2s - 2k)^(2s-1),
+
+    so the identity holds exactly when that alternating sum, over its
+    denominator, equals the lower sandwich constant.  Both sides are
+    Fractions, compared by equality.
     """
     if not 1 <= s <= 8:
         raise ValueError(f"identity checked for 1 <= s <= 8, got {s}")
+    polya = Fraction(sum((-1) ** k * binomial(2 * s, k) * (2 * s - 2 * k) ** (2 * s - 1)
+                         for k in range(s)),
+                     2 ** (2 * s - 1) * math.factorial(2 * s - 1))
     ratio = _sandwich_constants(s)[0]
-    target = math.pi * float(ratio)
-    if s == 1:
-        return BoundReport(
-            exact_value=ratio,
-            bound_value=target,
-            slack=SINC_BUDGET,
-            holds=True,
-            context={"s": s, "method": "classical-closed-form",
-                     "estimate": math.pi, "check": "sinc-power-integral",
-                     "certified": False},
-        )
-
-    n_panels = 1
-    while 2 * (n_panels * math.pi) ** (1 - 2 * s) / (2 * s - 1) > SINC_BUDGET / 2:
-        n_panels += 1
-    tail = 2 * (n_panels * math.pi) ** (1 - 2 * s) / (2 * s - 1)
-
-    def f(x):
-        out = np.ones_like(x)
-        nz = x != 0
-        out[nz] = (np.sin(x[nz]) / x[nz]) ** (2 * s)
-        return out
-
-    nodes = 16
-    prev = _gauss_legendre_panels(f, n_panels, nodes)
-    est = None
-    while nodes <= 512:
-        nodes *= 2
-        est = _gauss_legendre_panels(f, n_panels, nodes)
-        if abs(est - prev) <= SINC_BUDGET / 8:
-            break
-        prev = est
-    else:
-        raise InconclusiveError(f"quadrature did not stabilize for s = {s}")
-    value = 2 * est + tail / 2
-    diff = abs(value - target)
     return BoundReport(
-        exact_value=ratio,
-        bound_value=value,
-        slack=SINC_BUDGET - diff,
-        holds=diff <= SINC_BUDGET,
-        context={"s": s, "estimate": value, "target": target,
-                 "panels": n_panels, "nodes": nodes, "tail_bound": tail,
-                 "check": "sinc-power-integral", "certified": False},
+        exact_value=polya,
+        bound_value=exact_upper(ratio),
+        slack=float(ratio - polya),
+        holds=polya == ratio,
+        context={"s": s, "rhs": ratio, "check": "sinc-power-integral", "certified": True},
     )
 
 

@@ -1,10 +1,21 @@
 """Shared fixtures (prime tables are expensive, so build them once) and the
-interval oracle for the eta kernel."""
+independent oracles the tests check the library against: the interval
+sum for the eta kernel, two routes to the energy kernel R_s, and a
+quadrature of the sinc-power integral."""
 
+import math
+
+import numpy as np
 import pytest
 from mpmath import iv
 
-from divlat import campaigns, sieve_for_count, sieve_primes
+from divlat import CapacityError, campaigns, sieve_for_count, sieve_primes
+from divlat.energy import composition_counts
+
+#: largest (alpha+1)^(2s) that R_brute enumerates
+R_BRUTE_CAP = 10 ** 8
+#: absolute error allowed in the sinc-power quadrature
+SINC_BUDGET = 1e-8
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +48,76 @@ def iv_log_eta_sums(primes, t, ks):
         if j + 1 in want:
             out[j + 1] = total
     return out
+
+
+def R_brute(s, alpha):
+    """Ground-truth energy kernel by enumeration of tuple halves.
+
+    Every s-tuple over {0..alpha} appears once in the enumerated sum
+    array; matching pairs are counted across the two halves.  Capped at
+    (alpha+1)^(2s) examined pairs.
+    """
+    if s < 1 or alpha < 0:
+        raise ValueError(f"need s >= 1 and alpha >= 0, got s={s}, alpha={alpha}")
+    if (alpha + 1) ** (2 * s) > R_BRUTE_CAP:
+        raise CapacityError(
+            f"(alpha+1)^(2s) = {(alpha + 1) ** (2 * s)} exceeds cap {R_BRUTE_CAP}")
+    sums = np.zeros(1, dtype=np.int64)
+    step = np.arange(alpha + 1, dtype=np.int64)
+    for _ in range(s):
+        sums = (sums[:, None] + step[None, :]).ravel()
+    ordered = np.sort(sums)
+    lo = np.searchsorted(ordered, sums, side="left")
+    hi = np.searchsorted(ordered, sums, side="right")
+    return int((hi - lo).sum())
+
+
+def R_convolution(s, alpha):
+    """Energy kernel as the sum of squared composition counts."""
+    if s < 1 or alpha < 0:
+        raise ValueError(f"need s >= 1 and alpha >= 0, got s={s}, alpha={alpha}")
+    return sum(c * c for c in composition_counts(s, alpha))
+
+
+def _gauss_legendre_panels(f, n_panels, nodes):
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for i in range(n_panels):
+        a, b = i * math.pi, (i + 1) * math.pi
+        xm = 0.5 * (b - a) * xs + 0.5 * (a + b)
+        total += 0.5 * (b - a) * float(np.dot(ws, f(xm)))
+    return total
+
+
+def sinc_quadrature(s):
+    """Float estimate of the integral of (sin x / x)^(2s) over the line.
+
+    For s = 1 it is the classical Dirichlet value pi.  For s >= 2 the even
+    integrand is integrated over [0, X] with Gauss-Legendre panels of
+    width pi (node count doubled until the estimate stabilizes), where X
+    is chosen so the analytic tail bound 2 X^(1-2s)/(2s-1) fits inside
+    half of SINC_BUDGET; half the tail is added back.  No rigorous error
+    bound: an oracle, not a certificate.
+    """
+    if s == 1:
+        return math.pi
+    n_panels = 1
+    while 2 * (n_panels * math.pi) ** (1 - 2 * s) / (2 * s - 1) > SINC_BUDGET / 2:
+        n_panels += 1
+    tail = 2 * (n_panels * math.pi) ** (1 - 2 * s) / (2 * s - 1)
+
+    def f(x):
+        out = np.ones_like(x)
+        nz = x != 0
+        out[nz] = (np.sin(x[nz]) / x[nz]) ** (2 * s)
+        return out
+
+    nodes = 16
+    prev = _gauss_legendre_panels(f, n_panels, nodes)
+    while nodes <= 512:
+        nodes *= 2
+        est = _gauss_legendre_panels(f, n_panels, nodes)
+        if abs(est - prev) <= SINC_BUDGET / 8:
+            return 2 * est + tail / 2
+        prev = est
+    raise AssertionError(f"quadrature did not stabilize for s = {s}")

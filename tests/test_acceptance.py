@@ -13,9 +13,7 @@ import pytest
 
 from divlat import (
     DomainError,
-    R_brute,
     R_closed,
-    R_convolution,
     T_monotonicity_check,
     T_ratio,
     alpha_of_theta,
@@ -40,9 +38,10 @@ from divlat import (
     verify_c_hard,
 )
 from divlat.certify import scaled_le
-from divlat.energy import R_BRUTE_CAP
 from divlat.moments import ALPHA_REFERENCE, H_theta_exact, H_chain_check, thm_bounds
 from divlat.moments import interval_sum_check, pe_envelope_check
+
+from conftest import R_BRUTE_CAP, R_brute, R_convolution, sinc_quadrature
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -241,17 +240,18 @@ def test_c09_energy():
 
 
 def test_c10_sinc_integral():
-    ok = True
+    ok = sinc_quadrature(1) == math.pi
     worst = 0.0
     for s in range(1, 9):
         rep = sinc_integral_check(s)
-        ok &= rep.holds
-        gap = abs(rep.context["estimate"]
-                  - math.pi * float(rep.exact_value)) if s > 1 else 0.0
+        ok &= rep.holds and rep.context["certified"] is True
+        gap = abs(sinc_quadrature(s) - math.pi * float(rep.exact_value))
+        ok &= gap <= 1e-8
         worst = max(worst, gap)
     verdict(10, ok,
-            f"sinc-power integral matches pi*A(2s-1,s-1)/(2s-1)! within 1e-8 "
-            f"for s = 1..8 (worst quadrature gap {worst:.2e}; s=1 classical)")
+            f"sinc-power integral factor equals A(2s-1,s-1)/(2s-1)! exactly (Polya "
+            f"sum) and the quadrature matches pi times it within 1e-8 for s = 1..8 "
+            f"(worst quadrature gap {worst:.2e}; s=1 classical)")
 
 
 def test_c11_asymptotics_witness():

@@ -1,18 +1,18 @@
 """Energy kernel routes, sandwich, polynomial facts, integrals."""
 
+import importlib
 import math
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divlat import (
     CapacityError,
-    R_brute,
     R_closed,
-    R_convolution,
     T_monotonicity_check,
     T_ratio,
     T_s,
@@ -31,6 +31,8 @@ from divlat import (
 )
 from divlat.certify import iv_exact, iv_prec
 from divlat.energy import ExactPolynomial, _det, composition_counts
+
+from conftest import R_brute, R_convolution, sinc_quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +185,23 @@ def test_asymptotic_gap_values():
 
 
 def test_sinc_integral():
-    one = sinc_integral_check(1)
-    assert one.holds and one.context["estimate"] == math.pi
-    two = sinc_integral_check(2)
-    assert two.holds
-    assert two.context["estimate"] == pytest.approx(2 * math.pi / 3, abs=1e-8)
-    five = sinc_integral_check(5)
-    assert five.holds
-    assert five.context["estimate"] == pytest.approx(
+    # the quadrature oracle lies within 1e-8 of pi times the exact factor
+    assert sinc_quadrature(1) == math.pi
+    assert sinc_quadrature(2) == pytest.approx(2 * math.pi / 3, abs=1e-8)
+    assert sinc_quadrature(5) == pytest.approx(
         math.pi * eulerian(9, 4) / math.factorial(9), abs=1e-8)
-    # the quadrature has no rigorous error bound, so no s claims one
-    assert all(sinc_integral_check(s).context["certified"] is False for s in range(1, 9))
+    for s in range(1, 9):
+        rep = sinc_integral_check(s)
+        assert rep.holds and rep.context["certified"] is True
+        assert rep.exact_value == Fraction(eulerian(2 * s - 1, s - 1), math.factorial(2 * s - 1))
+        assert sinc_quadrature(s) == pytest.approx(math.pi * rep.exact_value, abs=1e-8)
     with pytest.raises(ValueError):
         sinc_integral_check(9)
+
+
+def test_energy_module_imports_no_numpy():
+    module = importlib.import_module("divlat.energy")  # divlat.energy is the function
+    assert not any(v is numpy for v in vars(module).values())
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from mpmath import iv, mp, mpf
 from divlat import campaigns, certify, moments
 from divlat import (
     DomainError,
+    InconclusiveError,
     H_chain_check,
     H_theta_exact,
     J_rho,
@@ -304,6 +305,20 @@ def test_chain_check_sums_log_eta_once(monkeypatch):
         monkeypatch.setattr(iv, name, lambda *a, name=name: transcendental.append(name))
     rep = chain_check(divisor_profile(30030), 3)
     assert rep.holds and calls == [(3, [6])] and transcendental == []
+
+
+def test_chain_check_needs_the_lower_end_to_hold(monkeypatch):
+    """With eta's lower end dropped to 0 at every level, t n lo^t cannot
+    certify the middle, so the chain is undecided up to the ceiling."""
+    original = campaigns.eta_fixed_point
+
+    def no_lower_end(primes, t, ks, level):
+        bits, ends = original(primes, t, ks, level)
+        return bits, {k: (0, hi) for k, (_, hi) in ends.items()}
+
+    monkeypatch.setattr(campaigns, "eta_fixed_point", no_lower_end)
+    with pytest.raises(InconclusiveError):
+        chain_check(divisor_profile(30030), 4)
 
 
 @given(squarefree_subset_strategy(5), st.integers(2, 6))
@@ -612,6 +627,21 @@ def test_optimal_even_t_on_the_grid():
                 assert optimal_even_t(theta, omega) == min(f, key=f.get), (theta, omega)
                 walked += 1
     assert walked == 37_048
+
+
+def test_optimal_even_t_walks_again_after_an_open_step(monkeypatch):
+    """From a 4-bit start many steps of the walk are undecided; each must
+    send it one level up, so every answer is the 128-bit one."""
+    grid = [(Fraction(i, 20), omega) for i in range(1, 21) for omega in range(2, 60, 3)]
+    want = {}
+    for theta, omega in grid:
+        try:
+            want[theta, omega] = optimal_even_t(theta, omega)
+        except DomainError:
+            pass
+    monkeypatch.setattr(certify, "DEFAULT_PREC", 4)
+    assert len(want) > 100
+    assert {key: optimal_even_t(*key) for key in want} == want
 
 
 def test_optimizer_hypothesis_at_the_doubles_around_its_edge():
