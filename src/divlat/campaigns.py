@@ -48,7 +48,7 @@ import numpy as np
 from mpmath import iv
 from mpmath.libmp import to_str as _mpf_to_str
 
-from .certify import escalate, exact_upper, interval_upper
+from .certify import dyadic_upper, escalate, exact_upper, interval_ends
 from .core import PrimeTable, sieve_for_count
 from .errors import CapacityError
 from .reports import BoundReport, CampaignResult
@@ -601,10 +601,11 @@ def constant_C_search(table: PrimeTable) -> ConstantC:
 # ---------------------------------------------------------------------------
 
 def _side_report(lhs, rhs, holds: bool, context: dict) -> BoundReport:
-    """A decided lhs-vs-rhs enclosure pair: both sides read at their upper
-    ends, the slack at the lower end of rhs - lhs."""
-    return BoundReport(interval_upper(lhs), interval_upper(rhs), float((rhs - lhs).a),
-                       holds, context)
+    """A decided lhs-vs-rhs enclosure pair: both sides read as the least
+    float at or above their exact upper ends, the slack at the lower end
+    of rhs - lhs."""
+    lhs_up, rhs_up = (dyadic_upper(*interval_ends(y)[1:]) for y in (lhs, rhs))
+    return BoundReport(lhs_up, rhs_up, float((rhs - lhs).a), holds, context)
 
 
 def ln2_bound_check(t: int, k: int) -> BoundReport:

@@ -20,7 +20,8 @@ an analytic Y: each level gives integers lo 2^e <= Y <= hi 2^e, and x is
 compared with both ends by exact cross-multiplication.  It returns the
 verdict with the DEFAULT_PREC ends a report reads (`dyadic_upper`).
 `fraction_le_enclosure` is le_dyadic on the exact ends of an mpmath
-interval (`interval_ends`), never on their 53-bit floats.
+interval (`interval_ends`), never on their 53-bit floats, and returns
+the verdict alone.
 
 Elsewhere, mpmath interval comparisons return True/False/None; None
 means the enclosures overlap and the verdict must be sought at higher
@@ -31,8 +32,9 @@ precision: its ladder is fixed at DEFAULT_PREC bits doubling up to
 PREC_CEILING, and it runs each `decide(level)` inside `iv_prec(level)`,
 so no decide sets the precision itself.  Its callers are `le_dyadic`
 (called by `moments.chain_check` on the eta kernel's integer ends, by
-`moments.thm_bounds` on its cached exponentials, and through
-`fraction_le_enclosure` by `_le_pow2` and the corollary hypothesis),
+`moments.thm_bounds` on its cached exponentials, by
+`moments.H_chain_check` on the ends of L_t 2^-q, and through
+`fraction_le_enclosure` by `_le_pow2` and the optimizer hypothesis),
 the campaign escalation pass, the best-constant search and the two side
 conditions in `campaigns`, the even-t walk in `moments.optimal_even_t`,
 the two-decimal alpha column of `cli tables`, the interval path of
@@ -123,7 +125,7 @@ def _le_pow2(lhs: int, q: Fraction, rhs: int) -> bool:
         ln2 = iv.log(iv.mpf(2))
         return iv.log(iv.mpf(rhs)) / ln2 - iv.log(iv.mpf(lhs)) / ln2
 
-    return fraction_le_enclosure(q, log2_ratio, what=f"{lhs}*2^{float(q)} vs {rhs}")[0]
+    return fraction_le_enclosure(q, log2_ratio, what=f"{lhs}*2^{float(q)} vs {rhs}")
 
 
 def int_vs_pow2(m: int, q) -> int:
@@ -187,26 +189,14 @@ def interval_ends(y: "iv.mpf") -> tuple:
 
 
 def fraction_le_enclosure(x: int | Fraction, make_interval: Callable[[int], "iv.mpf"],
-                          what: str = "rational vs enclosure") -> tuple[bool, "iv.mpf"]:
+                          what: str = "rational vs enclosure") -> bool:
     """Certified x <= Y, with Y given by a precision-indexed enclosure.
 
     `make_interval(level)` is called inside escalate's iv_prec(level) and
     must return an interval guaranteed to contain the true value of Y;
-    `le_dyadic` decides on its exact `interval_ends`.  Returns the verdict
-    and the DEFAULT_PREC enclosure: the one a report reads Y from.
+    `le_dyadic` decides on its exact `interval_ends`.
     """
-    enclosures = []
-
-    def ends(level: int) -> tuple:
-        enclosures.append(make_interval(level))
-        return interval_ends(enclosures[-1])
-
-    return le_dyadic(x, ends, what=what)[0], enclosures[0]
-
-
-def interval_upper(x) -> float:
-    """Float upper bound of an mpmath interval (rounded away from zero)."""
-    return math.nextafter(float(x.b), math.inf)
+    return le_dyadic(x, lambda level: interval_ends(make_interval(level)), what=what)[0]
 
 
 def dyadic_upper(m: int, e: int) -> float:

@@ -43,11 +43,9 @@ from .certify import (
     fraction_le_enclosure,
     int_vs_pow2,
     interval_ends,
-    interval_upper,
     iv_exact,
     iv_prec,
     le_dyadic,
-    scaled_le,
 )
 from .core import Factorization, binomial, divisor_table, factorize, primorial
 from .errors import DomainError
@@ -276,7 +274,7 @@ def eta(f: Factorization, t: int) -> float:
     """
     primes = [p for p, _ in f.factors]
     bits, ends = campaigns.eta_fixed_point(primes, t, [len(primes)], DEFAULT_PREC)
-    return exact_upper(Fraction(ends[len(primes)][1], 1 << bits))
+    return dyadic_upper(ends[len(primes)][1], -bits)
 
 
 def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
@@ -445,16 +443,24 @@ def H_theta_exact(profile: DivisorProfile, theta: float | Fraction) -> int:
 
 
 def H_chain_check(profile: DivisorProfile, theta: float | Fraction, t: int) -> BoundReport:
-    """H_theta(n) <= L_t(n) / 2^(t theta omega) for even t."""
+    """H_theta(n) <= L_t(n) / 2^q, q = t theta omega, for even t, decided
+    by `certify.le_dyadic` on the ends of L_t 2^-q: exactly (L_t, L_t, -q)
+    at integral q, the one case where equality can hold, else those of
+    L_t exp(-q log 2); the report reads the DEFAULT_PREC upper end."""
     if t % 2 or t < 2:
         raise ValueError(f"chain needs even t >= 2, got {t}")
     h = H_theta_exact(profile, theta)
     lt = moment_by_parts(profile, t)  # >= 0 for even t
     q = Fraction(t) * Fraction(theta) * profile.omega
-    holds = scaled_le(h, q, lt)
-    with iv_prec(DEFAULT_PREC):
-        bound = iv.mpf(lt) * iv.exp(-iv.log(iv.mpf(2)) * iv_exact(q))
-    return _bound_report(h, interval_upper(bound), holds, {
+
+    def ends(level: int) -> tuple[int, int, int]:
+        if q.denominator == 1:
+            return lt, lt, -q.numerator
+        return interval_ends(iv.mpf(lt) * iv.exp(-iv_exact(q) * iv.ln2))
+
+    holds, (_, hi, e) = le_dyadic(
+        h, ends, what=f"threshold-count chain at n = {profile.n}, theta = {theta}, t = {t}")
+    return _bound_report(h, dyadic_upper(hi, e), holds, {
         "n": profile.n, "theta": theta, "t": t, "moment": lt, "check": "threshold-count-chain"})
 
 
@@ -468,7 +474,7 @@ def _optimizer_hypothesis(theta: float | Fraction, omega: int) -> None:
     if omega < 1 or fraction_le_enclosure(
             Fraction(theta) * omega,
             lambda level: (1 + iv.log(iv.mpf(omega))) / iv.ln2,
-            what="optimizer hypothesis")[0]:
+            what="optimizer hypothesis"):
         raise DomainError(f"hypothesis alpha-1 < log(omega) fails at theta = {theta}, "
                           f"omega = {omega}: theta omega <= (1 + log omega) / log 2")
 

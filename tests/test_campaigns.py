@@ -465,14 +465,17 @@ def test_ln2_bound():
         ln2_bound_check(100, 57)
 
 
-def test_side_condition_bounds_round_up():
-    """Every bound_value is at or above its bound evaluated at 300 bits."""
-    reports = [(induction_margin(t, hard_threshold(t) + 1, variant="hard"),
-                lambda k=hard_threshold(t) + 1: mp.log(k)) for t in range(2, 100)]
-    reports.append((ln2_bound_check(100, 56), lambda: mp.mpf("0.74") * 56))
-    with mp.workprec(300):
-        low = [r.context for r, bound in reports if not mp.mpf(r.bound_value) >= bound()]
-    assert low == []
+def test_side_condition_bounds_round_up(monkeypatch):
+    """Every bound_value is at or above its bound evaluated at 300 bits,
+    also when a 4-bit start leaves it to the wide ends of a low level."""
+    for start in (128, 4):
+        monkeypatch.setattr(certify, "DEFAULT_PREC", start)
+        reports = [(induction_margin(t, hard_threshold(t) + 1, variant="hard"),
+                    lambda k=hard_threshold(t) + 1: mp.log(k)) for t in range(2, 100)]
+        reports.append((ln2_bound_check(100, 56), lambda: mp.mpf("0.74") * 56))
+        with mp.workprec(300):
+            low = [r.context for r, bound in reports if not mp.mpf(r.bound_value) >= bound()]
+        assert low == [], start
 
 
 @pytest.mark.parametrize("check, args", [

@@ -25,7 +25,7 @@ from mpmath import iv
 from mpmath.libmp import to_rational
 
 from divlat import certify, moments
-from divlat.certify import BRACKET, escalate, int_vs_pow2, scaled_le
+from divlat.certify import BRACKET, escalate, fraction_le_enclosure, int_vs_pow2, scaled_le
 from divlat.errors import InconclusiveError
 
 #: denominators: small, odd, around and far past BRACKET
@@ -231,9 +231,9 @@ def test_no_decide_sets_its_own_precision():
 
 
 @pytest.mark.parametrize("x, verdict", [(Fraction(1), True), (1 + Fraction(1, 2 ** 199), False)])
-def test_fraction_le_enclosure_returns_the_128_bit_enclosure(x, verdict):
+def test_fraction_le_enclosure_returns_the_256_bit_verdict(x, verdict):
     """Y = 1 + 2^-200 overlaps x at 128 bits and separates at 256; the
-    verdict is 256's, the enclosure handed back is 128's."""
+    verdict, and only the verdict, is returned."""
     y = 1 + Fraction(1, 2 ** 200)
     tried = []
 
@@ -241,11 +241,8 @@ def test_fraction_le_enclosure_returns_the_128_bit_enclosure(x, verdict):
         tried.append(level)
         return certify.iv_exact(y) + iv.mpf([-1, 1]) * iv.mpf(2) ** -level
 
-    holds, enc = certify.fraction_le_enclosure(x, make_interval)
-    assert holds is verdict and tried == [128, 256]
-    lo, hi = (Fraction(*to_rational(end._mpi_[0])) for end in (enc.a, enc.b))
-    assert (lo, hi) == (1 - Fraction(1, 2 ** 128), 1 + Fraction(1, 2 ** 126))
-    assert hi - lo == Fraction(5, 2 ** 128)  # a 256-bit enclosure is 2^-255 wide
+    assert certify.fraction_le_enclosure(x, make_interval) is verdict
+    assert tried == [128, 256]
 
 
 # dyadic ends lo 2^e <= hi 2^e, e reaching past both ends of float range
@@ -338,13 +335,14 @@ def test_interval_ends_are_read_exactly():
 
 
 def test_bracket_decides_threshold_sweep(monkeypatch):
-    """H_chain_check at ten theta over squarefree n <= 500 reaches mpmath
-    a handful of times at most, out of thousands of non-integral q."""
-    escalations, fractional = [], []
+    """H_chain_check at ten theta over squarefree n <= 500: the threshold
+    counts reach mpmath a handful of times at most, out of thousands of
+    non-integral q, and every chain is decided on its 128-bit ends."""
+    fallbacks, fractional, chains = [], [], []
 
     def counted(*args, **kwargs):
-        escalations.append(kwargs.get("what"))
-        return escalate(*args, **kwargs)
+        fallbacks.append(kwargs.get("what"))
+        return fraction_le_enclosure(*args, **kwargs)
 
     def watch(fn, q_at):
         def wrapped(*args):
@@ -352,16 +350,29 @@ def test_bracket_decides_threshold_sweep(monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(certify, "escalate", counted)
+    def spy(decide, what="comparison"):
+        levels = []
+        if what.startswith("threshold-count chain"):
+            chains.append(levels)
+
+        def logged(level):
+            levels.append(level)
+            return decide(level)
+        return escalate(logged, what)
+
+    monkeypatch.setattr(certify, "fraction_le_enclosure", counted)
+    monkeypatch.setattr(certify, "escalate", spy)
     monkeypatch.setattr(moments, "int_vs_pow2", watch(int_vs_pow2, 1))
-    monkeypatch.setattr(moments, "scaled_le", watch(scaled_le, 1))
+    calls = 0
     for n in range(2, 501):
         profile = moments.divisor_profile(n)
         if profile.is_squarefree:
             for theta in [x / 10 for x in range(1, 11)]:
                 moments.H_chain_check(profile, theta, 2)
+                calls += 1
     assert sum(fractional) > 1000
-    assert len(escalations) <= 5, escalations
+    assert len(fallbacks) <= 5, fallbacks
+    assert len(chains) == calls and all(levels == [128] for levels in chains)
 
 
 def _prec_writes(tree: ast.AST):

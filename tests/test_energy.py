@@ -190,13 +190,14 @@ def test_sinc_integral():
     assert sinc_quadrature(2) == pytest.approx(2 * math.pi / 3, abs=1e-8)
     assert sinc_quadrature(5) == pytest.approx(
         math.pi * eulerian(9, 4) / math.factorial(9), abs=1e-8)
-    for s in range(1, 9):
+    for s in range(1, 41):
         rep = sinc_integral_check(s)
         assert rep.holds and rep.context["certified"] is True
         assert rep.exact_value == Fraction(eulerian(2 * s - 1, s - 1), math.factorial(2 * s - 1))
-        assert sinc_quadrature(s) == pytest.approx(math.pi * rep.exact_value, abs=1e-8)
+        if s <= 8:
+            assert sinc_quadrature(s) == pytest.approx(math.pi * rep.exact_value, abs=1e-8)
     with pytest.raises(ValueError):
-        sinc_integral_check(9)
+        sinc_integral_check(0)
 
 
 def test_energy_module_imports_no_numpy():

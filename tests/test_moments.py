@@ -583,8 +583,43 @@ def test_H_chain():
        st.sampled_from([2, 4]))
 @settings(max_examples=60, deadline=None)
 def test_H_chain_random(primes, theta, t):
-    n = math.prod(primes)
-    assert H_chain_check(divisor_profile(n), theta, t).holds
+    """Wherever certify starts the ladder, the chain holds and its bound
+    lies at or above L_t 2^-q at 300 bits; at integral q it is the least
+    float at or above L_t / 2^q, read off the exact ends."""
+    profile = divisor_profile(math.prod(primes))
+    q = t * Fraction(theta) * profile.omega
+    for start in (128, 8):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(certify, "DEFAULT_PREC", start)
+            rep = H_chain_check(profile, theta, t)
+        lt = rep.context["moment"]
+        assert rep.holds
+        with mp.workprec(300):
+            assert mpf(rep.bound_value) >= mpf(lt) * mp.power(2, -mpf(q.numerator) / q.denominator)
+        if q.denominator == 1:
+            assert rep.bound_value == certify.exact_upper(Fraction(lt, 2 ** q.numerator))
+
+
+def test_H_chain_decides_equality_exactly(monkeypatch):
+    """L_2(2310) = 2866 and q = 1 at theta = 1/10: with H forced to L_t / 2^q,
+    H 2^q = L_t holds on the exact ends, at 128 bits, and is reported as is."""
+    profile, theta = divisor_profile(2310), Fraction(1, 10)
+    lt, q = moment_by_parts(profile, 2), 1
+    assert lt % 2 ** q == 0
+    levels = []
+    escalate = certify.escalate
+
+    def spy(decide, what="comparison"):
+        def logged(level):
+            levels.append(level)
+            return decide(level)
+        return escalate(logged, what)
+
+    monkeypatch.setattr(moments, "H_theta_exact", lambda profile, theta: lt >> q)
+    monkeypatch.setattr(certify, "escalate", spy)
+    rep = H_chain_check(profile, theta, 2)
+    assert rep.holds and rep.bound_value == rep.exact_value == lt >> q == 1433
+    assert levels == [128]
 
 
 # ---------------------------------------------------------------------------
