@@ -36,18 +36,6 @@ from .energy import (
     vandermonde_positivity,
 )
 from .errors import CapacityError, DomainError, InconclusiveError
-from .campaigns import (
-    ConstantC,
-    EtaAccumulator,
-    concavity_threshold,
-    constant_C_search,
-    eta_constant_upper,
-    hard_threshold,
-    induction_margin,
-    ln2_bound_check,
-    verify_c_easy,
-    verify_c_hard,
-)
 from .moments import (
     DivisorProfile,
     H_chain_check,
@@ -76,3 +64,25 @@ from .moments import (
 from .reports import BoundReport, CampaignResult
 
 __version__ = "0.1.0"
+
+#: names of the float engine, `campaigns`, which alone loads numpy: they
+#: are read from it on first use, so `import divlat` loads no numpy
+_CAMPAIGN_NAMES = frozenset({
+    "ConstantC",
+    "EtaAccumulator",
+    "concavity_threshold",
+    "constant_C_search",
+    "eta_constant_upper",
+    "hard_threshold",
+    "induction_margin",
+    "ln2_bound_check",
+    "verify_c_easy",
+    "verify_c_hard",
+})
+
+
+def __getattr__(name: str):
+    if name in _CAMPAIGN_NAMES:
+        from . import campaigns
+        return getattr(campaigns, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

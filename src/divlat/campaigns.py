@@ -21,8 +21,9 @@ Verification strategy (never a false pass):
 2. every k whose margin enclosure straddles zero is re-evaluated by
    `certify.escalate`: at 128 bits, then doubling up to the 4096-bit
    ceiling.  At each level the eta product is enclosed by the integer
-   fixed-point kernel `eta_fixed_point` (no interval call per prime),
-   and its log and the right-hand sides by mpmath interval arithmetic;
+   fixed-point kernel `kernel.eta_fixed_point` (no interval call per
+   prime), and its log and the right-hand sides by mpmath interval
+   arithmetic;
 3. k still undecided at the ceiling make `certify.escalate` raise
    InconclusiveError, naming t, their count and the first of them.
 
@@ -32,6 +33,10 @@ deterministic: summation blocks are aligned to absolute k, so feeding
 the primes in slices cut at block multiples reproduces bit-identical
 enclosures, and a restarted run replays from k = 1 and verifies its
 stream against every stored state.
+
+This module is divlat's float engine and the one that imports numpy;
+the exact kernel, C and the interval hard factor live in `kernel` and
+are re-exported here.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -51,18 +55,22 @@ from mpmath.libmp import to_str as _mpf_to_str
 from .certify import dyadic_upper, escalate, exact_upper, interval_ends
 from .core import PrimeTable, sieve_for_count
 from .errors import CapacityError
+from .kernel import (  # noqa: F401  (re-exported; the campaigns read C through these names)
+    ETA_CONSTANT_AT,
+    ETA_CONSTANT_HI,
+    ETA_CONSTANT_LO,
+    _hard_factor_iv,
+    _pow_rounded,
+    _root_bracket,
+    eta_fixed_point,
+    log_eta_sums,
+)
 from .reports import BoundReport, CampaignResult
 
 #: per-t campaign thresholds for the hard inequality; t in 8..99 uses 8
 HARD_THRESHOLDS = {2: 3_750_230, 3: 1936, 4: 155, 5: 44, 6: 20, 7: 12}
 #: the exponents the best-constant search sweeps: the paper's t = 2..99
 SEARCH_T_RANGE = range(2, 100)
-
-#: certified enclosure of the best-possible constant, re-derived by
-#: constant_C_search (the test suite asserts containment)
-ETA_CONSTANT_LO = "1.0707347245501929454"
-ETA_CONSTANT_HI = "1.0707347245501929455"
-ETA_CONSTANT_AT = (2, 2149)
 
 CHECKPOINT_STRIDE = 100_000
 _PER_TERM_REL = 2.0 ** -47   # covers power + log1p evaluation error
@@ -228,13 +236,6 @@ def _hard_factor_mid(t: int, karr: np.ndarray) -> np.ndarray:
     return karr ** ex / (ex * logplus ** (1.0 / t))
 
 
-def _hard_factor_iv(t: int, k: int):
-    """Enclosure of _hard_factor_mid at one k, at the active precision."""
-    ex = 1 - iv.mpf(1) / t
-    logplus = iv.log(iv.mpf(max(k, 2)))
-    return iv.exp(iv.log(iv.mpf(k)) * ex) / (ex * iv.exp(iv.log(logplus) / t))
-
-
 def _rhs_iv(mode: str, t: int, k: int, c):
     """Enclosure of the easy (k^(1-1/t)) or hard (c * factor) rhs, less its tail."""
     if mode == "easy":
@@ -255,110 +256,6 @@ def _c_required_mid(t: int, fac, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     tail = math.log(t) / t if _has_tail("hard", t, None) else 0.0
     return ((lo + tail) * (1.0 - _REL_RHS) / fac,
             (hi + tail) / (fac * (1.0 - _REL_RHS)))
-
-
-def _pow_rounded(x: int, t: int, w: int, up: bool) -> tuple[int, int]:
-    """(m, e) with m 2^e >= x^t if up, else <= x^t, for integers x >= 0, t >= 1.
-
-    Binary exponentiation on mantissas cut to w bits, every cut rounded
-    in the one direction, so the bound holds at each product.
-    """
-    def cut(v: int, e: int) -> tuple[int, int]:
-        k = v.bit_length() - w
-        if k <= 0:
-            return v, e
-        return (-(-v >> k) if up else v >> k), e + k
-
-    m, e = 1, 0
-    b, be = cut(x, 0)
-    while True:
-        if t & 1:
-            m, e = cut(m * b, e + be)
-        t >>= 1
-        if not t:
-            return m, e
-        b, be = cut(b * b, 2 * be)
-
-
-@lru_cache(maxsize=4096)
-def _root_bracket(p: int, t: int, f: int) -> tuple[int, int]:
-    """Integers s <= 2^f p^(-1/t) <= u, certified: s^t p <= 2^(tf) <= u^t p.
-
-    t = 2 takes an exact integer square root.  Otherwise a Newton
-    iteration on truncated powers, seeded from the float root and doubling
-    its good bits per step, estimates the root to about f + 8 bits; s and u
-    are then certified by powers rounded up and down on (f + 64 +
-    bitlength(t))-bit mantissas, each widened by one until its exact
-    integer comparison holds.  Pure in (p, t, f), so cached: a scan draws
-    its primes from a pool of 25 at t = 2..6.
-    """
-    if t == 2:
-        s = math.isqrt((1 << 2 * f) // p)
-        return s, s + 1
-    tbits = t.bit_length()
-    lg = math.log2(p) / t
-    d = math.ceil(lg)  # the root at scale 2^g has g - d + 1 bits
-    bits = [f + 8 - d]
-    while bits[-1] > 40:  # the float seed is good to about 44 bits
-        bits.append((bits[-1] + tbits + 4) // 2 + 1)
-    bits.reverse()
-    y = int(math.ldexp(2.0 ** (d - lg), bits[0]))
-    for prev, b in zip(bits, bits[1:]):
-        # y += y (1 - p y^t 2^(-th)) / t at scale h = d + b
-        y <<= b - prev
-        m, e = _pow_rounded(y, t, b + 64 + tbits, False)
-        sh = t * (d + b) - e
-        y += (y * ((1 << sh) - p * m) >> sh) // t
-    top, w = t * f, f + 64 + tbits
-
-    def excess(x: int, up: bool) -> int:
-        """Sign of x^t p - 2^(tf), the power rounded up or down."""
-        m, e = _pow_rounded(x, t, w, up)
-        a, b = m * p << max(e - top, 0), 1 << max(top - e, 0)
-        return (a > b) - (a < b)
-
-    s = y >> 8
-    u = s + 1
-    while excess(s, True) > 0:
-        s -= 1
-    while excess(u, False) < 0:
-        u += 1
-    return s, u
-
-
-def eta_fixed_point(primes, t: int, ks, level: int) -> tuple[int, dict[int, tuple[int, int]]]:
-    """F = level + 32 and, at each k in ks, integers lo <= 2^F eta_k <= hi,
-    where eta_k = prod_{j<=k} (1 + primes[j-1]^(-1/t)).
-
-    divlat's one eta kernel: a running pass over primes[:max(ks)] that
-    brackets each term by `_root_bracket` and keeps lo rounded down and
-    hi rounded up, all in exact integer arithmetic.  t is an int >= 1.
-    """
-    if not isinstance(t, int) or t < 1:
-        raise ValueError(f"eta exponent must be an integer >= 1, got {t!r}")
-    f = level + 32
-    want = set(ks)
-    lo = hi = one = 1 << f
-    out = {0: (lo, hi)} if 0 in want else {}
-    for j, p in enumerate(map(int, primes[:max(ks)]), start=1):
-        s, u = _root_bracket(p, t, f)
-        lo = lo * (one + s) >> f
-        hi = -(-hi * (one + u) >> f)
-        if j in want:
-            out[j] = (lo, hi)
-    return f, out
-
-
-def log_eta_sums(primes, t: int, ks) -> dict[int, "iv.mpf"]:
-    """Enclosures of sum_{j<=k} log(1 + primes[j-1]^(-1/t)) at each k in ks.
-
-    divlat's one interval log-eta sum: `eta_fixed_point` at the active
-    precision (escalate's level inside a decide), then one interval log
-    per k of [lo, hi] / 2^F.  t is an int >= 1.
-    """
-    f, ends = eta_fixed_point(primes, t, ks, iv.prec)
-    scale = iv.mpf(1 << f)
-    return {k: iv.log(iv.mpf([lo, hi]) / scale) for k, (lo, hi) in ends.items()}
 
 
 def eta_log_enclosures(t: int, ks: list[int], table: PrimeTable) -> dict[int, "iv.mpf"]:

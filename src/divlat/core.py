@@ -22,13 +22,16 @@ import math
 import time
 from dataclasses import dataclass
 from functools import reduce
+from typing import TYPE_CHECKING
 
-import numpy as np
 from mpmath import iv
 
 from .certify import escalate
 from .errors import CapacityError
 from .reports import CampaignResult
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: hard ceiling on divisor enumeration (2^26 divisors ~ 0.5 GiB of ints)
 DIVISOR_CAP = 1 << 26
@@ -86,6 +89,8 @@ def sieve_primes(limit: int) -> PrimeTable:
     whatever the limit.  The first segment sieves itself; its primes up
     to sqrt(limit) then sieve every later segment.
     """
+    import numpy as np  # here, not at module level: `import divlat` loads no numpy
+
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if math.isqrt(limit) >= 2 * _SEGMENT:

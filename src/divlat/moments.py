@@ -34,7 +34,7 @@ from itertools import accumulate, count
 
 from mpmath import iv
 
-from . import campaigns
+from . import kernel
 from .certify import (
     DEFAULT_PREC,
     dyadic_upper,
@@ -260,20 +260,20 @@ def eta_log_interval(primes, t: int) -> "iv.mpf":
     """Enclosure of log eta = sum over p of log(1 + p^(-1/t)), t an int >= 1.
 
     Evaluated at the active precision (iv_prec or escalate's level): the
-    sum is `campaigns.log_eta_sums` over all of `primes`.
+    sum is `kernel.log_eta_sums` over all of `primes`.
     """
-    return campaigns.log_eta_sums(primes, t, [len(primes)])[len(primes)]
+    return kernel.log_eta_sums(primes, t, [len(primes)])[len(primes)]
 
 
 def eta(f: Factorization, t: int) -> float:
     """eta(n,t) = prod over p|n of (1 + p^(-1/t)) for an int t >= 1, rounded up.
 
     The reported float is a certified upper bound of the true product:
-    the least float at or above the upper end of `campaigns.eta_fixed_point`
+    the least float at or above the upper end of `kernel.eta_fixed_point`
     at DEFAULT_PREC.
     """
     primes = [p for p, _ in f.factors]
-    bits, ends = campaigns.eta_fixed_point(primes, t, [len(primes)], DEFAULT_PREC)
+    bits, ends = kernel.eta_fixed_point(primes, t, [len(primes)], DEFAULT_PREC)
     return dyadic_upper(ends[len(primes)][1], -bits)
 
 
@@ -282,7 +282,7 @@ def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
 
     The left comparison is exact; the right, J_{t-1} <= eta^t, is decided
     as middle <= t n eta^t (t n > 0) by `certify.le_dyadic` on the integer
-    ends t n lo^t and t n hi^t at e = -tF of `campaigns.eta_fixed_point`,
+    ends t n lo^t and t n hi^t at e = -tF of `kernel.eta_fixed_point`,
     escalating on overlap.  The report's bound is read off the
     DEFAULT_PREC upper end, with no interval log or exp.
     """
@@ -297,7 +297,7 @@ def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
     primes = [p for p, _ in profile.factorization.factors]
 
     def eta_power(level: int) -> tuple[int, int, int]:
-        bits, ends = campaigns.eta_fixed_point(primes, t, [len(primes)], level)
+        bits, ends = kernel.eta_fixed_point(primes, t, [len(primes)], level)
         lo, hi = ends[len(primes)]
         return t * n * lo ** t, t * n * hi ** t, -t * bits
 
@@ -337,14 +337,14 @@ def _thm_exponentials(omega: int, t: int, c: str, level: int) -> tuple[tuple, tu
 
     n enters thm_bounds only as a final factor, so these depend on
     (omega, t) and on C's decimal string, which is part of the key: a
-    changed campaigns.ETA_CONSTANT_HI is never served a stale enclosure.
+    changed kernel.ETA_CONSTANT_HI is never served a stale enclosure.
     """
     with iv_prec(level):
         if omega == 0:
             pow_term = expo1 = iv.mpf(0)
         else:
             pow_term = iv.exp(iv.log(iv.mpf(omega)) * (1 - iv.mpf(1) / t))
-            expo1 = iv.mpf(c) * t * campaigns._hard_factor_iv(t, omega)
+            expo1 = iv.mpf(c) * t * kernel._hard_factor_iv(t, omega)
         return interval_ends(iv.exp(expo1)), interval_ends(iv.exp(t * pow_term))
 
 
@@ -354,7 +354,7 @@ def thm_bounds(f: Factorization, t: int, moment: int) -> tuple[BoundReport, Boun
     First:  (1 + [t==2]) n exp( C t omega^(1-1/t) / ((1-1/t) logplus(omega)^(1/t)) )
     Second: 2n exp(t omega^(1-1/t)) when t = 2 and omega <= 55,
             n exp(t omega^(1-1/t)) otherwise,
-    with logplus(x) = log(max(x, 2)) and C = campaigns.ETA_CONSTANT_HI,
+    with logplus(x) = log(max(x, 2)) and C = kernel.ETA_CONSTANT_HI,
     which the hard campaign certifies.  Each verdict is decided by
     `certify.le_dyadic` on the cached ends scaled by the integer factor,
     escalating on overlap; the bound is reported from the 128-bit ends.
@@ -363,7 +363,7 @@ def thm_bounds(f: Factorization, t: int, moment: int) -> tuple[BoundReport, Boun
         raise ValueError(f"moment bounds need t >= 2, got {t}")
     if not f.is_squarefree:
         raise ValueError(f"moment bounds stated for squarefree n, got {f.n}")
-    om, n, c = f.omega, f.n, campaigns.ETA_CONSTANT_HI
+    om, n, c = f.omega, f.n, kernel.ETA_CONSTANT_HI
     scales = ((2 if t == 2 else 1) * n, (2 if t == 2 and om <= 55 else 1) * n)
     lt = abs(moment)
 
@@ -442,11 +442,21 @@ def H_theta_exact(profile: DivisorProfile, theta: float | Fraction) -> int:
     return total
 
 
+@lru_cache(maxsize=256)
+def _pow2_neg_ends(q: Fraction, level: int) -> tuple[int, int, int]:
+    """The exact integer ends (lo, hi, e) of exp(-q log 2) enclosed at
+    `level` bits, per (q, level): a threshold sweep meets only a few dozen
+    q = t theta omega, so each is exponentiated once."""
+    with iv_prec(level):
+        return interval_ends(iv.exp(-iv_exact(q) * iv.ln2))
+
+
 def H_chain_check(profile: DivisorProfile, theta: float | Fraction, t: int) -> BoundReport:
     """H_theta(n) <= L_t(n) / 2^q, q = t theta omega, for even t, decided
     by `certify.le_dyadic` on the ends of L_t 2^-q: exactly (L_t, L_t, -q)
-    at integral q, the one case where equality can hold, else those of
-    L_t exp(-q log 2); the report reads the DEFAULT_PREC upper end."""
+    at integral q, the one case where equality can hold, else the cached
+    ends of 2^-q scaled by the integer L_t (exact, so no wider than an
+    enclosure of the product); the report reads the DEFAULT_PREC upper end."""
     if t % 2 or t < 2:
         raise ValueError(f"chain needs even t >= 2, got {t}")
     h = H_theta_exact(profile, theta)
@@ -456,7 +466,8 @@ def H_chain_check(profile: DivisorProfile, theta: float | Fraction, t: int) -> B
     def ends(level: int) -> tuple[int, int, int]:
         if q.denominator == 1:
             return lt, lt, -q.numerator
-        return interval_ends(iv.mpf(lt) * iv.exp(-iv_exact(q) * iv.ln2))
+        lo, hi, e = _pow2_neg_ends(q, level)
+        return lt * lo, lt * hi, e
 
     holds, (_, hi, e) = le_dyadic(
         h, ends, what=f"threshold-count chain at n = {profile.n}, theta = {theta}, t = {t}")

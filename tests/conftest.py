@@ -1,7 +1,8 @@
 """Shared fixtures (prime tables are expensive, so build them once) and the
 independent oracles the tests check the library against: the interval
-sum for the eta kernel, two routes to the energy kernel R_s, and a
-quadrature of the sinc-power integral."""
+sum for the eta kernel, the threshold-count chain's bound as one interval
+product, two routes to the energy kernel R_s, and a quadrature of the
+sinc-power integral."""
 
 import math
 
@@ -10,6 +11,7 @@ import pytest
 from mpmath import iv
 
 from divlat import CapacityError, campaigns, sieve_for_count, sieve_primes
+from divlat.certify import DEFAULT_PREC, dyadic_upper, interval_ends, iv_exact, iv_prec
 from divlat.energy import composition_counts
 
 #: largest (alpha+1)^(2s) that R_brute enumerates
@@ -48,6 +50,14 @@ def iv_log_eta_sums(primes, t, ks):
         if j + 1 in want:
             out[j + 1] = total
     return out
+
+
+def chain_bound_oracle(lt, q):
+    """Independent oracle for the bound `moments.H_chain_check` reports at a
+    non-integral q: the least float at or above the upper end of the
+    DEFAULT_PREC interval product L_t exp(-q log 2)."""
+    with iv_prec(DEFAULT_PREC):
+        return dyadic_upper(*interval_ends(iv.mpf(lt) * iv.exp(-iv_exact(q) * iv.ln2))[1:])
 
 
 def R_brute(s, alpha):

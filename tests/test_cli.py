@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from divlat import campaigns, certify, cli, core, moments
+from divlat import campaigns, certify, cli, core, kernel, moments
 from divlat.errors import DomainError, InconclusiveError
 
 REPORT_KEYS = {"command", "inputs", "results", "status", "timing_seconds"}
@@ -362,8 +362,8 @@ def test_scan_deterministic(capsys):
 
 def test_scan_detects_corrupted_constant(capsys, monkeypatch):
     """A deliberately broken bound constant must surface a reproducer."""
-    monkeypatch.setattr(campaigns, "ETA_CONSTANT_LO", "0.10")
-    monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", "0.11")
+    monkeypatch.setattr(kernel, "ETA_CONSTANT_LO", "0.10")
+    monkeypatch.setattr(kernel, "ETA_CONSTANT_HI", "0.11")
     code, report, err = run_cli(capsys, "scan", "--seed", "3", "--count", "10")
     assert code == 1
     assert report["status"] == "fail"

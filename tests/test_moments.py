@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp, mpf
 
-from divlat import campaigns, certify, moments
+from divlat import campaigns, certify, kernel, moments
 from divlat import (
     DomainError,
     InconclusiveError,
@@ -48,8 +48,10 @@ from divlat import (
     tau_trunc,
     tau_trunc_check,
 )
-from divlat.certify import iv_prec
+from divlat.certify import interval_ends, iv_prec
 from divlat.moments import ALPHA_REFERENCE, thm_bounds
+
+from conftest import chain_bound_oracle
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -278,14 +280,14 @@ def test_chain_check_encloses_eta_once_per_level(monkeypatch):
     """Wherever certify starts the ladder, eta^t is enclosed once at each
     level escalate tries, and `bound` comes from the first of them."""
     levels = []
-    original = campaigns.eta_fixed_point
+    original = kernel.eta_fixed_point
 
     def counted(primes, t, ks, level):
         levels.append(level)
         return original(primes, t, ks, level)
 
     monkeypatch.setattr(certify, "DEFAULT_PREC", 64)
-    monkeypatch.setattr(campaigns, "eta_fixed_point", counted)
+    monkeypatch.setattr(kernel, "eta_fixed_point", counted)
     rep = chain_check(divisor_profile(30030), 3)
     assert rep.holds and levels and levels == [64 << i for i in range(len(levels))]
 
@@ -294,13 +296,13 @@ def test_chain_check_sums_log_eta_once(monkeypatch):
     """One pass of the eta kernel over the six primes of 30030, and no
     interval log or exp: the enclosure is built from its integer ends."""
     calls, transcendental = [], []
-    original = campaigns.eta_fixed_point
+    original = kernel.eta_fixed_point
 
     def counted(primes, t, ks, level):
         calls.append((t, list(ks)))
         return original(primes, t, ks, level)
 
-    monkeypatch.setattr(campaigns, "eta_fixed_point", counted)
+    monkeypatch.setattr(kernel, "eta_fixed_point", counted)
     for name in ("log", "exp"):
         monkeypatch.setattr(iv, name, lambda *a, name=name: transcendental.append(name))
     rep = chain_check(divisor_profile(30030), 3)
@@ -310,13 +312,13 @@ def test_chain_check_sums_log_eta_once(monkeypatch):
 def test_chain_check_needs_the_lower_end_to_hold(monkeypatch):
     """With eta's lower end dropped to 0 at every level, t n lo^t cannot
     certify the middle, so the chain is undecided up to the ceiling."""
-    original = campaigns.eta_fixed_point
+    original = kernel.eta_fixed_point
 
     def no_lower_end(primes, t, ks, level):
         bits, ends = original(primes, t, ks, level)
         return bits, {k: (0, hi) for k, (_, hi) in ends.items()}
 
-    monkeypatch.setattr(campaigns, "eta_fixed_point", no_lower_end)
+    monkeypatch.setattr(kernel, "eta_fixed_point", no_lower_end)
     with pytest.raises(InconclusiveError):
         chain_check(divisor_profile(30030), 4)
 
@@ -366,11 +368,11 @@ def test_thm_bounds_follows_patched_constant(monkeypatch):
         return tuple(r.bound_value for r in thm_bounds(f, 3, 0))
 
     b1, b2 = values()
-    monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", "1.5")
+    monkeypatch.setattr(kernel, "ETA_CONSTANT_HI", "1.5")
     p1, p2 = values()
     assert p1 > b1 and p2 == b2
-    monkeypatch.setattr(campaigns, "ETA_CONSTANT_LO", "0.10")
-    monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", "0.11")
+    monkeypatch.setattr(kernel, "ETA_CONSTANT_LO", "0.10")
+    monkeypatch.setattr(kernel, "ETA_CONSTANT_HI", "0.11")
     assert values()[0] < b1
     monkeypatch.undo()
     assert values() == (b1, b2)
@@ -598,6 +600,49 @@ def test_H_chain_random(primes, theta, t):
             assert mpf(rep.bound_value) >= mpf(lt) * mp.power(2, -mpf(q.numerator) / q.denominator)
         if q.denominator == 1:
             assert rep.bound_value == certify.exact_upper(Fraction(lt, 2 ** q.numerator))
+
+
+def test_H_chain_exponentiates_each_q_once(monkeypatch):
+    """The ends of 2^-q are cached per (q, level): a second chain at the same
+    (omega, theta, t) with non-integral q takes no interval exp."""
+    theta, t = Fraction(1, 3), 2  # q = 2 omega / 3, non-integral at omega = 5
+    calls = []
+    exp = iv.exp
+    monkeypatch.setattr(iv, "exp", lambda x: calls.append(x) or exp(x))
+    moments._pow2_neg_ends.cache_clear()
+    first = H_chain_check(divisor_profile(2310), theta, t)
+    assert first.holds and calls
+    calls.clear()
+    second = H_chain_check(divisor_profile(3 * 5 * 7 * 11 * 13), theta, t)
+    assert second.holds and calls == []
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(0.3) * 10, Fraction(2, 7) * 13,
+                               Fraction(41, 10), Fraction(1, 2 ** 60) * 3])
+def test_pow2_ends_enclose_the_power(q):
+    """At levels far below and above DEFAULT_PREC the cached ends of 2^-q
+    contain its enclosure at 300 bits, or at level + 64 bits past that."""
+    for level in (8, 128, 512):
+        with iv_prec(max(300, level + 64)):
+            tlo, thi, te = interval_ends(iv.exp(-certify.iv_exact(q) * iv.ln2))
+        lo, hi, e = moments._pow2_neg_ends(q, level)
+        assert lo * Fraction(2) ** e <= tlo * Fraction(2) ** te
+        assert thi * Fraction(2) ** te <= hi * Fraction(2) ** e
+
+
+def test_H_chain_bound_matches_the_interval_product():
+    """On a grid of n, theta and t the reported bound is the oracle's
+    L_t exp(-q log 2) rounded up where q is not an integer, and the least
+    float at or above L_t / 2^q where it is."""
+    for n in (6, 30, 210, 2310, 4199, 30030, 39270):
+        profile = divisor_profile(n)
+        for theta in [x / 10 for x in range(1, 11)] + [Fraction(3, 10), Fraction(1, 3)]:
+            for t in (2, 4, 6):
+                rep = H_chain_check(profile, theta, t)
+                lt, q = rep.context["moment"], t * Fraction(theta) * profile.omega
+                want = (certify.exact_upper(Fraction(lt, 2 ** q.numerator))
+                        if q.denominator == 1 else chain_bound_oracle(lt, q))
+                assert rep.bound_value == want, (n, theta, t)
 
 
 def test_H_chain_decides_equality_exactly(monkeypatch):
