@@ -16,8 +16,9 @@ Verification strategy (never a false pass):
 1. bulk pass in float64 with explicit error envelopes: per-term
    evaluation gets a 2^-47 relative budget, block-local cumulative sums
    an i*u*sum budget, and the carried sum is Neumaier-compensated with
-   an analytic 4u*|sum| allowance.  The campaigns and the constant
-   search share this one pass, `_float_pass`;
+   an analytic 4u*|sum| allowance; ends move outward by one integer step
+   of their bit patterns (positive normal floats only, else a raise).
+   The campaigns and the constant search share this one pass, `_float_pass`;
 2. every k whose margin enclosure straddles zero is re-evaluated by
    `certify.escalate`: at 128 bits, then doubling up to the 4096-bit
    ceiling.  At each level the eta product is enclosed by the integer
@@ -76,6 +77,30 @@ CHECKPOINT_STRIDE = 100_000
 _PER_TERM_REL = 2.0 ** -47   # covers power + log1p evaluation error
 _REL_RHS = 2.0 ** -40        # envelope for the composed right-hand sides
 _U = 2.0 ** -53
+_EXP_BITS = 0x7FF0_0000_0000_0000
+_NORMAL = np.finfo(np.float64)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    """x's int64 bit patterns; raises unless x is positive, normal and finite."""
+    if x.size and not (x.min() >= _NORMAL.tiny and x.max() <= _NORMAL.max):  # NaN fails both
+        raise ValueError("bit-level rounding needs positive normal finite floats")
+    return x.view(np.int64)
+
+
+def _next_up(x: np.ndarray) -> np.ndarray:
+    """np.nextafter(x, inf), by one step of the bit pattern."""
+    return (_bits(x) + 1).view(np.float64)
+
+
+def _next_down(x: np.ndarray) -> np.ndarray:
+    """np.nextafter(x, -inf), by one step of the bit pattern."""
+    return (_bits(x) - 1).view(np.float64)
+
+
+def _ulp(x: np.ndarray) -> np.ndarray:
+    """np.spacing(x): the exponent bits of x times 2^-52."""
+    return (_bits(x) & _EXP_BITS).view(np.float64) * 2.0 ** -52
 
 
 def hard_threshold(t: int) -> int:
@@ -103,7 +128,8 @@ class EtaAccumulator:
     analytic error budget: per-term evaluation gets _PER_TERM_REL
     relative, the block-local cumulative sum i*u*cs, the compensated
     carry 4u*|sum|.  `extend` consumes the next primes in ascending
-    order and returns per-k certified lower/upper arrays.
+    order and returns per-k certified lower/upper arrays, rounded outward
+    by integer steps of their bit patterns (positive normal floats only).
 
     Summation blocks are aligned to absolute k, so any two runs whose
     feed boundaries fall on BLOCK multiples (checkpoint strides do)
@@ -128,7 +154,7 @@ class EtaAccumulator:
     @property
     def width_bound(self) -> float:
         """Certified |value - true log_sum| bound."""
-        return self.eval_err + 4.0 * _U * abs(self.value) + 2.0 * np.spacing(abs(self.value))
+        return self.eval_err + 4.0 * _U * abs(self.value) + 2.0 * math.ulp(self.value)
 
     @property
     def lo(self) -> float:
@@ -148,12 +174,10 @@ class EtaAccumulator:
             step = min(self.BLOCK - (self.k % self.BLOCK), n - pos)
             term = np.log1p(primes[pos:pos + step] ** (-1.0 / self.t))
             cs = np.cumsum(term)
-            idx = np.arange(1, step + 1, dtype=np.float64)
             base = self.value
-            w = (self.width_bound + (_PER_TERM_REL + _U * idx) * cs
-                 + 4.0 * np.spacing(base + cs))
-            lo_out[pos:pos + step] = np.nextafter(base + (cs - w), -np.inf)
-            hi_out[pos:pos + step] = np.nextafter(base + (cs + w), np.inf)
+            w = self.width_bound + _TERM_REL[:step] * cs + 4.0 * _ulp(base + cs)
+            np.add(base, cs - w, out=lo_out[pos:pos + step])
+            np.add(base, cs + w, out=hi_out[pos:pos + step])
             block_sum = float(cs[-1])
             self.eval_err += (_PER_TERM_REL + _U * step) * block_sum
             # Neumaier-compensated accumulation of the block sums
@@ -165,7 +189,11 @@ class EtaAccumulator:
             self.sum_mid = total
             self.k += step
             pos += step
-        return lo_out, hi_out
+        return _next_down(lo_out), _next_up(hi_out)
+
+
+#: per-term relative budget at block-local index i = 1..BLOCK
+_TERM_REL = _PER_TERM_REL + _U * np.arange(1, EtaAccumulator.BLOCK + 1, dtype=np.float64)
 
 
 class CheckpointFile:
@@ -247,14 +275,14 @@ def _rhs_iv(mode: str, t: int, k: int, c):
     return rhs
 
 
-def _c_required_mid(t: int, fac, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+def _c_required_mid(t: int, fac, lo, hi) -> tuple[np.ndarray | None, np.ndarray]:
     """Float bounds (clo, chi) on C_required = (log_sum + tail) / factor.
 
     fac is _hard_factor_mid and lo/hi the accumulator's enclosure over a
-    stride.  chi is the hard campaign's sup_ratio.
+    stride.  chi is the hard campaign's sup_ratio; clo is None when lo is.
     """
     tail = math.log(t) / t if _has_tail("hard", t, None) else 0.0
-    return ((lo + tail) * (1.0 - _REL_RHS) / fac,
+    return (None if lo is None else (lo + tail) * (1.0 - _REL_RHS) / fac,
             (hi + tail) / (fac * (1.0 - _REL_RHS)))
 
 
@@ -332,15 +360,17 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
         else:
             fac = _hard_factor_mid(t, karr)
             rhs = c_float * fac
-        rhs = rhs - np.where(_has_tail(mode, t, karr), tail, 0.0)
-        w = _REL_RHS * np.abs(rhs) + 4.0 * np.spacing(np.abs(rhs))
+        if (has_tail := _has_tail(mode, t, karr)) is not False:
+            rhs = rhs - np.where(has_tail, tail, 0.0)
+        abs_rhs = np.abs(rhs)
+        w = _REL_RHS * abs_rhs + 4.0 * _ulp(abs_rhs)
         pending += _margin_rule(strict, karr, (rhs - w) - hi_arr, (rhs + w) - lo_arr,
                                 violations, worst)
 
         if mode == "easy":
             ratio = hi_arr / np.maximum(rhs - w, 1e-300)
         else:
-            ratio = _c_required_mid(t, fac, lo_arr, hi_arr)[1]
+            ratio = _c_required_mid(t, fac, None, hi_arr)[1]
         j = int(np.argmax(ratio))
         if ratio[j] > sup_ratio:
             sup_ratio = float(ratio[j])

@@ -1,7 +1,7 @@
 """Exact integer number theory underpinning the whole package.
 
 Everything here is exact: primes come from one segmented Eratosthenes
-sieve over the odd numbers, factorizations from complete trial
+sieve over the numbers prime to 6, factorizations from complete trial
 division, and the combinatorial quantities (binomials, Eulerian
 numbers, surjection counts) from arbitrary-precision integer formulas.
 A table of the first k primes is sieved up to a proven bound on p_k:
@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 #: hard ceiling on divisor enumeration (2^26 divisors ~ 0.5 GiB of ints)
 DIVISOR_CAP = 1 << 26
 
-#: odd slots per sieve segment; slot i stands for the odd number 2i + 1
+#: slots per sieve segment; slot j stands for 3j + 1 + (j & 1): 1, 5, 7, 11, 13, ...
 _SEGMENT = 1 << 21
 
 
@@ -83,31 +83,38 @@ def prime_upper_bound(k: int) -> int:
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """All primes <= limit, by a segmented sieve over the odd numbers.
+    """All primes <= limit, by a segmented sieve over the numbers prime to 6.
 
-    Each segment holds 2^21 odd numbers, so peak memory stays bounded
-    whatever the limit.  The first segment sieves itself; its primes up
-    to sqrt(limit) then sieve every later segment.
+    Each segment holds 2^21 of them, so peak memory stays bounded
+    whatever the limit.  The first segment (up to 6,291,455) sieves
+    itself; its primes up to sqrt(limit) then sieve every later segment,
+    each p as two progressions 2p slots apart, from p p and p (p + 2 or 4).
     """
     import numpy as np  # here, not at module level: `import divlat` loads no numpy
 
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if math.isqrt(limit) >= 2 * _SEGMENT:
+    if math.isqrt(limit) >= 1 << 22:
         raise CapacityError(f"sieve limit {limit} needs base primes beyond the first segment")
-    slots = (limit + 1) // 2
-    chunks = [np.array([2], dtype=np.int64)]
+    slots = (limit + 5) // 6 + (limit + 1) // 6
+    chunks = [np.array([2, 3][:limit - 1], dtype=np.int64)]
     for lo in range(0, slots, _SEGMENT):
         flags = np.ones(min(_SEGMENT, slots - lo), dtype=bool)
         if lo == 0:
             flags[0] = False  # 1 is not prime
             first = flags
-        for p in range(3, math.isqrt(2 * (lo + flags.size) - 1) + 1, 2):
-            if first[p >> 1]:
-                # odd multiples of p from p^2 on sit p slots apart
-                off = (p * p >> 1) - lo
-                flags[max(off, off % p):: p] = False
-        chunks.append(2 * np.flatnonzero(flags).astype(np.int64) + (2 * lo + 1))
+        root = math.isqrt(3 * (lo + flags.size) - 1)  # its last value <= 3 (lo + size) - 1
+        for j in range(1, (root + 5) // 6 + (root + 1) // 6):  # the slots up to root
+            if first[j]:
+                p = 3 * j + 1 + (j & 1)
+                for q in (p, p + 4 - 2 * (j & 1)):
+                    off = p * q // 3 - lo
+                    flags[max(off, off % (2 * p)):: 2 * p] = False
+        idx = np.flatnonzero(flags)
+        idx *= 3
+        idx += 3 * lo + 1
+        idx |= 1  # (3j + 1) | 1 == 3j + 1 + (j & 1), lo being even
+        chunks.append(idx)
     return PrimeTable(limit=limit, primes=np.concatenate(chunks))
 
 

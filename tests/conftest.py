@@ -1,10 +1,12 @@
 """Shared fixtures (prime tables are expensive, so build them once) and the
 independent oracles the tests check the library against: the interval
-sum for the eta kernel, the threshold-count chain's bound as one interval
-product, two routes to the energy kernel R_s, and a quadrature of the
-sinc-power integral."""
+sum for the eta kernel, the float accumulator with numpy's own outward
+rounding, the threshold-count chain's bound as one interval product, two
+routes to the energy kernel R_s, and a quadrature of the sinc-power
+integral."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -50,6 +52,62 @@ def iv_log_eta_sums(primes, t, ks):
         if j + 1 in want:
             out[j + 1] = total
     return out
+
+
+_PER_TERM_REL = 2.0 ** -47
+_U = 2.0 ** -53
+
+
+@dataclass
+class NextafterEtaAccumulator:
+    """Oracle for `campaigns.EtaAccumulator`: the same enclosure of
+    log_sum(t, k), rounded outward by np.nextafter and np.spacing and with
+    the per-term budget built per block, as the accumulator did before it
+    stepped bit patterns.  Same blocks, same budget, same bits."""
+
+    t: int
+    k: int = 0
+    sum_mid: float = 0.0
+    sum_comp: float = 0.0
+    eval_err: float = 0.0
+
+    BLOCK = 2_000
+
+    @property
+    def value(self) -> float:
+        return self.sum_mid + self.sum_comp
+
+    @property
+    def width_bound(self) -> float:
+        return self.eval_err + 4.0 * _U * abs(self.value) + 2.0 * np.spacing(abs(self.value))
+
+    def extend(self, primes):
+        primes = np.asarray(primes, dtype=np.float64)
+        n = primes.size
+        lo_out = np.empty(n)
+        hi_out = np.empty(n)
+        pos = 0
+        while pos < n:
+            step = min(self.BLOCK - (self.k % self.BLOCK), n - pos)
+            term = np.log1p(primes[pos:pos + step] ** (-1.0 / self.t))
+            cs = np.cumsum(term)
+            idx = np.arange(1, step + 1, dtype=np.float64)
+            base = self.value
+            w = (self.width_bound + (_PER_TERM_REL + _U * idx) * cs
+                 + 4.0 * np.spacing(base + cs))
+            lo_out[pos:pos + step] = np.nextafter(base + (cs - w), -np.inf)
+            hi_out[pos:pos + step] = np.nextafter(base + (cs + w), np.inf)
+            block_sum = float(cs[-1])
+            self.eval_err += (_PER_TERM_REL + _U * step) * block_sum
+            total = self.sum_mid + block_sum
+            if abs(self.sum_mid) >= abs(block_sum):
+                self.sum_comp += (self.sum_mid - total) + block_sum
+            else:
+                self.sum_comp += (block_sum - total) + self.sum_mid
+            self.sum_mid = total
+            self.k += step
+            pos += step
+        return lo_out, hi_out
 
 
 def chain_bound_oracle(lt, q):

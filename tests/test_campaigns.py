@@ -44,7 +44,7 @@ from divlat.campaigns import (
 )
 from divlat.moments import eta_log_interval
 
-from conftest import iv_log_eta_sums
+from conftest import NextafterEtaAccumulator, iv_log_eta_sums
 
 
 @pytest.mark.parametrize("mode", ["easy", "hard"])
@@ -193,6 +193,55 @@ def test_root_bracket_is_certified(p, t, f):
     s, u = campaigns._root_bracket(p, t, f)
     assert s ** t * p <= 1 << (t * f) <= u ** t * p
     assert 0 < u - s <= 8
+
+
+@pytest.mark.parametrize("cuts", [range(0, 250_000, campaigns.CHECKPOINT_STRIDE),
+                                  [0, 1, 777, 12_345, 150_001]], ids=["aligned", "unaligned"])
+@pytest.mark.parametrize("t", [2, 3, 7, 99])
+def test_accumulator_matches_the_nextafter_oracle(medium_table, t, cuts):
+    """Bit for bit, at every k and in the final state: stepping bit patterns
+    rounds every end outward exactly as np.nextafter and np.spacing do."""
+    primes = medium_table.primes[:250_000]
+    bounds = [*cuts, primes.size]
+    got, want = EtaAccumulator(t=t), NextafterEtaAccumulator(t=t)
+    for a, b in zip(bounds, bounds[1:]):
+        for x, y in zip(got.extend(primes[a:b]), want.extend(primes[a:b])):
+            assert np.array_equal(x.view(np.int64), y.view(np.int64)), (t, a, b)
+    assert ((got.sum_mid, got.sum_comp, got.eval_err, got.k)
+            == (want.sum_mid, want.sum_comp, want.eval_err, want.k))
+
+
+def _positive_normal_draws():
+    """Random positive normal floats, every power of two, and both ends of the range."""
+    bits = np.random.default_rng(25).integers(
+        0x0010_0000_0000_0000, 0x7FF0_0000_0000_0000, size=100_000, dtype=np.int64)
+    fin = np.finfo(np.float64)
+    return np.concatenate([bits.view(np.float64), np.ldexp(1.0, np.arange(-1022, 1024)),
+                           [fin.tiny, fin.max]])
+
+
+def test_bit_rounding_helpers_match_numpy():
+    """Bit for bit, but for one float: np.spacing of the largest finite float
+    is inf (nextafter overflows), where _ulp and math.ulp give the gap below
+    it, 2^971."""
+    x = _positive_normal_draws()
+    top = x == np.finfo(np.float64).max
+    with np.errstate(over="ignore"):  # numpy's nextafter and spacing overflow at the top
+        up, spacing = np.nextafter(x, np.inf), np.spacing(x)
+    for got, want in ((campaigns._next_up(x), up),
+                      (campaigns._next_down(x), np.nextafter(x, -np.inf)),
+                      (campaigns._ulp(x)[~top], spacing[~top])):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.all(campaigns._ulp(x[top]) == 2.0 ** 971) and np.all(spacing[top] == np.inf)
+    ulps = np.array([math.ulp(v) for v in np.concatenate([x, -x]).tolist()])
+    assert np.array_equal(ulps, np.tile(np.where(top, 2.0 ** 971, spacing), 2))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, 5e-324, math.inf, math.nan])
+@pytest.mark.parametrize("helper", ["_next_up", "_next_down", "_ulp"])
+def test_bit_rounding_helpers_reject_other_floats(helper, bad):
+    with pytest.raises(ValueError, match="positive normal"):
+        getattr(campaigns, helper)(np.array([1.0, bad, 2.0]))
 
 
 def test_accumulator_width_budget(campaign_table):

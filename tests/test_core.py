@@ -56,8 +56,9 @@ def test_sieve_pi_of_million(small_table):
 
 
 def test_sieve_segmented_consistency():
-    # 2.5M odd numbers span two segments of 2^21: the second is sieved
-    # by the base primes the first segment found
+    # 5M fits the first segment of 2^21 numbers prime to 6 (up to 6,291,455);
+    # later segments, sieved by the first one's base primes, are checked
+    # against the oracle at their edges below
     seg = sieve_primes(5_000_000)
     assert seg.count == 348_513  # pi(5e6)
     assert int(seg.primes[0]) == 2
@@ -75,13 +76,19 @@ def eratosthenes(limit):
     return np.flatnonzero(flags).astype(np.int64)
 
 
-# 4,194,305 is the last odd number of the first segment of 2^21 odd
-# slots and 8,388,609 that of the second; 2^22 was the old segment edge
+# 4,194,305 and 8,388,609 were the last values of the first and second
+# segments of 2^21 odd slots; over the numbers prime to 6 the segments end
+# at 6,291,455 and 12,582,911.  Below 200 the slot mapping meets 2, 3 and
+# the first residues mod 6.
+_ORACLE_EDGES = [2, 3, 4, 9, 25, 4_194_303, 4_194_304, 4_194_305, 4_194_306, 4_194_307,
+                 5_000_000, 8_388_609, 8_388_611]
+
+
 @pytest.mark.parametrize("limit", [
-    2, 3, 4, 9, 25, 4_194_303, 4_194_304, 4_194_305, 4_194_306, 4_194_307,
-    5_000_000, 8_388_609, 8_388_611])
+    *_ORACLE_EDGES, *(n for n in range(2, 201) if n not in _ORACLE_EDGES),
+    6_291_453, 6_291_455, 6_291_457, 12_582_909, 12_582_911, 12_582_913])
 def test_sieve_matches_eratosthenes_oracle(limit):
-    oracle = eratosthenes(8_388_611)
+    oracle = eratosthenes(12_582_913)
     got = sieve_primes(limit)
     assert got.limit == limit and got.primes.dtype == np.int64
     assert np.array_equal(got.primes, oracle[oracle <= limit])
