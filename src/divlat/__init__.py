@@ -3,6 +3,7 @@
 Truncated Mobius convolutions M(n,z), their integral moments, the
 multiplicative energy of the divisor set, and verification campaigns
 for the eta-product inequalities that drive the moment bounds.
+`divlat.energy` is the function, not the module: `from divlat.energy import R_closed`.
 """
 
 from .core import (

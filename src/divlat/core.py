@@ -1,14 +1,14 @@
 """Exact integer number theory underpinning the whole package.
 
-Everything here is exact: primes come from one segmented Eratosthenes
-sieve over the numbers prime to 6, factorizations from complete trial
-division, and the combinatorial quantities (binomials, Eulerian
-numbers, surjection counts) from arbitrary-precision integer formulas.
-A table of the first k primes is sieved up to a proven bound on p_k:
-Dusart's k(ln k + ln ln k - 0.9484) for k >= 39017, Rosser's
-k(ln k + ln ln k) for 6 <= k < 39017.  Floating point appears only in
-that bound, rounded up by a margin far above its error; `rosser_check`
-compares the analytic side k*log(k) through `certify.escalate`.
+Everything here is exact.  Primes come from one segmented Eratosthenes
+sieve over the numbers prime to 6, written into one int64 array sized by a
+proven bound on pi(x), with at most one segment of flags and one of indices
+beside it.  A table of the first k primes is sieved up to a proven bound on
+p_k: Dusart's k(ln k + ln ln k - 0.9484) for k >= 39017, Rosser's
+k(ln k + ln ln k) for 6 <= k < 39017.  Floating point appears only in these
+bounds, rounded up by a margin far above their error; `rosser_check` compares
+k*log(k) through `certify.escalate`.  Factorizations come from complete trial
+division; binomials, Eulerian numbers and surjections from integer formulas.
 
 Key objects:
     PrimeTable      immutable ascending table of primes (1-indexed access)
@@ -59,10 +59,9 @@ class PrimeTable:
         if k < 1:
             raise ValueError(f"prime index must be >= 1, got {k}")
         if k > self.count:
-            need = prime_upper_bound(k)
             raise CapacityError(
                 f"table holds {self.count} primes (limit {self.limit}); "
-                f"p_{k} needs a sieve limit of at most {need}")
+                f"p_{k} needs a sieve limit of at most {prime_upper_bound(k)}")
         return int(self.primes[k - 1])
 
 
@@ -82,13 +81,23 @@ def prime_upper_bound(k: int) -> int:
     return math.ceil(k * (lk + math.log(lk) - shift) * (1 + 2 ** -40))
 
 
+def pi_upper_bound(x: int) -> int:
+    """Proven upper bound on pi(x), x >= 2: x/ln x (1 + 1/ln x + 2.51/ln^2 x) for
+    x >= 355991 (Dusart, Math. Comp. 68, 1999), 1.25506 x/ln x below (Rosser and
+    Schoenfeld, 1962), rounded up like `prime_upper_bound`."""
+    lx = math.log(x)
+    shape = 1 + 1 / lx + 2.51 / lx ** 2 if x >= 355991 else 1.25506
+    return math.ceil(x / lx * shape * (1 + 2 ** -40))
+
+
 def sieve_primes(limit: int) -> PrimeTable:
     """All primes <= limit, by a segmented sieve over the numbers prime to 6.
 
-    Each segment holds 2^21 of them, so peak memory stays bounded
-    whatever the limit.  The first segment (up to 6,291,455) sieves
-    itself; its primes up to sqrt(limit) then sieve every later segment,
-    each p as two progressions 2p slots apart, from p p and p (p + 2 or 4).
+    Each segment holds 2^21 of them, written straight into one int64 array
+    of pi_upper_bound(limit) entries beside at most one segment of flags and
+    one of indices.  The first segment (up to 6,291,455) sieves itself; its
+    primes up to sqrt(limit), read back from the table, sieve every later
+    segment, each p as two progressions 2p slots apart, from p p and p (p + 2 or 4).
     """
     import numpy as np  # here, not at module level: `import divlat` loads no numpy
 
@@ -97,25 +106,25 @@ def sieve_primes(limit: int) -> PrimeTable:
     if math.isqrt(limit) >= 1 << 22:
         raise CapacityError(f"sieve limit {limit} needs base primes beyond the first segment")
     slots = (limit + 5) // 6 + (limit + 1) // 6
-    chunks = [np.array([2, 3][:limit - 1], dtype=np.int64)]
+    out = np.empty(pi_upper_bound(limit), dtype=np.int64)
+    out[:2], pos = (2, 3), min(2, limit - 1)
     for lo in range(0, slots, _SEGMENT):
         flags = np.ones(min(_SEGMENT, slots - lo), dtype=bool)
-        if lo == 0:
-            flags[0] = False  # 1 is not prime
-            first = flags
+        flags[0] = lo > 0  # slot 0 is 1, not prime
         root = math.isqrt(3 * (lo + flags.size) - 1)  # its last value <= 3 (lo + size) - 1
-        for j in range(1, (root + 5) // 6 + (root + 1) // 6):  # the slots up to root
-            if first[j]:
-                p = 3 * j + 1 + (j & 1)
-                for q in (p, p + 4 - 2 * (j & 1)):
-                    off = p * q // 3 - lo
-                    flags[max(off, off % (2 * p)):: 2 * p] = False
+        for p in (out[2:np.searchsorted(out[:pos], root, "right")].tolist() if lo else (
+                3 * j + 1 + (j & 1) for j in range(1, root // 3 + 1) if flags[j])):
+            for q in (p, p + 4 - 2 * (p // 3 & 1)):
+                off = p * q // 3 - lo
+                flags[max(off, off % (2 * p)):: 2 * p] = False
         idx = np.flatnonzero(flags)
-        idx *= 3
-        idx += 3 * lo + 1
-        idx |= 1  # (3j + 1) | 1 == 3j + 1 + (j & 1), lo being even
-        chunks.append(idx)
-    return PrimeTable(limit=limit, primes=np.concatenate(chunks))
+        if pos + idx.size > out.size:  # a short table never leaves here
+            raise ArithmeticError(f"pi({limit}) exceeds its proven bound {out.size}")
+        seg = np.multiply(idx, 3, out=out[pos:pos + idx.size])
+        seg += 3 * lo + 1
+        seg |= 1  # (3j + 1) | 1 == 3j + 1 + (j & 1), lo being even
+        pos += idx.size
+    return PrimeTable(limit=limit, primes=out[:pos])
 
 
 def sieve_for_count(k: int) -> PrimeTable:

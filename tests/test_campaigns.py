@@ -340,6 +340,16 @@ def test_margin_rule_agrees_on_the_interval_path(verify, t, k_max, c_hi, small_t
     assert base[0] is (c_hi is None) and bool(base[2]) is (c_hi is not None)
 
 
+@pytest.mark.parametrize("strict", [True, False])
+def test_margin_rule_keeps_a_zero_lower_end_pending(strict):
+    """m_lo = 0.0 does not certify m > 0: that k stays pending, fails
+    nothing and leaves worst where it was, in either mode."""
+    violations, worst = [], [0.5, 3]
+    pending = campaigns._margin_rule(strict, np.array([7.0, 8.0]), np.array([0.0, 0.75]),
+                                     np.array([1.0, 1.0]), violations, worst)
+    assert pending == [7] and violations == [] and worst == [0.5, 3]
+
+
 def test_inconclusive_counts_what_the_first_level_leaves(small_table, monkeypatch):
     # a 64-bit start leaves k = 2149 (the attained point) to the 128-bit level
     monkeypatch.setattr(certify, "DEFAULT_PREC", 64)

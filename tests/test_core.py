@@ -1,6 +1,7 @@
 """Core arithmetic: sieve, factorization, exact combinatorics."""
 
 import math
+import tracemalloc
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -24,7 +25,7 @@ from divlat import (
     surjections,
 )
 from divlat import core
-from divlat.core import divisor_table, prime_upper_bound
+from divlat.core import divisor_table, pi_upper_bound, prime_upper_bound
 
 
 def trial_division_primes(limit):
@@ -84,9 +85,11 @@ _ORACLE_EDGES = [2, 3, 4, 9, 25, 4_194_303, 4_194_304, 4_194_305, 4_194_306, 4_1
                  5_000_000, 8_388_609, 8_388_611]
 
 
-@pytest.mark.parametrize("limit", [
-    *_ORACLE_EDGES, *(n for n in range(2, 201) if n not in _ORACLE_EDGES),
-    6_291_453, 6_291_455, 6_291_457, 12_582_909, 12_582_911, 12_582_913])
+_SIEVE_LIMITS = [*_ORACLE_EDGES, *(n for n in range(2, 201) if n not in _ORACLE_EDGES),
+                 6_291_453, 6_291_455, 6_291_457, 12_582_909, 12_582_911, 12_582_913]
+
+
+@pytest.mark.parametrize("limit", _SIEVE_LIMITS)
 def test_sieve_matches_eratosthenes_oracle(limit):
     oracle = eratosthenes(12_582_913)
     got = sieve_primes(limit)
@@ -104,6 +107,55 @@ def test_sieve_for_count_at_250k(medium_table):
     assert medium_table.count >= 250_000
     oracle = eratosthenes(8_388_611)
     assert np.array_equal(medium_table.primes, oracle[oracle <= medium_table.limit])
+
+
+def test_sieve_holds_one_segment_beside_its_table():
+    """numpy reports its buffers to tracemalloc.  At the campaigns' size the
+    table is 28.6 MiB, and the sieve peaks at most 16 MiB above it: one
+    segment of flags and one of indices, never a second copy of the table."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = sieve_for_count(3_750_230)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert table.count == 3_751_685
+    assert peak <= table.primes.nbytes + (16 << 20)
+
+
+def test_pi_upper_bound_at_every_prime_to_ten_million():
+    # pi is constant between primes and each branch of the bound increases,
+    # so the bound at every prime p_k (pi(p_k) = k) covers every x <= 10^7
+    primes = eratosthenes(12_582_913)
+    primes = primes[primes <= 10 ** 7]
+    bounds = np.array([pi_upper_bound(p) for p in primes.tolist()])
+    assert (bounds >= np.arange(1, primes.size + 1)).all()
+
+
+@pytest.mark.parametrize("x", [*_SIEVE_LIMITS, 355_990, 355_991, 10 ** 7, 63_401_732])
+def test_pi_upper_bound_is_the_cited_bound_rounded_up(x):
+    """The float bound is the ceiling of the real Rosser-Schoenfeld or
+    Dusart value, computed at 50 digits, and at least pi(x): at 355,991,
+    where Dusart's bound starts, that value is 30456.03 against pi = 30456."""
+    with mpmath.workdps(50):
+        lx = mpmath.log(x)
+        shape = 1 + 1 / lx + mpmath.mpf("2.51") / lx ** 2 if x >= 355_991 else mpmath.mpf("1.25506")
+        assert pi_upper_bound(x) == int(mpmath.ceil(x / lx * shape))
+    oracle = eratosthenes(12_582_913)
+    pi = 3_751_685 if x == 63_401_732 else int(np.searchsorted(oracle, x, side="right"))
+    assert pi <= pi_upper_bound(x)
+
+
+# 6,291,469 is the first prime past the first segment: the second segment of
+# that limit holds it alone, a one-entry write to the table's last slot
+@pytest.mark.parametrize("limit", [25, 1_000_000, 6_291_469, 12_582_913])
+def test_sieve_refuses_a_bound_one_short(limit, monkeypatch):
+    pi = sieve_primes(limit).count
+    monkeypatch.setattr(core, "pi_upper_bound", lambda x: pi - 1)
+    with pytest.raises(ArithmeticError, match="exceeds its proven bound"):
+        sieve_primes(limit)
 
 
 def test_sieve_rejects_tiny_limit():

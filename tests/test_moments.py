@@ -323,6 +323,17 @@ def test_chain_check_needs_the_lower_end_to_hold(monkeypatch):
         chain_check(divisor_profile(30030), 4)
 
 
+def test_chain_check_fails_a_moment_above_the_middle(monkeypatch):
+    """|L_t| <= t n J_{t-1} is a theorem, so no input fails it: with
+    moment_by_parts patched one above the middle, the chain must not hold,
+    whatever the eta side decides."""
+    profile = divisor_profile(30030)
+    middle = chain_check(profile, 4).context["middle"]
+    monkeypatch.setattr(moments, "moment_by_parts", lambda profile, t: math.floor(middle) + 1)
+    rep = chain_check(profile, 4)
+    assert rep.context["eta_holds"] and not rep.context["middle_holds"] and not rep.holds
+
+
 @given(squarefree_subset_strategy(5), st.integers(2, 6))
 @settings(max_examples=60, deadline=None)
 def test_chain_holds_randomly(primes, t):
