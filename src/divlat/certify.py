@@ -2,18 +2,7 @@
 
 Exact integers/rationals live on one side of every inequality we check;
 the other side is analytic.  These helpers decide such comparisons so
-that a "holds" verdict can never be a rounding artifact.  Every
-comparison lhs * 2^q <= rhs (m >= 2^q is the case lhs = 1) goes through
-one bracket, `_le_pow2`:
-
-* exact path: q = c/d in lowest terms with d <= BRACKET is the integer
-  comparison lhs^d 2^c <= rhs^d; integral q is the only equality case;
-* integer bracket: otherwise a = floor(q B) with B = BRACKET gives
-  2^a < 2^(qB) < 2^(a+1), so lhs^B and rhs^B compared against both ends
-  in integer arithmetic decide every case outside that one-step band;
-* otherwise mpmath interval arithmetic through `fraction_le_enclosure`,
-  comparing q against an enclosure of log2 rhs - log2 lhs;
-* still undecided at the ceiling -> InconclusiveError.
+that a "holds" verdict can never be a rounding artifact.
 
 `le_dyadic` is the one decision of an exact int or Fraction x against
 an analytic Y: each level gives integers lo 2^e <= Y <= hi 2^e, and x is
@@ -23,6 +12,12 @@ verdict with the DEFAULT_PREC ends a report reads (`dyadic_upper`).
 interval (`interval_ends`), never on their 53-bit floats, and returns
 the verdict alone.
 
+Every power 2^q is read from `pow2_neg_ends(q, level)`, the integer ends
+of 2^-q per (q, level), exact at integral q: the only q where 2^q is
+rational, so the only one where a comparison with it can be an equality.
+`scaled_le` and `int_vs_pow2` are le_dyadic on those ends, and `pow2_ceil`
+reads off them the least integer >= 2^q, the threshold of m >= 2^q.
+
 Elsewhere, mpmath interval comparisons return True/False/None; None
 means the enclosures overlap and the verdict must be sought at higher
 precision.
@@ -31,15 +26,15 @@ precision.
 precision: its ladder is fixed at DEFAULT_PREC bits doubling up to
 PREC_CEILING, and it runs each `decide(level)` inside `iv_prec(level)`,
 so no decide sets the precision itself.  Its callers are `le_dyadic`
-(called by `moments.chain_check` on the eta kernel's integer ends, by
-`moments.thm_bounds` on its cached exponentials, by
+(called by `scaled_le`, by `moments.chain_check` on the eta kernel's
+integer ends, by `moments.thm_bounds` on its cached exponentials, by
 `moments.H_chain_check` on the ends of L_t 2^-q, and through
-`fraction_le_enclosure` by `_le_pow2` and the optimizer hypothesis),
-the campaign escalation pass, the best-constant search and the two side
+`fraction_le_enclosure` by the optimizer hypothesis), `pow2_ceil`, the
+campaign escalation pass, the best-constant search and the two side
 conditions in `campaigns`, the even-t walk in `moments.optimal_even_t`,
 the two-decimal alpha column of `cli tables`, the interval path of
 `energy.vandermonde_positivity`, and the monotone-block search of
-`core.rosser_check`.
+`core.rosser_check`.  Past the ceiling a comparison is InconclusiveError.
 """
 
 from __future__ import annotations
@@ -47,6 +42,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from mpmath import iv
@@ -55,8 +51,6 @@ from .errors import InconclusiveError
 
 DEFAULT_PREC = 128
 PREC_CEILING = 4096
-#: B of the integer bracket: 2^q is pinned between 2^(a/B) and 2^((a+1)/B)
-BRACKET = 64
 
 @contextmanager
 def iv_prec(bits: int):
@@ -111,21 +105,33 @@ def _shift_le(x: int, e: int, y: int) -> bool:
     return (x << e) <= y if e >= 0 else x <= (y << -e)
 
 
-def _le_pow2(lhs: int, q: Fraction, rhs: int) -> bool:
-    """Certified lhs * 2^q <= rhs for integers lhs, rhs >= 1: the one bracket."""
-    b = min(q.denominator, BRACKET)
-    a, r = divmod(q.numerator * b, q.denominator)  # q b = a + r / denominator
-    lhs_b, rhs_b = lhs ** b, rhs ** b
-    if _shift_le(lhs_b, a + (r > 0), rhs_b):
-        return True
-    if r == 0 or not _shift_le(lhs_b, a, rhs_b):
-        return False
+@lru_cache(maxsize=256)
+def pow2_neg_ends(q: Fraction, level: int) -> tuple[int, int, int]:
+    """The integer ends (lo, hi, e) of 2^-q at `level` bits: (1, 1, -q) at
+    integral q, else the exact ends of exp(-q log 2), so a sweep's few
+    dozen q are each exponentiated once per level."""
+    if q.denominator == 1:
+        return 1, 1, -q.numerator
+    with iv_prec(level):
+        return interval_ends(iv.exp(-iv_exact(q) * iv.ln2))
 
-    def log2_ratio(level: int):
-        ln2 = iv.log(iv.mpf(2))
-        return iv.log(iv.mpf(rhs)) / ln2 - iv.log(iv.mpf(lhs)) / ln2
 
-    return fraction_le_enclosure(q, log2_ratio, what=f"{lhs}*2^{float(q)} vs {rhs}")
+@lru_cache(maxsize=256)
+def pow2_ceil(q: Fraction) -> int:
+    """The least integer >= 2^q: an integer m >= 2^q exactly when m >= it.
+    At non-integral q, 2^q is irrational (2^(c/d) = a/b forces d | c), so it
+    is floor(2^q) + 1, found once both ends of 2^-q give one floor."""
+    if q <= 0:
+        return 1
+    if q.denominator == 1:
+        return 1 << q.numerator
+
+    def decide(level: int) -> Optional[int]:
+        lo, hi, e = pow2_neg_ends(q, level)  # 2^-e / hi <= 2^q <= 2^-e / lo, e < 0
+        floor = (1 << -e) // hi
+        return floor + 1 if floor == (1 << -e) // lo else None
+
+    return escalate(decide, what=f"floor of 2^({q})")
 
 
 def int_vs_pow2(m: int, q) -> int:
@@ -138,16 +144,21 @@ def int_vs_pow2(m: int, q) -> int:
     if qe >= 0 and qe.denominator == 1 and m == 1 << qe.numerator:
         return 0
     # otherwise m != 2^q, so 2^q <= m means m > 2^q; 2^q > 0 >= m for m <= 0
-    return 1 if m > 0 and _le_pow2(1, qe, m) else -1
+    return 1 if m > 0 and scaled_le(1, qe, m) else -1
 
 
 def scaled_le(lhs: int, q, rhs: int) -> bool:
-    """Certified lhs * 2^q <= rhs for integers lhs, rhs >= 0."""
-    if lhs == 0:
-        return rhs >= 0
-    if rhs <= 0:
-        return False
-    return _le_pow2(lhs, Fraction(q), rhs)  # exact, floats included
+    """Certified lhs * 2^q <= rhs for integers lhs, rhs >= 0, decided as
+    lhs <= rhs 2^-q by `le_dyadic` on the ends of 2^-q times rhs."""
+    if lhs < 0 or rhs < 0:
+        raise ValueError(f"scaled_le needs lhs, rhs >= 0, got {lhs} and {rhs}")
+    qe = Fraction(q)  # exact, floats included
+
+    def ends(level: int) -> tuple[int, int, int]:
+        lo, hi, e = pow2_neg_ends(qe, level)
+        return rhs * lo, rhs * hi, e
+
+    return le_dyadic(lhs, ends, what=f"{lhs}*2^{float(qe)} vs {rhs}")[0]
 
 
 def le_dyadic(x: int | Fraction, make_ends: Callable[[int], tuple],

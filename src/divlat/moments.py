@@ -41,11 +41,12 @@ from .certify import (
     escalate,
     exact_upper,
     fraction_le_enclosure,
-    int_vs_pow2,
     interval_ends,
     iv_exact,
     iv_prec,
     le_dyadic,
+    pow2_ceil,
+    pow2_neg_ends,
 )
 from .core import Factorization, binomial, divisor_table, factorize, primorial
 from .errors import DomainError
@@ -419,44 +420,30 @@ def H_theta_exact(profile: DivisorProfile, theta: float | Fraction) -> int:
     M is constant between consecutive divisors, so the count walks the
     tau(n) - 1 divisor gaps instead of enumerating j: the work is
     O(tau(n)) whatever n is, and `core.DIVISOR_CAP` bounds tau(n) when
-    the profile is built.  The threshold comparison is certified at
-    theta's exact value (a float's binary value, a Fraction as is):
-    exact when theta*omega is an integer, interval-escalated otherwise.
+    the profile is built.  The threshold is certified at theta's exact
+    value (a float's binary value, a Fraction as is): an integer m meets
+    2^q, q = theta omega, exactly when m >= `certify.pow2_ceil(q)`.
     """
     if profile.n < 2:
         raise ValueError(f"count needs n >= 2, got {profile.n}")
     if not 0 < theta <= 1:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    q = Fraction(theta) * profile.omega
+    threshold = pow2_ceil(Fraction(theta) * profile.omega)
     divs, pref = profile.divisors, profile.mobius_prefix
-    passes: dict[int, bool] = {}
     total = 0
     for i in range(len(divs) - 1):
-        m = abs(pref[i])
-        ok = passes.get(m)
-        if ok is None:
-            ok = passes.setdefault(m, int_vs_pow2(m, q) >= 0)
-        if ok:
+        if abs(pref[i]) >= threshold:
             total += divs[i + 1] - divs[i]
     # the last divisor is n itself where M(n,n) = 0 < 2^q
     return total
 
 
-@lru_cache(maxsize=256)
-def _pow2_neg_ends(q: Fraction, level: int) -> tuple[int, int, int]:
-    """The exact integer ends (lo, hi, e) of exp(-q log 2) enclosed at
-    `level` bits, per (q, level): a threshold sweep meets only a few dozen
-    q = t theta omega, so each is exponentiated once."""
-    with iv_prec(level):
-        return interval_ends(iv.exp(-iv_exact(q) * iv.ln2))
-
-
 def H_chain_check(profile: DivisorProfile, theta: float | Fraction, t: int) -> BoundReport:
     """H_theta(n) <= L_t(n) / 2^q, q = t theta omega, for even t, decided
-    by `certify.le_dyadic` on the ends of L_t 2^-q: exactly (L_t, L_t, -q)
-    at integral q, the one case where equality can hold, else the cached
-    ends of 2^-q scaled by the integer L_t (exact, so no wider than an
-    enclosure of the product); the report reads the DEFAULT_PREC upper end."""
+    by `certify.le_dyadic` on the cached ends of 2^-q (`pow2_neg_ends`,
+    exact at integral q, the one case where equality can hold) scaled by the
+    integer L_t, so no wider than an enclosure of the product; the report
+    reads the DEFAULT_PREC upper end."""
     if t % 2 or t < 2:
         raise ValueError(f"chain needs even t >= 2, got {t}")
     h = H_theta_exact(profile, theta)
@@ -464,9 +451,7 @@ def H_chain_check(profile: DivisorProfile, theta: float | Fraction, t: int) -> B
     q = Fraction(t) * Fraction(theta) * profile.omega
 
     def ends(level: int) -> tuple[int, int, int]:
-        if q.denominator == 1:
-            return lt, lt, -q.numerator
-        lo, hi, e = _pow2_neg_ends(q, level)
+        lo, hi, e = pow2_neg_ends(q, level)
         return lt * lo, lt * hi, e
 
     holds, (_, hi, e) = le_dyadic(

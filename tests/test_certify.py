@@ -6,10 +6,8 @@ For q = a/b with b > 0 and integers m, lhs, rhs >= 0:
     lhs * 2^q <= rhs    <=>  lhs^b * 2^a <= rhs^b
 
 and a < 0 moves 2^-a to the other side.  Draws cluster around the
-threshold, where the integer bracket and the low-precision interval
-passes are weakest, and on the bracket's own ends: m = 2^k with
-q = k +- 1/b puts m^BRACKET exactly on 2^floor(q BRACKET) or on the
-power above it.
+threshold, where the interval ends of 2^-q are weakest, and on powers of
+two just off it: m = 2^k with q = k +- 1/b.
 """
 
 import ast
@@ -25,10 +23,13 @@ from mpmath import iv
 from mpmath.libmp import to_rational
 
 from divlat import certify, moments
-from divlat.certify import BRACKET, escalate, fraction_le_enclosure, int_vs_pow2, scaled_le
+from divlat.certify import escalate, fraction_le_enclosure, int_vs_pow2, pow2_ceil, scaled_le
 from divlat.errors import InconclusiveError
 
-#: denominators: small, odd, around and far past BRACKET
+#: the denominator the edge cases are drawn around
+B = 64
+
+#: denominators: small, odd, around and far past B
 DENOMS = st.one_of(
     st.integers(2, 12),
     st.sampled_from([63, 65, 127, 128, 255, 256, 511, 512, 1023, 1024]),
@@ -57,7 +58,7 @@ def pow2_cases(draw, denoms=DENOMS):
 
 @st.composite
 def pow2_edge_cases(draw):
-    """m = 2^k, q = k +- 1/b: m^BRACKET sits on an end of the bracket."""
+    """m = 2^k, q = k +- 1/b: m sits just off 2^q, on either side."""
     k, b = draw(st.integers(0, 60)), draw(DENOMS)
     return 1 << k, k * b + draw(st.sampled_from([-1, 1])), b
 
@@ -80,25 +81,27 @@ def scaled_cases(draw, denoms=DENOMS):
 
 @st.composite
 def scaled_edge_cases(draw):
-    """floor(q BRACKET) in {-1, < -1}, or powers of two on a bracket end."""
-    b = draw(st.integers(BRACKET, 1024))
+    """floor(q B) in {-1, < -1}, or powers of two just off lhs 2^q = rhs."""
+    b = draw(st.integers(B, 1024))
     kind = draw(st.sampled_from(["a_plus_1_zero", "a_negative", "pow2_ends"]))
     if kind == "pow2_ends":
         i, j = draw(st.integers(0, 40)), draw(st.integers(0, 40))
         return 1 << i, (j - i) * b + draw(st.sampled_from([-1, 1])), b, 1 << j
     if kind == "a_plus_1_zero":
-        a = -draw(st.integers(1, b // BRACKET))  # -1/64 <= q < 0
+        a = -draw(st.integers(1, b // B))  # -1/64 <= q < 0
     else:
-        a = -draw(st.integers(b // BRACKET + 1, 20 * b))
+        a = -draw(st.integers(b // B + 1, 20 * b))
     lhs = draw(st.integers(1, 2 ** 40))
     return lhs, a, b, _near(draw, lhs * 2.0 ** (a / b), 2 ** 41)
 
 
 @given(st.one_of(pow2_cases(), pow2_edge_cases(), negative_q_cases()))
 @settings(max_examples=600, deadline=None)
-@example((1 << 5, 5 * 1024 + 1, 1024))   # m^64 == 2^a: undecided by the bracket
-@example((1 << 5, 5 * 1024 - 1, 1024))   # m^64 == 2^(a+1): decided, m > 2^q
+@example((1 << 5, 5 * 1024 + 1, 1024))   # m^64 == 2^floor(64 q)
+@example((1 << 5, 5 * 1024 - 1, 1024))   # m^64 == 2^(floor(64 q) + 1)
 @example((1, -1, 3))
+@example((81, 19, 3))    # 2^(19/3) < 81 by 1.2%
+@example((1, 7, 64))
 def test_int_vs_pow2_matches_integer_oracle(case):
     m, a, b = case
     if a >= 0:
@@ -106,16 +109,16 @@ def test_int_vs_pow2_matches_integer_oracle(case):
     else:
         want = _sign((m ** b << -a) - 1)
     assert int_vs_pow2(m, Fraction(a, b)) == want
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify, "BRACKET", 1)  # most draws reach the interval path
-        assert int_vs_pow2(m, Fraction(a, b)) == want
 
 
 @given(st.one_of(scaled_cases(), scaled_edge_cases()))
 @settings(max_examples=600, deadline=None)
-@example((3, -1, 128, 3))                 # a + 1 == 0
-@example((1 << 7, 3 * 256 - 1, 256, 1 << 10))  # lhs^64 2^(a+1) == rhs^64
-@example((1 << 7, 3 * 256 + 1, 256, 1 << 10))  # lhs^64 2^a == rhs^64
+@example((3, -1, 128, 3))                 # floor(64 q) + 1 == 0
+@example((1 << 7, 3 * 256 - 1, 256, 1 << 10))  # lhs^64 2^(floor(64 q) + 1) == rhs^64
+@example((1 << 7, 3 * 256 + 1, 256, 1 << 10))  # lhs^64 2^floor(64 q) == rhs^64
+@example((1, 19, 3, 81))    # 2^(19/3) < 81 by 1.2%
+@example((3, 19, 3, 243))
+@example((1, 7, 64, 1))
 def test_scaled_le_matches_integer_oracle(case):
     lhs, a, b, rhs = case
     if a >= 0:
@@ -123,32 +126,34 @@ def test_scaled_le_matches_integer_oracle(case):
     else:
         want = lhs ** b <= (rhs ** b << -a)
     assert scaled_le(lhs, Fraction(a, b), rhs) is want
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify, "BRACKET", 1)  # most draws reach the interval path
-        assert scaled_le(lhs, Fraction(a, b), rhs) is want
 
 
-@given(st.one_of(pow2_cases(st.integers(1, BRACKET)).map(lambda c: (1, *c[1:], c[0])),
-                 scaled_cases(st.integers(1, BRACKET))))
+def test_scaled_le_refuses_negative_inputs():
+    """lhs^b drops the sign of a negative lhs at even b, and 2^q > 0 > rhs
+    would read as a refutation: outside lhs, rhs >= 0 there is no verdict."""
+    for args in ((-1, Fraction(1, 2), 1), (-3, Fraction(1, 3), -1), (0, 1, -1)):
+        with pytest.raises(ValueError, match="lhs, rhs >= 0"):
+            scaled_le(*args)
+
+
+@given(st.one_of(pow2_cases(), pow2_edge_cases()).map(lambda case: case[1:]))
 @settings(max_examples=600, deadline=None)
-@example((1, 19, 3, 81))    # 2^(19/3) < 81 by 1.2%: inside the one-step band of B = 64
-@example((3, 19, 3, 243))
-@example((1, 7, 64, 1))
-def test_bracket_is_exact_up_to_its_denominator(case):
-    """A q with denominator <= BRACKET never reaches the interval path."""
-    lhs, a, b, rhs = case
-    q = Fraction(a, b)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"interval path reached for q = {a}/{b}")
-
-    want = (lhs ** b << max(a, 0)) <= (rhs ** b << max(-a, 0))
+@example((19, 3))        # 2^(19/3) = 80.6
+@example((1623, 1024))   # 2^q = 2.9993, just below 3
+@example((64, 1))        # integral: 2^64 itself
+@example((1, 1024))      # just above 1: the ceiling is 2
+@example((-3, 7))        # q < 0: 2^q < 1
+def test_pow2_ceil_matches_integer_oracle(case):
+    """pow2_ceil(c/d) is the T with T^d >= 2^c > (T - 1)^d, for q up to 64,
+    from DEFAULT_PREC and, bypassing its cache, from an 8-bit start."""
+    c, d = case
+    q = Fraction(c, d)
+    T = pow2_ceil(q)
+    num, den = 1 << max(c, 0), 1 << max(-c, 0)
+    assert T ** d * den >= num > (T - 1) ** d * den
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify, "fraction_le_enclosure", refuse)
-        assert scaled_le(lhs, q, rhs) is want
-        if lhs == 1:  # m = rhs; m == 2^q only for integral q
-            tie = q.denominator == 1 and q >= 0 and rhs == 1 << q.numerator
-            assert int_vs_pow2(rhs, q) == (0 if tie else 1 if want else -1)
+        mp.setattr(certify, "DEFAULT_PREC", 8)
+        assert pow2_ceil.__wrapped__(q) == T
 
 
 @given(st.one_of(st.integers(-(1 << 80), 1 << 80),
@@ -223,7 +228,7 @@ def test_no_decide_sets_its_own_precision():
     decides = [(path.name, node) for path in sorted(src.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name == "decide"]
-    assert len(decides) == 9
+    assert len(decides) == 10
     for name, node in decides:
         opened = [sub.lineno for sub in ast.walk(node)
                   if isinstance(sub, ast.Name) and sub.id == "iv_prec"]
@@ -334,45 +339,45 @@ def test_interval_ends_are_read_exactly():
     assert certify.interval_ends(iv.mpf([0, 0])) == (0, 0, 0)
 
 
-def test_bracket_decides_threshold_sweep(monkeypatch):
-    """H_chain_check at ten theta over squarefree n <= 500: the threshold
-    counts reach mpmath a handful of times at most, out of thousands of
-    non-integral q, and every chain is decided on its 128-bit ends."""
-    fallbacks, fractional, chains = [], [], []
+def test_threshold_sweep_decides_at_128_bits(monkeypatch):
+    """H_chain_check at ten theta over squarefree n <= 500: every chain and
+    every count threshold (`pow2_ceil`) is decided on its 128-bit ends, no
+    comparison reaches fraction_le_enclosure, and each non-integral q, of
+    the counts and of the chains, is exponentiated once."""
+    chains, ceilings, others, exps = [], [], [], []
 
-    def counted(*args, **kwargs):
-        fallbacks.append(kwargs.get("what"))
-        return fraction_le_enclosure(*args, **kwargs)
-
-    def watch(fn, q_at):
-        def wrapped(*args):
-            fractional.append(Fraction(args[q_at]).denominator != 1)
-            return fn(*args)
-        return wrapped
+    def refuse(*args, **kwargs):
+        raise AssertionError("fraction_le_enclosure reached")
 
     def spy(decide, what="comparison"):
         levels = []
-        if what.startswith("threshold-count chain"):
-            chains.append(levels)
+        (chains if what.startswith("threshold-count chain")
+         else ceilings if what.startswith("floor of 2^") else others).append(levels)
 
         def logged(level):
             levels.append(level)
             return decide(level)
         return escalate(logged, what)
 
-    monkeypatch.setattr(certify, "fraction_le_enclosure", counted)
+    exp = iv.exp
+    monkeypatch.setattr(iv, "exp", lambda x: exps.append(iv.prec) or exp(x))
+    monkeypatch.setattr(certify, "fraction_le_enclosure", refuse)
+    monkeypatch.setattr(moments, "fraction_le_enclosure", refuse)
     monkeypatch.setattr(certify, "escalate", spy)
-    monkeypatch.setattr(moments, "int_vs_pow2", watch(int_vs_pow2, 1))
-    calls = 0
+    certify.pow2_ceil.cache_clear()
+    certify.pow2_neg_ends.cache_clear()
+    calls, fractional = 0, set()
     for n in range(2, 501):
         profile = moments.divisor_profile(n)
         if profile.is_squarefree:
             for theta in [x / 10 for x in range(1, 11)]:
                 moments.H_chain_check(profile, theta, 2)
                 calls += 1
-    assert sum(fractional) > 1000
-    assert len(fallbacks) <= 5, fallbacks
+                q = Fraction(theta) * profile.omega
+                fractional |= {x for x in (q, 2 * q) if x.denominator != 1}
     assert len(chains) == calls and all(levels == [128] for levels in chains)
+    assert ceilings and all(levels == [128] for levels in ceilings) and others == []
+    assert len(fractional) > 30 and exps == [128] * len(fractional)
 
 
 def _prec_writes(tree: ast.AST):

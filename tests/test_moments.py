@@ -449,6 +449,33 @@ def test_thm_bounds_escalate_inside_the_128_bit_enclosure(monkeypatch):
         assert len(levels) > 1
 
 
+@pytest.mark.parametrize("start", [128, 8])
+def test_reported_bounds_lie_above_the_bound(start, monkeypatch):
+    """eta(), chain_check's t n eta^t and both thm_bounds report a float at
+    or above the bound evaluated at 300 bits, also when an 8-bit start
+    leaves them the wide ends of a low level, where a float read from the
+    lower end would lie below it."""
+    monkeypatch.setattr(certify, "DEFAULT_PREC", start)
+    monkeypatch.setattr(moments, "DEFAULT_PREC", start)
+    low = []
+    for n in (6, 30, 2310, 30030):
+        f, profile = factorize(n), divisor_profile(n)
+        for t in (2, 3, 4, 6):
+            first, second = thm_bounds(f, t, moment_by_parts(profile, t))
+            reported = (eta(f, t), chain_check(profile, t).bound_value,
+                        first.bound_value, second.bound_value)
+            with mp.workprec(300):
+                ex, w = 1 - mpf(1) / t, mpf(f.omega)
+                eta_t = mp.fprod(1 + mpf(p) ** -(mpf(1) / t) for p, _ in f.factors)
+                hard = mpf(kernel.ETA_CONSTANT_HI) * t * w ** ex / (ex * mp.log(w) ** (mpf(1) / t))
+                bounds = (eta_t, t * n * eta_t ** t,
+                          (2 if t == 2 else 1) * n * mp.exp(hard),
+                          (2 if t == 2 and f.omega <= 55 else 1) * n * mp.exp(t * w ** ex))
+                low += [(i, n, t) for i, (got, want) in enumerate(zip(reported, bounds))
+                        if not mpf(got) >= want]
+    assert low == [], start
+
+
 def test_exact_bounds_are_reported_rounded_up():
     rep = domination_check(divisor_profile(15), 1)
     assert rep.context["rhs_exact"] == Fraction(11, 3)
@@ -620,12 +647,26 @@ def test_H_chain_exponentiates_each_q_once(monkeypatch):
     calls = []
     exp = iv.exp
     monkeypatch.setattr(iv, "exp", lambda x: calls.append(x) or exp(x))
-    moments._pow2_neg_ends.cache_clear()
+    certify.pow2_neg_ends.cache_clear()
     first = H_chain_check(divisor_profile(2310), theta, t)
     assert first.holds and calls
     calls.clear()
     second = H_chain_check(divisor_profile(3 * 5 * 7 * 11 * 13), theta, t)
     assert second.holds and calls == []
+
+
+def test_H_theta_exponentiates_each_q_once(monkeypatch):
+    """The count compares each |M| with one integer per q, pow2_ceil(q):
+    q = 5/3 at omega = 5 takes one interval exp, for every n of that omega."""
+    calls = []
+    exp = iv.exp
+    monkeypatch.setattr(iv, "exp", lambda x: calls.append(x) or exp(x))
+    certify.pow2_ceil.cache_clear()
+    certify.pow2_neg_ends.cache_clear()
+    for n in (2310, 2730, 3570):
+        profile = divisor_profile(n)
+        assert H_theta_exact(profile, Fraction(1, 3)) == H_oracle(n, Fraction(1, 3))
+    assert len(calls) == 1 and certify.pow2_ceil(Fraction(5, 3)) == 4  # 2^(5/3) = 3.17
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(0.3) * 10, Fraction(2, 7) * 13,
@@ -636,7 +677,7 @@ def test_pow2_ends_enclose_the_power(q):
     for level in (8, 128, 512):
         with iv_prec(max(300, level + 64)):
             tlo, thi, te = interval_ends(iv.exp(-certify.iv_exact(q) * iv.ln2))
-        lo, hi, e = moments._pow2_neg_ends(q, level)
+        lo, hi, e = certify.pow2_neg_ends(q, level)
         assert lo * Fraction(2) ** e <= tlo * Fraction(2) ** te
         assert thi * Fraction(2) ** te <= hi * Fraction(2) ** e
 
