@@ -36,8 +36,8 @@ enclosures, and a restarted run replays from k = 1 and verifies its
 stream against every stored state.
 
 This module is divlat's float engine and the one that imports numpy;
-the exact kernel, C and the interval hard factor live in `kernel` and
-are re-exported here.
+the exact kernel, C and the interval hard factor live in `kernel`, and
+C is read from there at call time, so it has one home.
 """
 
 from __future__ import annotations
@@ -53,19 +53,11 @@ import numpy as np
 from mpmath import iv
 from mpmath.libmp import to_str as _mpf_to_str
 
+from . import kernel
 from .certify import dyadic_upper, escalate, exact_upper, interval_ends
 from .core import PrimeTable, sieve_for_count
 from .errors import CapacityError
-from .kernel import (  # noqa: F401  (re-exported; the campaigns read C through these names)
-    ETA_CONSTANT_AT,
-    ETA_CONSTANT_HI,
-    ETA_CONSTANT_LO,
-    _hard_factor_iv,
-    _pow_rounded,
-    _root_bracket,
-    eta_fixed_point,
-    log_eta_sums,
-)
+from .kernel import _hard_factor_iv, log_eta_sums
 from .reports import BoundReport, CampaignResult
 
 #: per-t campaign thresholds for the hard inequality; t in 8..99 uses 8
@@ -112,12 +104,12 @@ def hard_threshold(t: int) -> int:
 
 def eta_constant_interval():
     """Enclosure of C inside the active iv precision context."""
-    return iv.mpf([ETA_CONSTANT_LO, ETA_CONSTANT_HI])
+    return iv.mpf([kernel.ETA_CONSTANT_LO, kernel.ETA_CONSTANT_HI])
 
 
 def eta_constant_upper() -> float:
     """Certified float upper bound of C."""
-    return exact_upper(Fraction(ETA_CONSTANT_HI))
+    return exact_upper(Fraction(kernel.ETA_CONSTANT_HI))
 
 
 @dataclass
@@ -340,7 +332,7 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
     if table.count < k_max:
         raise CapacityError(
             f"table holds {table.count} primes, campaign needs {k_max}")
-    c_str = ETA_CONSTANT_HI  # the hard right-hand side's C, read once per call
+    c_str = kernel.ETA_CONSTANT_HI  # the hard right-hand side's C, read once per call
     c_float = float(c_str)
     t0 = time.perf_counter()
     cp = CheckpointFile(checkpoint) if checkpoint else None
@@ -433,7 +425,7 @@ def verify_c_hard(t: int, k_max: int, table: PrimeTable,
                   checkpoint: str | Path | None = None) -> CampaignResult:
     """log_sum(t,k) <= C k^(1-1/t)/((1-1/t) logplus(k)^(1/t)) - [t>2] log(t)/t.
 
-    C is ETA_CONSTANT_HI, the certified upper end of the best-possible
+    C is kernel.ETA_CONSTANT_HI, the certified upper end of the best-possible
     constant, read exactly as a decimal string at call time.  At the
     attained point (2, 2149) the margin is the gap between C and the
     true supremum, so a C below the certified upper end cannot verify.
@@ -531,8 +523,9 @@ def _side_report(lhs, rhs, holds: bool, context: dict) -> BoundReport:
     """A decided lhs-vs-rhs enclosure pair: both sides read as the least
     float at or above their exact upper ends, the slack at the lower end
     of rhs - lhs."""
-    lhs_up, rhs_up = (dyadic_upper(*interval_ends(y)[1:]) for y in (lhs, rhs))
-    return BoundReport(lhs_up, rhs_up, float((rhs - lhs).a), holds, context)
+    lhs_up = dyadic_upper(*interval_ends(lhs)[1:])
+    return BoundReport.dyadic(lhs_up, *interval_ends(rhs)[1:], holds, context,
+                              slack=float((rhs - lhs).a))
 
 
 def ln2_bound_check(t: int, k: int) -> BoundReport:

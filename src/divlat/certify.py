@@ -7,7 +7,7 @@ that a "holds" verdict can never be a rounding artifact.
 `le_dyadic` is the one decision of an exact int or Fraction x against
 an analytic Y: each level gives integers lo 2^e <= Y <= hi 2^e, and x is
 compared with both ends by exact cross-multiplication.  It returns the
-verdict with the DEFAULT_PREC ends a report reads (`dyadic_upper`).
+verdict with the DEFAULT_PREC ends a report reads (`BoundReport.dyadic`).
 `fraction_le_enclosure` is le_dyadic on the exact ends of an mpmath
 interval (`interval_ends`), never on their 53-bit floats, and returns
 the verdict alone.
@@ -28,7 +28,7 @@ PREC_CEILING, and it runs each `decide(level)` inside `iv_prec(level)`,
 so no decide sets the precision itself.  Its callers are `le_dyadic`
 (called by `scaled_le`, by `moments.chain_check` on the eta kernel's
 integer ends, by `moments.thm_bounds` on its cached exponentials, by
-`moments.H_chain_check` on the ends of L_t 2^-q, and through
+`moments.H_chain_check` on the ends of 2^-q, and through
 `fraction_le_enclosure` by the optimizer hypothesis), `pow2_ceil`, the
 campaign escalation pass, the best-constant search and the two side
 conditions in `campaigns`, the even-t walk in `moments.optimal_even_t`,

@@ -27,7 +27,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import campaigns, moments
+from . import campaigns, kernel, moments
 from .certify import escalate
 from .core import factorize, prime_upper_bound, rosser_check, sieve_primes
 from .energy import brute_energy_oracle, energy
@@ -185,7 +185,7 @@ def cmd_constant_c(args) -> tuple[dict, bool, list]:
         "runner_up_at": list(found.runner_up_at),
         "unique_maximum": unique,
     }
-    return results, found.attained_at == campaigns.ETA_CONSTANT_AT and unique, [
+    return results, found.attained_at == kernel.ETA_CONSTANT_AT and unique, [
         f"best constant = {found.value:.8f} attained at (t,k) = {found.attained_at}",
         f"runner-up {found.runner_up:.10f} at {found.runner_up_at}"]
 

@@ -31,7 +31,7 @@ from itertools import accumulate, product
 
 from mpmath import iv
 
-from .certify import escalate, exact_upper, iv_exact
+from .certify import escalate, iv_exact
 from .core import Factorization, binomial, divisors_sorted, eulerian, factorize
 from .errors import CapacityError
 from .reports import BoundReport, CampaignResult
@@ -90,13 +90,8 @@ def multinomial_identity_check(s: int, v: int) -> BoundReport:
                   // (math.factorial(i) * math.factorial(v + i) * math.factorial(rest))
                   * 2 ** rest)
     rhs = binomial(2 * s, s - v)
-    return BoundReport(
-        exact_value=total,
-        bound_value=exact_upper(rhs),
-        slack=float(rhs - total),
-        holds=total == rhs,
-        context={"s": s, "v": v, "rhs": rhs, "check": "multinomial-identity"},
-    )
+    return BoundReport.exact(total, rhs, total == rhs,
+                             {"s": s, "v": v, "rhs": rhs, "check": "multinomial-identity"})
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +306,8 @@ def sinc_integral_check(s: int) -> BoundReport:
                          for k in range(s)),
                      2 ** (2 * s - 1) * math.factorial(2 * s - 1))
     ratio = _sandwich_constants(s)[0]
-    return BoundReport(
-        exact_value=polya,
-        bound_value=exact_upper(ratio),
-        slack=float(ratio - polya),
-        holds=polya == ratio,
-        context={"s": s, "rhs": ratio, "check": "sinc-power-integral", "certified": True},
-    )
+    return BoundReport.exact(polya, ratio, polya == ratio, {
+        "s": s, "rhs": ratio, "check": "sinc-power-integral", "certified": True})
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +485,9 @@ def vandermonde_positivity(u, x) -> BoundReport:
         us, nodes = [int(uj) for uj in u], [xi.as_integer_ratio() for xi in x]
         det = _det([[a ** uj * b ** (us[-1] - uj) for uj in us] for a, b in nodes])
         det = Fraction(0 if det is None else det, math.prod(b for _, b in nodes) ** us[-1])
-        return BoundReport(
-            exact_value=det,
-            bound_value=0.0,
-            slack=float(det),
-            holds=det > 0,
-            context={"size": ell, "method": "exact-elimination",
-                     "check": "vandermonde-positivity"},
-        )
+        return BoundReport.exact(det, 0, det > 0, {
+            "size": ell, "method": "exact-elimination", "check": "vandermonde-positivity"},
+            slack=float(det))
 
     def decide(level: int) -> BoundReport | None:
         det = _det([[iv.exp(iv.log(iv_exact(xi)) * iv_exact(uj)) for uj in u]
@@ -512,13 +497,8 @@ def vandermonde_positivity(u, x) -> BoundReport:
         lo, hi = float(det.a), float(det.b)
         if not (lo > 0.0 or hi < 0.0):
             return None
-        return BoundReport(
-            exact_value=float(det.mid),
-            bound_value=0.0,
-            slack=lo,
-            holds=lo > 0.0,
-            context={"size": ell, "method": f"interval-{level}bit",
-                     "check": "vandermonde-positivity"},
-        )
+        return BoundReport.exact(float(det.mid), 0, lo > 0.0, {
+            "size": ell, "method": f"interval-{level}bit", "check": "vandermonde-positivity"},
+            slack=lo)
 
     return escalate(decide, what="determinant sign")

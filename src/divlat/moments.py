@@ -39,7 +39,6 @@ from .certify import (
     DEFAULT_PREC,
     dyadic_upper,
     escalate,
-    exact_upper,
     fraction_le_enclosure,
     interval_ends,
     iv_exact,
@@ -127,13 +126,9 @@ def interval_sum_check(profile: DivisorProfile, a: float, b: float) -> BoundRepo
     """|interval Mobius sum| against the central binomial C(omega, floor(omega/2))."""
     s = interval_sum(profile, a, b)
     bound = binomial(profile.omega, profile.omega // 2)
-    return BoundReport(
-        exact_value=s,
-        bound_value=exact_upper(bound),
-        slack=float(bound - abs(s)),
-        holds=abs(s) <= bound,
-        context={"n": profile.n, "a": a, "b": b, "check": "interval-mobius-sum"},
-    )
+    return BoundReport.exact(s, bound, abs(s) <= bound, {
+        "n": profile.n, "a": a, "b": b, "check": "interval-mobius-sum"},
+        slack=float(bound - abs(s)))
 
 
 def tau_trunc(profile: DivisorProfile, z: float) -> int:
@@ -155,13 +150,8 @@ def tau_trunc_check(profile: DivisorProfile, z: float) -> BoundReport:
     tz = tau_trunc(profile, z)
     d = max_omega_D(profile, z)
     bound = sum(binomial(profile.omega, j) for j in range(d + 1))
-    return BoundReport(
-        exact_value=tz,
-        bound_value=exact_upper(bound),
-        slack=float(bound - tz),
-        holds=tz <= bound,
-        context={"n": profile.n, "z": z, "D": d, "check": "tau-truncated"},
-    )
+    return BoundReport.exact(tz, bound, tz <= bound, {
+        "n": profile.n, "z": z, "D": d, "check": "tau-truncated"})
 
 
 def _parity_envelope(omega: int, d: int) -> tuple[int, int]:
@@ -182,15 +172,9 @@ def pe_envelope_check(profile: DivisorProfile, z: float) -> BoundReport:
     m = mertens_truncated(profile, z)
     d = max_omega_D(profile, z)
     lower, upper = _parity_envelope(profile.omega, d)
-    holds = lower <= m <= upper
-    return BoundReport(
-        exact_value=m,
-        bound_value=exact_upper(upper),
-        slack=float(min(m - lower, upper - m)),
-        holds=holds,
-        context={"n": profile.n, "z": z, "lower": lower, "upper": upper,
-                 "D": d, "check": "mertens-envelope"},
-    )
+    return BoundReport.exact(m, upper, lower <= m <= upper, {
+        "n": profile.n, "z": z, "lower": lower, "upper": upper, "D": d,
+        "check": "mertens-envelope"}, slack=float(min(m - lower, upper - m)))
 
 
 def envelope_violations(profile: DivisorProfile) -> list[BoundReport]:
@@ -201,12 +185,6 @@ def envelope_violations(profile: DivisorProfile) -> list[BoundReport]:
     env = [_parity_envelope(profile.omega, d) for d in range(profile.omega + 1)]
     walk = zip(profile.divisors, profile.mobius_prefix, accumulate(profile.divisor_omega, max))
     return [pe_envelope_check(profile, z) for z, m, d in walk if not env[d][0] <= m <= env[d][1]]
-
-
-def _bound_report(exact: int, value: float, holds: bool, context: dict) -> BoundReport:
-    """`exact` against a bound reported as the float `value` (rounded up)."""
-    slack = math.inf if value == math.inf else value - float(exact)
-    return BoundReport(exact, value, slack, holds, context)
 
 
 def moment_stepwise(profile: DivisorProfile, t: int) -> int:
@@ -282,10 +260,9 @@ def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
     """Verify |L_t(n)| <= t n J_{t-1}(n) <= t n eta(n,t)^t.
 
     The left comparison is exact; the right, J_{t-1} <= eta^t, is decided
-    as middle <= t n eta^t (t n > 0) by `certify.le_dyadic` on the integer
-    ends t n lo^t and t n hi^t at e = -tF of `kernel.eta_fixed_point`,
-    escalating on overlap.  The report's bound is read off the
-    DEFAULT_PREC upper end, with no interval log or exp.
+    by `certify.le_dyadic` on the integer ends lo^t and hi^t at e = -tF of
+    `kernel.eta_fixed_point`, escalating on overlap.  The report's bound
+    is t n times the DEFAULT_PREC upper end, with no interval log or exp.
     """
     if t < 2:
         raise ValueError(f"chain check needs t >= 2, got {t}")
@@ -293,17 +270,18 @@ def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
         raise ValueError(f"chain check needs squarefree n >= 2, got n = {profile.n}")
     n = profile.n
     lt = abs(moment_by_parts(profile, t))
-    middle = t * n * J_rho(profile, t - 1)
-    first_holds = Fraction(lt) <= middle
+    j = J_rho(profile, t - 1)
+    middle = t * n * j
+    first_holds = lt <= middle
     primes = [p for p, _ in profile.factorization.factors]
 
     def eta_power(level: int) -> tuple[int, int, int]:
         bits, ends = kernel.eta_fixed_point(primes, t, [len(primes)], level)
         lo, hi = ends[len(primes)]
-        return t * n * lo ** t, t * n * hi ** t, -t * bits
+        return lo ** t, hi ** t, -t * bits
 
-    second_holds, (_, hi, e) = le_dyadic(middle, eta_power)
-    return _bound_report(lt, dyadic_upper(hi, e), first_holds and second_holds, {
+    second_holds, (_, hi, e) = le_dyadic(j, eta_power)
+    return BoundReport.dyadic(lt, t * n * hi, e, first_holds and second_holds, {
         "n": n, "t": t, "middle": middle, "middle_holds": first_holds,
         "eta_holds": second_holds, "check": "moment-chain"})
 
@@ -321,14 +299,9 @@ def domination_check(profile: DivisorProfile, rho: int) -> BoundReport:
         raise ValueError(f"domination check needs squarefree n, got {profile.n}")
     lhs = J_rho(profile, rho)
     top, rhs = _primorial_J(profile.omega, rho)
-    return BoundReport(
-        exact_value=lhs,
-        bound_value=exact_upper(rhs),
-        slack=float(rhs - lhs),
-        holds=lhs <= rhs,
-        context={"n": profile.n, "rho": rho, "primorial": top,
-                 "rhs_exact": rhs, "check": "primorial-domination"},
-    )
+    return BoundReport.exact(lhs, rhs, lhs <= rhs, {
+        "n": profile.n, "rho": rho, "primorial": top, "rhs_exact": rhs,
+        "check": "primorial-domination"})
 
 
 @lru_cache(maxsize=256)
@@ -356,9 +329,10 @@ def thm_bounds(f: Factorization, t: int, moment: int) -> tuple[BoundReport, Boun
     Second: 2n exp(t omega^(1-1/t)) when t = 2 and omega <= 55,
             n exp(t omega^(1-1/t)) otherwise,
     with logplus(x) = log(max(x, 2)) and C = kernel.ETA_CONSTANT_HI,
-    which the hard campaign certifies.  Each verdict is decided by
-    `certify.le_dyadic` on the cached ends scaled by the integer factor,
-    escalating on overlap; the bound is reported from the 128-bit ends.
+    which the hard campaign certifies.  Each verdict is |moment| / factor
+    against the cached ends of the exponential, decided by
+    `certify.le_dyadic`, escalating on overlap; the bound is the factor
+    times the 128-bit upper end.
     """
     if t < 2:
         raise ValueError(f"moment bounds need t >= 2, got {t}")
@@ -369,13 +343,10 @@ def thm_bounds(f: Factorization, t: int, moment: int) -> tuple[BoundReport, Boun
     lt = abs(moment)
 
     def report(i: int) -> BoundReport:
-        def scaled(level: int) -> tuple:
-            lo, hi, e = _thm_exponentials(om, t, c, level)[i]
-            return scales[i] * lo, scales[i] * hi, e
-
-        holds, (_, hi, e) = le_dyadic(lt, scaled)
-        return _bound_report(lt, dyadic_upper(hi, e), holds,
-                             {"n": n, "t": t, "check": f"moment-bound-{i + 1}"})
+        holds, (_, hi, e) = le_dyadic(Fraction(lt, scales[i]),
+                                      lambda level: _thm_exponentials(om, t, c, level)[i])
+        return BoundReport.dyadic(lt, scales[i] * hi, e, holds,
+                                  {"n": n, "t": t, "check": f"moment-bound-{i + 1}"})
 
     return report(0), report(1)
 
@@ -440,23 +411,19 @@ def H_theta_exact(profile: DivisorProfile, theta: float | Fraction) -> int:
 
 def H_chain_check(profile: DivisorProfile, theta: float | Fraction, t: int) -> BoundReport:
     """H_theta(n) <= L_t(n) / 2^q, q = t theta omega, for even t, decided
-    by `certify.le_dyadic` on the cached ends of 2^-q (`pow2_neg_ends`,
-    exact at integral q, the one case where equality can hold) scaled by the
-    integer L_t, so no wider than an enclosure of the product; the report
-    reads the DEFAULT_PREC upper end."""
+    as H_theta / L_t against the cached ends of 2^-q (`pow2_neg_ends`,
+    exact at integral q, the one case where equality can hold) by
+    `certify.le_dyadic`; the report's bound is L_t times the DEFAULT_PREC
+    upper end."""
     if t % 2 or t < 2:
         raise ValueError(f"chain needs even t >= 2, got {t}")
     h = H_theta_exact(profile, theta)
-    lt = moment_by_parts(profile, t)  # >= 0 for even t
-    q = Fraction(t) * Fraction(theta) * profile.omega
-
-    def ends(level: int) -> tuple[int, int, int]:
-        lo, hi, e = pow2_neg_ends(q, level)
-        return lt * lo, lt * hi, e
-
+    lt = moment_by_parts(profile, t)  # > 0 for even t: M(n, z) = 1 on [1, 2)
+    q = Fraction(theta) * (t * profile.omega)
     holds, (_, hi, e) = le_dyadic(
-        h, ends, what=f"threshold-count chain at n = {profile.n}, theta = {theta}, t = {t}")
-    return _bound_report(h, dyadic_upper(hi, e), holds, {
+        Fraction(h, lt), lambda level: pow2_neg_ends(q, level),
+        what=f"threshold-count chain at n = {profile.n}, theta = {theta}, t = {t}")
+    return BoundReport.dyadic(h, lt * hi, e, holds, {
         "n": profile.n, "theta": theta, "t": t, "moment": lt, "check": "threshold-count-chain"})
 
 

@@ -5,7 +5,10 @@ Conventions:
 * ``exact_value`` is the side of a comparison known exactly (int or
   Fraction); analytic-vs-analytic checks store a certified float there.
 * ``bound_value`` is always rounded *up*, so ``holds`` can never be a
-  rounding artifact.
+  rounding artifact.  The two constructors own that rounding, and every
+  module builds its reports through them: `BoundReport.exact` for an int
+  or Fraction bound, `BoundReport.dyadic` for a bound of at most hi 2^e
+  with integers hi and e.
 * ``CampaignResult.passed`` is true only when the worst margin, taken at
   the conservative (outer) interval ends, is strictly positive and no
   comparison stayed inconclusive.
@@ -18,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+from .certify import dyadic_upper, exact_upper
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -28,6 +33,26 @@ class BoundReport:
     slack: float
     holds: bool
     context: dict = field(default_factory=dict)
+
+    @classmethod
+    def exact(cls, value, bound: int | Fraction, holds: bool, context: dict,
+              slack: float | None = None) -> BoundReport:
+        """`value` against the exact `bound`, reported as the least float at
+        or above it; the slack is bound - value unless one is given."""
+        if slack is None:
+            slack = float(bound - value)
+        return cls(value, exact_upper(bound), slack, holds, context)
+
+    @classmethod
+    def dyadic(cls, value, hi: int, e: int, holds: bool, context: dict,
+               slack: float | None = None) -> BoundReport:
+        """`value` against a bound of at most hi 2^e, reported as the least
+        float at or above hi 2^e (inf past float range); the slack is that
+        float less `value` (inf with it) unless one is given."""
+        bound = dyadic_upper(hi, e)
+        if slack is None:
+            slack = math.inf if bound == math.inf else bound - float(value)
+        return cls(value, bound, slack, holds, context)
 
     def to_jsonable(self) -> dict:
         return {

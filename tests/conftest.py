@@ -41,7 +41,7 @@ def campaign_table():
 
 
 def iv_log_eta_sums(primes, t, ks):
-    """Independent oracle for `campaigns.log_eta_sums`: the per-prime interval
+    """Independent oracle for `kernel.log_eta_sums`: the per-prime interval
     sum of log(1 + exp(-log(p) / t)) at the active iv precision, at each k in ks."""
     want = set(ks)
     e = iv.mpf(-1) / t

@@ -24,8 +24,10 @@ from divlat import (
     concavity_threshold,
     constant_C_search,
     eta_constant_upper,
+    factorize,
     hard_threshold,
     induction_margin,
+    kernel,
     ln2_bound_check,
     rosser_check,
     sieve_for_count,
@@ -34,15 +36,9 @@ from divlat import (
     verify_c_hard,
 )
 from divlat.certify import iv_prec
-from divlat.campaigns import (
-    CheckpointFile,
-    ETA_CONSTANT_HI,
-    ETA_CONSTANT_LO,
-    _rhs_iv,
-    eta_log_enclosures,
-    log_eta_sums,
-)
-from divlat.moments import eta_log_interval
+from divlat.campaigns import CheckpointFile, _rhs_iv, eta_log_enclosures
+from divlat.kernel import ETA_CONSTANT_HI, ETA_CONSTANT_LO, log_eta_sums
+from divlat.moments import eta_log_interval, thm_bounds
 
 from conftest import NextafterEtaAccumulator, iv_log_eta_sums
 
@@ -176,7 +172,7 @@ def test_kernel_ends_contain_the_256_bit_sum():
     for _ in range(300):
         k, t = rng.randint(2, 4), rng.choice([2, 3, 5])
         primes = rng.sample(pool, k)
-        f, ends = campaigns.eta_fixed_point(primes, t, [k], 8)
+        f, ends = kernel.eta_fixed_point(primes, t, [k], 8)
         lo, hi = ends[k]
         with iv_prec(256):
             want = iv_log_eta_sums(primes, t, [k])[k]
@@ -190,7 +186,7 @@ def test_kernel_ends_contain_the_256_bit_sum():
 @settings(max_examples=300, deadline=None)
 def test_root_bracket_is_certified(p, t, f):
     """s <= 2^f p^(-1/t) <= u, checked with exact integer powers, and u - s <= 8."""
-    s, u = campaigns._root_bracket(p, t, f)
+    s, u = kernel._root_bracket(p, t, f)
     assert s ** t * p <= 1 << (t * f) <= u ** t * p
     assert 0 < u - s <= 8
 
@@ -283,7 +279,7 @@ def test_hard_small_t(small_table):
 
 
 def test_hard_k1_with_printed_constant(small_table, monkeypatch):
-    monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", "1.07073472")
+    monkeypatch.setattr(kernel, "ETA_CONSTANT_HI", "1.07073472")
     r = verify_c_hard(4, 1, small_table)
     lhs = math.log(1 + 2 ** -0.25)
     rhs = 1.07073472 / (0.75 * math.log(2) ** 0.25) - math.log(4) / 4
@@ -293,10 +289,28 @@ def test_hard_k1_with_printed_constant(small_table, monkeypatch):
 
 def test_hard_rejects_too_small_constant(small_table, monkeypatch):
     # with C clearly below the supremum the inequality fails somewhere
-    monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", "1.0")
+    monkeypatch.setattr(kernel, "ETA_CONSTANT_HI", "1.0")
     r = verify_c_hard(2, 3000, small_table)
     assert not r.passed
     assert r.worst_margin < 0
+
+
+def test_constant_has_one_home(small_table, monkeypatch):
+    """C patched once, in `kernel`, moves every reader of it: the hard
+    campaign and induction step, the float upper bound and the first
+    moment bound.  1.07 lies below the supremum, attained at (2, 2149)."""
+    f, past = factorize(2 * 3 * 5 * 7), hard_threshold(2) + 1
+    first_bound = thm_bounds(f, 3, 0)[0].bound_value
+    assert verify_c_hard(2, 2200, small_table).passed
+    assert induction_margin(2, past, "hard").holds
+    monkeypatch.setattr(kernel, "ETA_CONSTANT_LO", "1.07")
+    monkeypatch.setattr(kernel, "ETA_CONSTANT_HI", "1.07")
+    hard = verify_c_hard(2, 2200, small_table)
+    assert not hard.passed and hard.worst_margin < 0
+    assert not induction_margin(2, past, "hard").holds
+    assert eta_constant_upper() == certify.exact_upper(Fraction("1.07"))
+    assert thm_bounds(f, 3, 0)[0].bound_value < first_bound
+    assert not hasattr(campaigns, "ETA_CONSTANT_HI")
 
 
 def _verdict(verify, t, k_max, table, mp):
@@ -329,7 +343,7 @@ def test_margin_rule_agrees_on_the_interval_path(verify, t, k_max, c_hi, small_t
     """With a right-hand-side envelope so wide that the float pass decides
     no k, the interval levels alone give the same verdict."""
     if c_hi is not None:
-        monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", c_hi)
+        monkeypatch.setattr(kernel, "ETA_CONSTANT_HI", c_hi)
     with pytest.MonkeyPatch.context() as mp:
         base, _ = _verdict(verify, t, k_max, small_table, mp)
     with pytest.MonkeyPatch.context() as mp:
@@ -437,7 +451,7 @@ def test_campaign_worst_margin_is_rounded_down(verify, k_max, c_hi, argmin, smal
                                                monkeypatch):
     """The reported margin is at or below the lower end of the argmin margin's
     enclosure at the first level, which decides it, and at 512 bits."""
-    monkeypatch.setattr(campaigns, "ETA_CONSTANT_HI", c_hi)
+    monkeypatch.setattr(kernel, "ETA_CONSTANT_HI", c_hi)
     res = verify(2, k_max, small_table)
     assert argmin is None or res.argmin == argmin
     mode, (t, k) = res.label.removeprefix("eta-"), res.argmin

@@ -25,6 +25,7 @@ from mpmath.libmp import to_rational
 from divlat import certify, moments
 from divlat.certify import escalate, fraction_le_enclosure, int_vs_pow2, pow2_ceil, scaled_le
 from divlat.errors import InconclusiveError
+from divlat.reports import BoundReport
 
 #: the denominator the edge cases are drawn around
 B = 64
@@ -324,6 +325,50 @@ def test_dyadic_upper_is_the_least_float_above(m, e):
     assert v <= Fraction(up)
     below = math.nextafter(up, -math.inf)
     assert below == -math.inf or Fraction(below) < v
+
+
+def _is_least_float_above(up: float, v: Fraction) -> bool:
+    below = math.nextafter(up, -math.inf)
+    return v <= Fraction(up) and (below == -math.inf or Fraction(below) < v)
+
+
+_REPORT_VALUES = st.integers(-(1 << 60), 1 << 60)
+_GIVEN_SLACK = st.one_of(st.none(), st.floats(allow_nan=False))
+
+
+@given(_REPORT_VALUES,
+       st.one_of(st.integers(-(1 << 1000), 1 << 1000),
+                 st.fractions().filter(lambda v: abs(v) < 1e300)),
+       _GIVEN_SLACK)
+@example(0, (1 << 53) + 1, None)
+@example(3, Fraction(1, 3), None)
+@example(0, 0, -2.5)  # the Vandermonde form: bound 0, slack given
+def test_exact_report_rounds_its_bound_up(value, bound, slack):
+    rep = BoundReport.exact(value, bound, True, {"check": "probe"}, slack=slack)
+    assert _is_least_float_above(rep.bound_value, Fraction(bound))
+    assert rep.slack == (float(bound - value) if slack is None else slack)
+    assert (rep.exact_value, rep.holds, rep.context) == (value, True, {"check": "probe"})
+
+
+@given(_REPORT_VALUES, st.integers(-(1 << 200), 1 << 200), st.integers(-1300, 1300),
+       _GIVEN_SLACK)
+@settings(max_examples=400, deadline=None)
+@example(1, 1, -1075, None)  # below the least subnormal
+@example(1, (1 << 53) - 1, 971, None)  # the largest float, exactly
+@example(1, 1 << 53, 971, None)  # past it: inf, with inf slack
+@example(1, 1 << 53, 971, 0.5)  # a given slack is kept even then
+def test_dyadic_report_rounds_its_bound_up(value, hi, e, slack):
+    """hi 2^e with e past both ends of float range: the least float at or
+    above it, inf past the largest float, and inf slack with an inf bound."""
+    rep = BoundReport.dyadic(value, hi, e, False, {}, slack=slack)
+    v = _dyadic(hi, e)
+    if v > Fraction(sys.float_info.max):
+        assert rep.bound_value == math.inf
+        assert rep.slack == (math.inf if slack is None else slack)
+        return
+    assert _is_least_float_above(rep.bound_value, v)
+    assert rep.slack == (rep.bound_value - float(value) if slack is None else slack)
+    assert (rep.exact_value, rep.holds) == (value, False)
 
 
 def test_interval_ends_are_read_exactly():

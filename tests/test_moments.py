@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp, mpf
 
-from divlat import campaigns, certify, kernel, moments
+from divlat import certify, kernel, moments
 from divlat import (
     DomainError,
     InconclusiveError,
@@ -404,7 +404,7 @@ def _first_bound(n: int, t: int) -> "iv.mpf":
     written out from the statement at the active precision."""
     w = iv.mpf(factorize(n).omega)
     ex = 1 - iv.mpf(1) / t
-    expo = (iv.mpf(campaigns.ETA_CONSTANT_HI) * t * iv.exp(iv.log(w) * ex)
+    expo = (iv.mpf(kernel.ETA_CONSTANT_HI) * t * iv.exp(iv.log(w) * ex)
             / (ex * iv.exp(iv.log(iv.log(w)) / t)))
     return (2 if t == 2 else 1) * n * iv.exp(expo)
 
@@ -605,7 +605,7 @@ def test_eta_domain():
         with pytest.raises(ValueError):
             moments.eta_log_interval([2, 3], t)
         with pytest.raises(ValueError):
-            campaigns.log_eta_sums([2, 3], t, [2])
+            kernel.log_eta_sums([2, 3], t, [2])
 
 
 def test_H_chain():
