@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import campaigns, kernel, moments
 from .certify import escalate
 from .core import factorize, prime_upper_bound, rosser_check, sieve_primes
-from .energy import brute_energy_oracle, energy
+from .energy import brute_energy_oracle, energy, energy_sweep
 from .errors import CapacityError, InconclusiveError
 from .moments import ALPHA_REFERENCE, divisor_profile
 from .reports import _jsonable
@@ -248,9 +248,9 @@ def cmd_energy(args) -> tuple[dict, bool, list]:
             results["oracle"] = brute_energy_oracle(args.n, args.s)
             ok = ok and results["oracle"] == rep.energy
         return results, ok, []
-    reps = (energy(factorize(n), args.s) for n in range(2, args.sweep + 1))
-    violations = [rep.to_jsonable() for rep in reps if not rep.holds]
-    return {"checked": args.sweep - 1, "violations": violations}, not violations, []
+    checked, signatures, violations = energy_sweep(args.sweep, args.s)
+    return ({"checked": checked, "signatures": signatures,
+             "violations": [rep.to_jsonable() for rep in violations]}, not violations, [])
 
 
 #: the primes a scan sample draws its squarefree n from

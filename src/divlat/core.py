@@ -8,7 +8,8 @@ p_k: Dusart's k(ln k + ln ln k - 0.9484) for k >= 39017, Rosser's
 k(ln k + ln ln k) for 6 <= k < 39017.  Floating point appears only in these
 bounds, rounded up by a margin far above their error; `rosser_check` compares
 k*log(k) through `certify.escalate`.  Factorizations come from complete trial
-division; binomials, Eulerian numbers and surjections from integer formulas.
+division, the exponents of n = 2..x from one blockwise walk over prime
+powers; binomials, Eulerian numbers and surjections from integer formulas.
 
 Key objects:
     PrimeTable      immutable ascending table of primes (1-indexed access)
@@ -22,7 +23,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from mpmath import iv
 
@@ -38,6 +39,8 @@ DIVISOR_CAP = 1 << 26
 
 #: slots per sieve segment; slot j stands for 3j + 1 + (j & 1): 1, 5, 7, 11, 13, ...
 _SEGMENT = 1 << 21
+#: numbers per block of `exponent_signatures`
+_SIGNATURE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,32 @@ def factorize(n: int) -> Factorization:
         factors.append((m, 1))
     factors.sort()
     return Factorization(n=n, factors=tuple(factors))
+
+
+def _signature_block(lo: int, hi: int, primes: list[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(n, exponents of n by increasing prime) for lo <= n < hi, given the primes up to
+    isqrt(hi - 1).  n / part[i] is 1 or one prime: two above isqrt(hi - 1) exceed hi - 1."""
+    exps, part = [()] * (hi - lo), [1] * (hi - lo)
+    for p in primes:
+        for i in range(-lo % p, hi - lo, p):
+            exps[i] += (1,)
+            part[i] *= p
+        pj = p * p
+        while pj < hi:
+            for i in range(-lo % pj, hi - lo, pj):
+                exps[i] = (*exps[i][:-1], exps[i][-1] + 1)
+                part[i] *= p
+            pj *= p
+    return ((n, e + (1,) if m != n else e) for n, e, m in zip(range(lo, hi), exps, part))
+
+
+def exponent_signatures(upto: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(n, exponents of n by increasing prime) for n = 2..upto, _SIGNATURE_BLOCK
+    numbers at a time; the primes up to isqrt(upto) are the n with exponents
+    (1,) in the walk to isqrt(upto)."""
+    primes = [p for p, e in exponent_signatures(math.isqrt(upto)) if e == (1,)] if upto > 3 else []
+    for lo in range(2, upto + 1, _SIGNATURE_BLOCK):
+        yield from _signature_block(lo, min(lo + _SIGNATURE_BLOCK, upto + 1), primes)
 
 
 def mobius(f: Factorization) -> int:

@@ -11,12 +11,15 @@ check it against tuple enumeration and squared composition counts).
 The sandwich for E_s(n) compares exact integers against exact rationals
 (tau^(2s-1) times per-prime constants built from Eulerian numbers and
 central binomials), so strictness/equality verdicts cannot be rounding
-artifacts.  The module also houses the supporting polynomial facts: the
-sign interpolants of minimal degree (exact Lagrange interpolation),
-generalized Vandermonde positivity (one fraction-free elimination,
-`_det`, over exact integers or over mpmath intervals, any size), the
-zero-sum count T_s, the asymptotics witness for the sandwich constants,
-and the sinc-power integral identity, an exact rational equality.
+artifacts.  E_s(n), tau and omega depend only on the exponents of n, so
+`energy_sweep` decides the sandwich once per prime signature, reading the
+exponents of each n from `core.exponent_signatures`.  The module also
+houses the supporting polynomial facts: the sign interpolants of minimal
+degree (exact Lagrange interpolation), generalized Vandermonde positivity
+(one fraction-free elimination, `_det`, over exact integers or over
+mpmath intervals, any size), the zero-sum count T_s, the asymptotics
+witness for the sandwich constants, and the sinc-power integral identity,
+an exact rational equality.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
@@ -32,7 +35,8 @@ from itertools import accumulate, product
 from mpmath import iv
 
 from .certify import escalate, iv_exact
-from .core import Factorization, binomial, divisors_sorted, eulerian, factorize
+from .core import (Factorization, binomial, divisors_sorted, eulerian, exponent_signatures,
+                   factorize)
 from .errors import CapacityError
 from .reports import BoundReport, CampaignResult
 
@@ -160,9 +164,7 @@ def energy(f: Factorization, s: int) -> EnergyReport:
         raise ValueError(f"energy sandwich stated for s >= 2, got {s}")
     if f.n < 2:
         raise ValueError(f"energy sandwich stated for n >= 2, got {f.n}")
-    e_val = 1
-    for _, exp_ in f.factors:
-        e_val *= R_closed(s, exp_)
+    e_val = math.prod(R_closed(s, e) for _, e in f.factors)
     tau_pow = f.tau ** (2 * s - 1)
     lo, up = constants = _sandwich_constants(s)
     om = f.omega
@@ -182,6 +184,27 @@ def energy(f: Factorization, s: int) -> EnergyReport:
         upper_is_equality=equal,
         holds=strict and fits and equal == f.is_squarefree,
     )
+
+
+def energy_sweep(upto: int, s: int) -> tuple[int, int, list[EnergyReport]]:
+    """The sandwich for n = 2..upto: (n checked, signatures decided, violations).
+
+    A report but its n depends only on s and the sorted exponents of n, so
+    `energy` decides each signature at its first n, where trial division
+    must give the walk's exponents.
+    """
+    if s < 2:
+        raise ValueError(f"energy sandwich stated for s >= 2, got {s}")
+    decided, violations, checked = {}, [], 0
+    for checked, (n, exps) in enumerate(exponent_signatures(upto), 1):
+        if (rep := decided.get(key := tuple(sorted(exps)))) is None:
+            f = factorize(n)
+            if tuple(e for _, e in f.factors) != exps:
+                raise ArithmeticError(f"{n} = {f.factors} by trial division, {exps} by the walk")
+            rep = decided[key] = energy(f, s)
+        if not rep.holds:
+            violations.append(replace(rep, n=n))
+    return checked, len(decided), violations
 
 
 def brute_energy_oracle(n: int, s: int) -> int:
@@ -222,28 +245,17 @@ def T_monotonicity_check(s: int, alpha_max: int) -> CampaignResult:
     """
     t0 = time.perf_counter()
     ratios = [T_ratio(s, a) for a in range(alpha_max + 1)]
-    ok = True
-    worst = math.inf
-    arg = (s, alpha_max)
-    for a in range(alpha_max):
-        diff = ratios[a] - ratios[a + 1]
-        if s <= 2:
-            good = diff == 0
-            margin = 1.0 if good else -abs(float(diff))
-        else:
-            good = diff > 0
-            margin = float(diff)
-        if margin < worst:
-            worst = margin
-            arg = (s, a + 1)
-        ok = ok and good
+    diffs = [ratios[a] - ratios[a + 1] for a in range(alpha_max)]
+    # a constant ratio scores 1.0 at each equal step, a decreasing one the step
+    margins = [(1.0 if d == 0 else -abs(float(d))) if s <= 2 else float(d) for d in diffs]
+    worst = min(margins, default=math.inf)
     return CampaignResult(
         label="zero-sum-ratio-monotonicity",
         t_range=(s, s),
         k_range=(0, alpha_max),
-        passed=ok,
+        passed=all(d == 0 if s <= 2 else d > 0 for d in diffs),
         worst_margin=worst,
-        argmin=arg,
+        argmin=(s, margins.index(worst) + 1 if margins else alpha_max),
         wall_time=time.perf_counter() - t0,
     )
 
@@ -392,9 +404,7 @@ def sign_lemma_check() -> CampaignResult:
     itself is re-checked pointwise.
     """
     t0 = time.perf_counter()
-    passed = True
     first_bad = None
-    checked = 0
     for lam in range(1, SIGN_LEMMA_LAMBDA_MAX + 1):
         for m in range(0, 2 * lam):
             poly = sign_interpolant(lam, m)
@@ -407,19 +417,15 @@ def sign_lemma_check() -> CampaignResult:
                 shape_ok = (poly.is_even_function()
                             and poly.degree == 2 * lam
                             and _sgn(poly.leading) == (-1) ** ((2 * lam - m - 1) // 2))
-            checked += 1
             if not (pts_ok and shape_ok):
-                passed = False
                 first_bad = first_bad or (lam, m)
     return CampaignResult(
         label="sign-interpolant-shape",
         t_range=(1, SIGN_LEMMA_LAMBDA_MAX),
         k_range=(0, 2 * SIGN_LEMMA_LAMBDA_MAX - 1),
-        passed=passed,
-        worst_margin=1.0 if passed else -1.0,
+        passed=first_bad is None,
+        worst_margin=1.0 if first_bad is None else -1.0,
         argmin=first_bad or (SIGN_LEMMA_LAMBDA_MAX, 2 * SIGN_LEMMA_LAMBDA_MAX - 1),
-        sup_ratio=None,
-        arg_sup=None,
         wall_time=time.perf_counter() - t0,
     )
 

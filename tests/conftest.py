@@ -2,8 +2,8 @@
 independent oracles the tests check the library against: the interval
 sum for the eta kernel, the float accumulator with numpy's own outward
 rounding, the threshold-count chain's bound as one interval product, two
-routes to the energy kernel R_s, and a quadrature of the sinc-power
-integral."""
+routes to the energy kernel R_s, the energy sweep at every n, and a
+quadrature of the sinc-power integral."""
 
 import math
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from mpmath import iv
 
-from divlat import CapacityError, campaigns, sieve_for_count, sieve_primes
+from divlat import CapacityError, campaigns, energy, factorize, sieve_for_count, sieve_primes
 from divlat.certify import DEFAULT_PREC, dyadic_upper, interval_ends, iv_exact, iv_prec
 from divlat.energy import composition_counts
 
@@ -145,6 +145,13 @@ def R_convolution(s, alpha):
     if s < 1 or alpha < 0:
         raise ValueError(f"need s >= 1 and alpha >= 0, got s={s}, alpha={alpha}")
     return sum(c * c for c in composition_counts(s, alpha))
+
+
+def energy_sweep_oracle(upto, s):
+    """Oracle for `energy.energy_sweep`'s violations: the full sandwich at
+    every n = 2..upto, each n factored by trial division."""
+    reps = (energy(factorize(n), s) for n in range(2, upto + 1))
+    return [rep for rep in reps if not rep.holds]
 
 
 def _gauss_legendre_panels(f, n_panels, nodes):

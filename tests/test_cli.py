@@ -226,8 +226,7 @@ def test_energy_single_needs_equality_iff_squarefree(capsys, monkeypatch):
 def test_energy_sweep(capsys):
     code, report, _ = run_cli(capsys, "energy", "--s", "3", "--sweep", "60")
     assert code == 0
-    assert report["results"]["checked"] == 59
-    assert report["results"]["violations"] == []
+    assert report["results"] == {"checked": 59, "signatures": 12, "violations": []}
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -300,6 +299,13 @@ def test_empty_sweep_is_argument_error(capsys, argv, named):
 def test_energy_invalid_s(capsys):
     code, report, _ = run_cli(capsys, "energy", "--s", "1", "--n", "12")
     assert code == 1 and report["status"] == "fail"
+
+
+def test_energy_sweep_invalid_s(capsys):
+    code, report, _ = run_cli(capsys, "energy", "--s", "1", "--sweep", "20000")
+    assert code == 1 and report["status"] == "fail"
+    assert report["results"] == {"error": "energy sandwich stated for s >= 2, got 1",
+                                 "error_kind": "argument"}
 
 
 def test_verify_eta_single(capsys):

@@ -8,7 +8,7 @@ from itertools import permutations, product
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divlat import (
@@ -265,6 +265,49 @@ def test_divisor_pairing_and_mobius_sum(n):
     assert all(d * (n // d) == n and n % d == 0 for d in divs)
     total = sum(mobius(factorize(d)) for d in divs)
     assert total == (1 if n == 1 else 0)
+
+
+# ---------------------------------------------------------------------------
+# exponent walk
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def trial_division_exponents(upto):
+    """(n, exponents of factorize(n)) for n = 2..upto."""
+    return [(n, tuple(e for _, e in factorize(n).factors)) for n in range(2, upto + 1)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 15])
+def test_exponent_walk_matches_factorize(block, monkeypatch):
+    monkeypatch.setattr(core, "_SIGNATURE_BLOCK", block)
+    want = trial_division_exponents(40_000)
+    assert list(core.exponent_signatures(20_000)) == want[:19_999]
+    for upto in range(-2, 40):
+        assert list(core.exponent_signatures(upto)) == want[:max(upto - 1, 0)]
+
+
+# p^2 and p^3 at isqrt(upto), and p just above it: p^2 - 1 leaves p out of the walk's
+# primes, so p, 2p, ... are each read as one prime left above the root
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 101, 181, 199])
+def test_exponent_walk_at_the_root_boundary(p):
+    for upto in {p * p - 1, p * p, p * p + 1, p ** 3 - 1, p ** 3, p ** 3 + 1}:
+        if upto <= 40_000:
+            walk = list(core.exponent_signatures(upto))
+            assert walk == trial_division_exponents(40_000)[:upto - 1], upto
+            assert dict(walk)[p] == (1,) and dict(walk).get(p * p, (2,)) == (2,)
+            assert dict(walk).get(p ** 3, (3,)) == (3,)
+
+
+# primes to 10^6 hold every prime up to isqrt(n) for n < 1000003^2; 999983 is the
+# largest of them, so the first window sits on its square
+@given(st.integers(10 ** 12 - 4 * 10 ** 7, 10 ** 12 + 4 * 10 ** 6), st.integers(1, 10))
+@example(999_983 ** 2 - 4, 8)
+@example(10 ** 12 - 3, 6)
+@settings(max_examples=20, deadline=None)
+def test_exponent_block_near_a_trillion_matches_factorize(small_table, lo, width):
+    block = core._signature_block(lo, lo + width, small_table.primes.tolist())
+    assert list(block) == [(n, tuple(e for _, e in factorize(n).factors))
+                           for n in range(lo, lo + width)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,10 @@ from divlat import (
     vandermonde_positivity,
 )
 from divlat.certify import iv_exact, iv_prec
-from divlat.energy import ExactPolynomial, _det, composition_counts
+from divlat.core import Factorization
+from divlat.energy import ExactPolynomial, _det, composition_counts, energy_sweep
 
-from conftest import R_brute, R_convolution, sinc_quadrature
+from conftest import R_brute, R_convolution, energy_sweep_oracle, sinc_quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +145,59 @@ def test_sandwich_classification():
             assert rep.strict_lower_holds
             assert rep.upper_holds
             assert rep.upper_is_equality == factorize(n).is_squarefree
+
+
+# ---------------------------------------------------------------------------
+# the sweep, decided once per prime signature
+# ---------------------------------------------------------------------------
+
+ENERGY_MODULE = importlib.import_module("divlat.energy")  # divlat.energy is the function
+
+
+# doubling c_up fails the 182 squarefree n <= 300 (no equality); raising c_lo
+# by 11/10 fails 101 of the 117 others, by their lower bound
+@pytest.mark.parametrize("scale", [(1, 2), (Fraction(11, 10), 1)])
+@pytest.mark.parametrize("s", [2, 3])
+def test_sweep_violations_match_the_per_n_oracle(s, scale, monkeypatch):
+    lo, up = ENERGY_MODULE._sandwich_constants(s)
+    monkeypatch.setattr(ENERGY_MODULE, "_sandwich_constants",
+                        lambda s: (scale[0] * lo, scale[1] * up))
+    checked, _, violations = energy_sweep(300, s)
+    want = energy_sweep_oracle(300, s)
+    assert checked == 299 and len(want) >= 50
+    assert [r.to_jsonable() for r in violations] == [r.to_jsonable() for r in want]
+
+
+def test_sweep_calls_energy_once_per_signature(monkeypatch):
+    seen = []
+
+    def counted(f, s):
+        seen.append(tuple(sorted(e for _, e in f.factors)))
+        return energy(f, s)
+
+    monkeypatch.setattr(ENERGY_MODULE, "energy", counted)
+    assert energy_sweep(2000, 3) == (1999, 49, [])
+    signatures = {tuple(sorted(e for _, e in factorize(n).factors)) for n in range(2, 2001)}
+    assert len(seen) == len(set(seen)) == 49 and set(seen) == signatures
+    assert energy_sweep(20_000, 3) == (19_999, 100, [])
+
+
+def test_sweep_cross_checks_trial_division(monkeypatch):
+    # 12 = 2^2 3 is the first n of signature (1, 2); misreport it as 2 3^2
+    monkeypatch.setattr(ENERGY_MODULE, "factorize", lambda n: Factorization(
+        n, ((2, 1), (3, 2))) if n == 12 else factorize(n))
+    with pytest.raises(ArithmeticError, match="12 = "):
+        energy_sweep(100, 2)
+    # a sweep that stops before 12 never asks for it
+    assert energy_sweep(11, 2)[:2] == (10, 4)
+
+
+def test_sweep_rejects_s_before_walking(monkeypatch):
+    entered = []
+    monkeypatch.setattr(ENERGY_MODULE, "exponent_signatures", entered.append)
+    with pytest.raises(ValueError, match="stated for s >= 2, got 1"):
+        energy_sweep(20_000, 1)
+    assert entered == []
 
 
 # ---------------------------------------------------------------------------
