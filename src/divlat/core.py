@@ -1,12 +1,12 @@
 """Exact integer number theory underpinning the whole package.
 
 Everything here is exact.  Primes come from one segmented Eratosthenes
-sieve over the numbers prime to 6, written into one int64 array sized by a
-proven bound on pi(x), with at most one segment of flags and one of indices
-beside it.  A table of the first k primes is sieved up to a proven bound on
-p_k: Dusart's k(ln k + ln ln k - 0.9484) for k >= 39017, Rosser's
-k(ln k + ln ln k) for 6 <= k < 39017.  Floating point appears only in these
-bounds, rounded up by a margin far above their error; `rosser_check` compares
+sieve over the numbers prime to 6, written 4 bytes a prime (so below 2^32)
+into one uint32 array sized by a proven bound on pi(x), beside one reused
+segment of flags and one of indices.  The first k primes are sieved to a
+proven bound on p_k: Dusart's k(ln k + ln ln k - 0.9484) for k >= 39017,
+Rosser's k(ln k + ln ln k) for 6 <= k < 39017.  Floating point appears only
+in these bounds, rounded up by far more than their error; `rosser_check` compares
 k*log(k) through `certify.escalate`.  Factorizations come from complete trial
 division, the exponents of n = 2..x from one blockwise walk over prime
 powers; binomials, Eulerian numbers and surjections from integer formulas.
@@ -94,28 +94,30 @@ def pi_upper_bound(x: int) -> int:
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """All primes <= limit, by a segmented sieve over the numbers prime to 6.
+    """All primes <= limit < 2^32, by a segmented sieve over the numbers prime to 6.
 
-    Each segment holds 2^21 of them, written straight into one int64 array
-    of pi_upper_bound(limit) entries beside at most one segment of flags and
-    one of indices.  The first segment (up to 6,291,455) sieves itself; its
-    primes up to sqrt(limit), read back from the table, sieve every later
+    Each segment of 2^21 of them is flagged in one reused buffer, and its primes
+    go straight into one uint32 array of pi_upper_bound(limit) entries, beside
+    one segment of indices.  The first segment (up to 6,291,455) sieves itself;
+    its primes up to sqrt(limit), read back from the table, sieve every later
     segment, each p as two progressions 2p slots apart, from p p and p (p + 2 or 4).
     """
     import numpy as np  # here, not at module level: `import divlat` loads no numpy
 
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if math.isqrt(limit) >= 1 << 22:
-        raise CapacityError(f"sieve limit {limit} needs base primes beyond the first segment")
+    if limit >= 1 << 32:
+        raise CapacityError(f"sieve limit {limit} is past the 32-bit prime table's 2^32 - 1")
     slots = (limit + 5) // 6 + (limit + 1) // 6
-    out = np.empty(pi_upper_bound(limit), dtype=np.int64)
+    out = np.empty(pi_upper_bound(limit), dtype=np.uint32)
     out[:2], pos = (2, 3), min(2, limit - 1)
+    buf = np.empty(min(_SEGMENT, slots), dtype=bool)
     for lo in range(0, slots, _SEGMENT):
-        flags = np.ones(min(_SEGMENT, slots - lo), dtype=bool)
-        flags[0] = lo > 0  # slot 0 is 1, not prime
+        flags = buf[:min(_SEGMENT, slots - lo)]
+        flags[1:], flags[0] = True, lo > 0  # slot 0 is 1, not prime
         root = math.isqrt(3 * (lo + flags.size) - 1)  # its last value <= 3 (lo + size) - 1
-        for p in (out[2:np.searchsorted(out[:pos], root, "right")].tolist() if lo else (
+        # a uint32 needle: a Python int would upcast the whole table to int64
+        for p in (out[2:np.searchsorted(out[:pos], np.uint32(root), "right")].tolist() if lo else (
                 3 * j + 1 + (j & 1) for j in range(1, root // 3 + 1) if flags[j])):
             for q in (p, p + 4 - 2 * (p // 3 & 1)):
                 off = p * q // 3 - lo
@@ -123,10 +125,11 @@ def sieve_primes(limit: int) -> PrimeTable:
         idx = np.flatnonzero(flags)
         if pos + idx.size > out.size:  # a short table never leaves here
             raise ArithmeticError(f"pi({limit}) exceeds its proven bound {out.size}")
-        seg = np.multiply(idx, 3, out=out[pos:pos + idx.size])
+        seg = np.multiply(idx, 3, out=out[pos:pos + idx.size], casting="unsafe")  # idx < 2^21
         seg += 3 * lo + 1
         seg |= 1  # (3j + 1) | 1 == 3j + 1 + (j & 1), lo being even
         pos += idx.size
+        del idx  # before the next segment's indices are built
     return PrimeTable(limit=limit, primes=out[:pos])
 
 

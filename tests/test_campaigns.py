@@ -207,6 +207,31 @@ def test_accumulator_matches_the_nextafter_oracle(medium_table, t, cuts):
             == (want.sum_mid, want.sum_comp, want.eval_err, want.k))
 
 
+def test_uint32_table_reads_as_its_int64_copy(small_table):
+    """A uint32 table whose entries reach 4294967291, the largest prime below
+    2^32, and an int64 copy of it: every consumer widens an entry before its
+    arithmetic, so none wraps around and each reads the two tables alike."""
+    base = small_table.primes[small_table.primes < 2 ** 16].astype(np.int64)
+    top = np.arange(2 ** 32 - 400, 2 ** 32, dtype=np.int64)
+    top = top[(top[:, None] % base).all(axis=1)]
+    values = np.concatenate([small_table.primes[:1000], top])
+    narrow = PrimeTable(limit=2 ** 32 - 1, primes=values.astype(np.uint32))
+    wide = PrimeTable(limit=2 ** 32 - 1, primes=values.astype(np.int64))
+    k = narrow.count
+    assert narrow.primes.dtype == np.uint32 and narrow.nth(k) == 4_294_967_291
+    assert [narrow.nth(j) for j in range(1, k + 1)] == [wide.nth(j) for j in range(1, k + 1)]
+    got, want = rosser_check(narrow, k), rosser_check(wide, k)
+    assert (got.passed, got.worst_margin, got.argmin) == (want.passed, want.worst_margin, want.argmin)
+    for t in (2, 7):
+        ks = [1000, 1001, k]
+        got, want = log_eta_sums(narrow.primes, t, ks), log_eta_sums(wide.primes, t, ks)
+        assert [got[j]._mpi_ for j in ks] == [want[j]._mpi_ for j in ks]
+        acc_narrow, acc_wide = EtaAccumulator(t=t), EtaAccumulator(t=t)
+        for x, y in zip(acc_narrow.extend(narrow.primes), acc_wide.extend(wide.primes)):
+            assert np.array_equal(x.view(np.int64), y.view(np.int64)), t
+        assert acc_narrow == acc_wide
+
+
 def _positive_normal_draws():
     """Random positive normal floats, every power of two, and both ends of the range."""
     bits = np.random.default_rng(25).integers(

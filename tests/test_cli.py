@@ -408,6 +408,16 @@ def test_sieve_ceiling_env(capsys, monkeypatch):
     assert report["inputs"]["k_max"] == 100000
 
 
+def test_sieve_limit_past_the_32_bit_table(capsys, monkeypatch):
+    # p_300000000 needs a limit near 6.5e9: inside the ceiling, past the uint32 table
+    monkeypatch.setenv("DIVLAT_SIEVE_LIMIT", "10000000000")
+    code, report, _ = run_cli(capsys, "rosser", "--k-max", "300000000")
+    assert code == 1 and report["status"] == "fail"
+    assert report["results"]["error_kind"] == "capacity"
+    assert "32-bit prime table" in report["results"]["error"]
+    assert "DIVLAT_SIEVE_LIMIT" not in report["results"]["error"]
+
+
 def test_rosser_cli(capsys):
     code, report, _ = run_cli(capsys, "rosser", "--k-max", "5000")
     assert code == 0

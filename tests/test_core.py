@@ -93,7 +93,7 @@ _SIEVE_LIMITS = [*_ORACLE_EDGES, *(n for n in range(2, 201) if n not in _ORACLE_
 def test_sieve_matches_eratosthenes_oracle(limit):
     oracle = eratosthenes(12_582_913)
     got = sieve_primes(limit)
-    assert got.limit == limit and got.primes.dtype == np.int64
+    assert got.limit == limit and got.primes.dtype == np.uint32
     assert np.array_equal(got.primes, oracle[oracle <= limit])
 
 
@@ -111,8 +111,10 @@ def test_sieve_for_count_at_250k(medium_table):
 
 def test_sieve_holds_one_segment_beside_its_table():
     """numpy reports its buffers to tracemalloc.  At the campaigns' size the
-    table is 28.6 MiB, and the sieve peaks at most 16 MiB above it: one
-    segment of flags and one of indices, never a second copy of the table."""
+    table is 14.3 MiB, 4 bytes a prime, and the sieve peaks at most 6 MiB
+    above it: one reused 2 MiB segment of flags and one segment of indices
+    (3.3 MiB at most).  Fresh flags beside the last segment's indices took
+    8.3 MiB, and an int64 copy of the table would take 28.6 MiB."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -121,8 +123,8 @@ def test_sieve_holds_one_segment_beside_its_table():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert table.count == 3_751_685
-    assert peak <= table.primes.nbytes + (16 << 20)
+    assert table.count == 3_751_685 and table.primes.itemsize == 4
+    assert peak <= table.primes.nbytes + (6 << 20)
 
 
 def test_pi_upper_bound_at_every_prime_to_ten_million():
@@ -163,10 +165,18 @@ def test_sieve_rejects_tiny_limit():
         sieve_primes(1)
 
 
-def test_sieve_rejects_limit_past_first_segment_base_primes():
-    # sqrt(limit) must stay inside the first segment, which supplies the base primes
-    with pytest.raises(CapacityError, match="first segment"):
-        sieve_primes((2 * 2 ** 21) ** 2)
+def test_sieve_rejects_limit_past_the_32_bit_table():
+    """The table holds uint32 entries, so 2^32 is refused, and so is 2^44, whose
+    square root once left the first segment; both before any allocation."""
+    tracemalloc.start()
+    try:
+        for limit in (2 ** 32, (2 * 2 ** 21) ** 2):
+            with pytest.raises(CapacityError, match="32-bit prime table"):
+                sieve_primes(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sieve_deep_window_matches_trial_division(small_table):
