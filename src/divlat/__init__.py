@@ -66,7 +66,7 @@ from .reports import BoundReport, CampaignResult
 
 __version__ = "0.1.0"
 
-#: names of the float engine, `campaigns`, which alone loads numpy: they
+#: names of the float engine, `campaigns`, which imports numpy at load: they
 #: are read from it on first use, so `import divlat` loads no numpy
 _CAMPAIGN_NAMES = frozenset({
     "ConstantC",

@@ -35,9 +35,10 @@ the primes in slices cut at block multiples reproduces bit-identical
 enclosures, and a restarted run replays from k = 1 and verifies its
 stream against every stored state.
 
-This module is divlat's float engine and the one that imports numpy;
-the exact kernel, C and the interval hard factor live in `kernel`, and
-C is read from there at call time, so it has one home.
+This module is divlat's float engine and imports numpy, as only the
+sieve in `core` does besides; the exact kernel, C and the interval
+hard factor live in `kernel`, and C is read from there at call time,
+so it has one home.
 """
 
 from __future__ import annotations

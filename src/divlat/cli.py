@@ -43,7 +43,11 @@ _ORACLE_BUDGET = 10 ** 6
 def _table_for_count(k: int):
     """The first k primes, sieved to the proven bound on p_k within the ceiling."""
     need = prime_upper_bound(k)
-    ceiling = int(os.environ.get("DIVLAT_SIEVE_LIMIT", str(DEFAULT_SIEVE_CEILING)))
+    text = os.environ.get("DIVLAT_SIEVE_LIMIT", str(DEFAULT_SIEVE_CEILING))
+    try:
+        ceiling = int(text)
+    except ValueError:
+        raise ValueError(f"DIVLAT_SIEVE_LIMIT must be an integer, got {text!r}") from None
     if need > ceiling:
         raise CapacityError(
             f"campaign needs a sieve limit of {need} (proven bound on p_{k}), "

@@ -6,14 +6,14 @@
 
 by integers at F = level + 32 bits, and `log_eta_sums` takes one
 interval log of that bracket per requested k.  Each root p^(-1/t) comes
-from `_root_bracket`: a Newton estimate, then `_certify_root`, which
-widens the estimate until exact integer powers certify both ends.  Also
-here: the certified enclosure of the best-possible constant C and the
-interval form of the hard right-hand-side factor.
+from `_root_bracket`: an exact integer square root at t = 2, else
+mpmath's interval exp and log at a precision passed as an argument.
+Also here: the certified enclosure of the best-possible constant C and
+the interval form of the hard right-hand-side factor.
 
 This module imports no numpy: `moments` reads the kernel, C and the
-hard factor from here, and only the float engine in `campaigns` loads
-numpy.
+hard factor from here, and only the float engine in `campaigns` and the
+sieve in `core` load numpy.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import math
 from functools import lru_cache
 
 from mpmath import iv
+from mpmath.libmp import from_int, mpf_shift, round_ceiling, round_floor, to_int
+from mpmath.libmp.libmpi import mpi_div, mpi_exp, mpi_log
 
 #: certified enclosure of the best-possible constant, re-derived by
 #: campaigns.constant_C_search (the test suite asserts containment)
@@ -38,81 +40,25 @@ def _hard_factor_iv(t: int, k: int):
     return iv.exp(iv.log(iv.mpf(k)) * ex) / (ex * iv.exp(iv.log(logplus) / t))
 
 
-def _pow_rounded(x: int, t: int, w: int, up: bool) -> tuple[int, int]:
-    """(m, e) with m 2^e >= x^t if up, else <= x^t, for integers x >= 0, t >= 1.
-
-    Binary exponentiation on mantissas cut to w bits, every cut rounded
-    in the one direction, so the bound holds at each product.
-    """
-    def cut(v: int, e: int) -> tuple[int, int]:
-        k = v.bit_length() - w
-        if k <= 0:
-            return v, e
-        return (-(-v >> k) if up else v >> k), e + k
-
-    m, e = 1, 0
-    b, be = cut(x, 0)
-    while True:
-        if t & 1:
-            m, e = cut(m * b, e + be)
-        t >>= 1
-        if not t:
-            return m, e
-        b, be = cut(b * b, 2 * be)
-
-
-def _certify_root(p: int, t: int, f: int, s: int) -> tuple[int, int]:
-    """Integers s' <= s and u >= s + 1 with s'^t p <= 2^(tf) <= u^t p, from
-    an estimate s of 2^f p^(-1/t).
-
-    Each end is compared by a power rounded up (for s') or down (for u)
-    on (f + 64 + bitlength(t))-bit mantissas, and widened by one until
-    that exact integer comparison holds, so any estimate is certified.
-    """
-    top, w = t * f, f + 64 + t.bit_length()
-
-    def excess(x: int, up: bool) -> int:
-        """Sign of x^t p - 2^(tf), the power rounded up or down."""
-        m, e = _pow_rounded(x, t, w, up)
-        a, b = m * p << max(e - top, 0), 1 << max(top - e, 0)
-        return (a > b) - (a < b)
-
-    u = s + 1
-    while excess(s, True) > 0:
-        s -= 1
-    while excess(u, False) < 0:
-        u += 1
-    return s, u
-
-
 @lru_cache(maxsize=4096)
 def _root_bracket(p: int, t: int, f: int) -> tuple[int, int]:
     """Integers s <= 2^f p^(-1/t) <= u, certified: s^t p <= 2^(tf) <= u^t p.
 
-    t = 2 takes an exact integer square root.  Otherwise a Newton
-    iteration on truncated powers, seeded from the float root and doubling
-    its good bits per step, estimates the root to about f + 8 bits, and
-    `_certify_root` certifies the ends.  Pure in (p, t, f), so cached: a
-    scan draws its primes from a pool of 25 at t = 2..6.
+    t = 2, the campaigns' thousands of roots, takes an exact integer
+    square root, over ten times cheaper than the interval.  Otherwise
+    the root is exp(log(p) / -t) in mpmath's interval arithmetic at
+    f + 32 bits, so its ends, scaled by 2^f and rounded outward, lie at
+    most 2 apart.  The precision is an argument: no `iv.prec` is read or
+    set.  Pure in (p, t, f), so cached: a scan draws its primes from a
+    pool of 25 at t = 2..6.
     """
     if t == 2:
         s = math.isqrt((1 << 2 * f) // p)
         return s, s + 1
-    tbits = t.bit_length()
-    lg = math.log2(p) / t
-    d = math.ceil(lg)  # the root at scale 2^g has g - d + 1 bits
-    bits = [f + 8 - d]
-    while bits[-1] > 40:  # the float seed is good to about 44 bits
-        bits.append((bits[-1] + tbits + 4) // 2 + 1)
-    bits.reverse()
-    y = int(math.ldexp(2.0 ** (d - lg), bits[0]))
-    for prev, b in zip(bits, bits[1:]):
-        # y += y (1 - p y^t 2^(-th)) / t at scale h = d + b
-        y <<= b - prev
-        m, e = _pow_rounded(y, t, b + 64 + tbits, False)
-        sh = t * (d + b) - e
-        y += (y * ((1 << sh) - p * m) >> sh) // t
-    return _certify_root(p, t, f, y >> 8)
+    prec = f + 32
+    x, d = from_int(p), from_int(-t)
+    lo, hi = mpi_exp(mpi_div(mpi_log((x, x), prec), (d, d), prec), prec)
+    return to_int(mpf_shift(lo, f), round_floor), to_int(mpf_shift(hi, f), round_ceiling)
 
 
 def eta_fixed_point(primes, t: int, ks, level: int) -> tuple[int, dict[int, tuple[int, int]]]:

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import mpmath as mp
 from mpmath import iv
@@ -183,12 +183,13 @@ def test_kernel_ends_contain_the_256_bit_sum():
 
 @given(st.sampled_from([int(p) for p in _PROPERTY_PRIMES]), st.integers(1, 1000),
        st.sampled_from([40, 64, 160, 544]))
+@example(2, 1, 160)  # an exact root: 2^f / 2 = 2^(f-1)
 @settings(max_examples=300, deadline=None)
 def test_root_bracket_is_certified(p, t, f):
-    """s <= 2^f p^(-1/t) <= u, checked with exact integer powers, and u - s <= 8."""
+    """s <= 2^f p^(-1/t) <= u, checked with exact integer powers, and u - s <= 2."""
     s, u = kernel._root_bracket(p, t, f)
     assert s ** t * p <= 1 << (t * f) <= u ** t * p
-    assert 0 < u - s <= 8
+    assert 0 < u - s <= 2
 
 
 @pytest.mark.parametrize("cuts", [range(0, 250_000, campaigns.CHECKPOINT_STRIDE),

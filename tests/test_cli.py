@@ -408,6 +408,17 @@ def test_sieve_ceiling_env(capsys, monkeypatch):
     assert report["inputs"]["k_max"] == 100000
 
 
+@pytest.mark.parametrize("text", ["8e7", "", "lots"])
+def test_malformed_sieve_limit_is_an_argument_error(capsys, monkeypatch, text):
+    """A DIVLAT_SIEVE_LIMIT that is not an integer is reported with the
+    variable's name and the text it held."""
+    monkeypatch.setenv("DIVLAT_SIEVE_LIMIT", text)
+    code, report, _ = run_cli(capsys, "rosser", "--k-max", "100")
+    assert code == 1 and report["status"] == "fail"
+    assert report["results"]["error_kind"] == "argument"
+    assert report["results"]["error"] == f"DIVLAT_SIEVE_LIMIT must be an integer, got {text!r}"
+
+
 def test_sieve_limit_past_the_32_bit_table(capsys, monkeypatch):
     # p_300000000 needs a limit near 6.5e9: inside the ceiling, past the uint32 table
     monkeypatch.setenv("DIVLAT_SIEVE_LIMIT", "10000000000")

@@ -1,4 +1,4 @@
-"""The numpy-free eta kernel: root certification and the import boundary."""
+"""The numpy-free eta kernel: its root brackets and the import boundary."""
 
 import subprocess
 import sys
@@ -6,9 +6,11 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 import divlat
 from divlat import kernel
+from divlat.certify import iv_prec
 
 #: primes the library draws its roots from (the scan pool and beyond)
 PRIMES = (2, 3, 5, 7, 97, 7919, 104_729, 15_485_863)
@@ -29,9 +31,8 @@ def iroot(x: int, t: int) -> int:
 @st.composite
 def root_cases(draw):
     """(p, t, f): a library prime at a usual f, or a near-tie p = 2^(tf) / x^t
-    rounded to an integer, where x^t and p both pass the mantissa width
-    f + 64 + bitlength(t), so only correctly rounded powers separate x^t p
-    from 2^(tf)."""
+    rounded to an integer, so that x^t p lies within 2 x^t of 2^(tf) and
+    the root 2^f p^(-1/t) falls within a unit of x."""
     t = draw(st.integers(3, 9))
     if draw(st.booleans()):
         return draw(st.sampled_from(PRIMES)), t, draw(st.sampled_from([8, 40, 64, 160]))
@@ -41,17 +42,26 @@ def root_cases(draw):
     return p, t, f
 
 
-@given(root_cases(), st.integers(-4, 4))
+@given(root_cases())
 @settings(max_examples=300, deadline=None)
-def test_certify_root_from_an_estimate_off_by_a_few(case, offset):
-    """From the true floor root moved by up to 4 units either way,
-    `_certify_root` returns s^t p <= 2^(tf) <= u^t p, checked with exact
-    integer powers, with u - s at most 6."""
+def test_root_bracket_at_a_near_tie(case):
+    """The uncached `_root_bracket` returns s^t p <= 2^(tf) <= u^t p, checked
+    with exact integer powers, around the exact floor root, with u - s <= 2."""
     p, t, f = case
-    floor_root = iroot((1 << t * f) // p, t)
-    s, u = kernel._certify_root(p, t, f, floor_root + offset)
+    s, u = kernel._root_bracket.__wrapped__(p, t, f)
     assert s ** t * p <= 1 << t * f <= u ** t * p
-    assert 0 < u - s <= 6
+    assert s <= iroot((1 << t * f) // p, t) < u
+    assert u - s <= 2
+
+
+def test_root_bracket_keeps_no_precision_state():
+    """The bracket is the same at 8 bits of `iv.prec` as at mpmath's default,
+    and building it leaves `iv.prec` as it found it."""
+    cases = [(3, 3, 40), (7919, 5, 160), (15_485_863, 99, 544), (2, 1, 160), (97, 2, 64)]
+    want = [kernel._root_bracket.__wrapped__(*c) for c in cases]
+    with iv_prec(8):
+        assert [kernel._root_bracket.__wrapped__(*c) for c in cases] == want
+        assert iv.prec == 8
 
 
 def test_import_divlat_loads_no_numpy():
