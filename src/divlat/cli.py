@@ -222,7 +222,7 @@ def cmd_moments(args) -> tuple[dict, bool, list]:
                 f"rerun with its radical {f.gamma}")
         if args.t >= 2:
             first, second = moments.thm_bounds(f, args.t, stepwise)
-            chain = moments.chain_check(profile, args.t)
+            chain = moments.chain_check(profile, args.t, by_parts)
             results["first_bound"] = {"value": first.bound_value, "holds": first.holds}
             results["second_bound"] = {"value": second.bound_value, "holds": second.holds}
             results["chain"] = chain.to_jsonable()
@@ -289,7 +289,7 @@ def _scan_one(rng: random.Random) -> dict:
     closed = -math.prod(1 - p for p in primes)
     check("first-moment-closed-form", l1 == closed)
     check("moment-bounds", all(r.holds for r in moments.thm_bounds(f, t, sw)), {"t": t})
-    check("moment-chain", moments.chain_check(profile, t).holds, {"t": t})
+    check("moment-chain", moments.chain_check(profile, t, bp).holds, {"t": t})
     z = rng.choice(profile.divisors)
     check("envelope", moments.pe_envelope_check(profile, z).holds, {"z": z})
     a = rng.choice(profile.divisors)

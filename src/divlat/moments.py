@@ -30,7 +30,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import accumulate, count, pairwise, repeat
+from operator import mul
 
 from mpmath import iv
 
@@ -138,9 +139,17 @@ def tau_trunc(profile: DivisorProfile, z: float) -> int:
     return bisect_right(profile.divisors, z)
 
 
+def _prime_products(profile: DivisorProfile) -> list[int]:
+    """[1, p_1, p_1 p_2, ..., rad(n)]: the least divisors with 0, 1, ... primes."""
+    return list(accumulate((p for p, _ in profile.factorization.factors), mul, initial=1))
+
+
 def max_omega_D(profile: DivisorProfile, z: float) -> int:
-    """D(n,z): largest omega(d) over divisors d <= z, by a scan of that prefix."""
-    return max(profile.divisor_omega[:tau_trunc(profile, z)])
+    """D(n,z): largest omega(d) over divisors d <= z, the number of products
+    p_1 ... p_d of n's smallest primes that are <= z (O(omega))."""
+    if z < 1:
+        raise ValueError(f"truncation point must be >= 1, got {z}")
+    return bisect_right(_prime_products(profile), z) - 1
 
 
 def tau_trunc_check(profile: DivisorProfile, z: float) -> BoundReport:
@@ -178,13 +187,23 @@ def pe_envelope_check(profile: DivisorProfile, z: float) -> BoundReport:
 
 
 def envelope_violations(profile: DivisorProfile) -> list[BoundReport]:
-    """pe_envelope_check at every divisor z, in one walk of the table (D(n,z)
-    is the running maximum of divisor_omega); reports the z that fail."""
+    """pe_envelope_check at every divisor z; reports the z that fail, ascending.
+
+    D(n,z) = d on the run of divisors from p_1 ... p_d up to p_1 ... p_{d+1}
+    (`max_omega_D`), so each run is checked once, by the min and max of its
+    M(n,z) against its envelope, and only a failing run divisor by divisor."""
     if profile.n < 2:
         raise ValueError(f"envelope needs n >= 2, got n = {profile.n}")
-    env = [_parity_envelope(profile.omega, d) for d in range(profile.omega + 1)]
-    walk = zip(profile.divisors, profile.mobius_prefix, accumulate(profile.divisor_omega, max))
-    return [pe_envelope_check(profile, z) for z, m, d in walk if not env[d][0] <= m <= env[d][1]]
+    divs, pref = profile.divisors, profile.mobius_prefix
+    edges = [bisect_left(divs, p) for p in _prime_products(profile)] + [profile.tau]
+    bad = []
+    for d, (lo, hi) in enumerate(pairwise(edges)):
+        lower, upper = _parity_envelope(profile.omega, d)
+        run = pref[lo:hi]
+        if min(run) < lower or max(run) > upper:
+            bad += [pe_envelope_check(profile, z)
+                    for z, m in zip(divs[lo:hi], run) if not lower <= m <= upper]
+    return bad
 
 
 def moment_stepwise(profile: DivisorProfile, t: int) -> int:
@@ -224,15 +243,15 @@ def moment_by_parts(profile: DivisorProfile, t: int) -> int:
 def J_rho(profile: DivisorProfile, rho: int) -> Fraction:
     """J_rho(n) = sum_i i^rho / d_i over the sorted divisors (squarefree n).
 
-    Computed as an exact single fraction: sum_i i^rho * (n/d_i) over n.
+    Computed as an exact single fraction: sum_i i^rho * (n/d_i) over n,
+    where n/d_i = d_{tau+1-i} (divisors pair up), so nothing is divided.
     """
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
     if not profile.is_squarefree:
         raise ValueError(f"J_rho needs squarefree n, got n = {profile.n}")
-    n = profile.n
-    total = sum((i + 1) ** rho * (n // d) for i, d in enumerate(profile.divisors))
-    return Fraction(total, n)
+    powers = map(pow, range(1, profile.tau + 1), repeat(rho))
+    return Fraction(sum(map(mul, powers, reversed(profile.divisors))), profile.n)
 
 
 def eta_log_interval(primes, t: int) -> "iv.mpf":
@@ -256,8 +275,9 @@ def eta(f: Factorization, t: int) -> float:
     return dyadic_upper(ends[len(primes)][1], -bits)
 
 
-def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
-    """Verify |L_t(n)| <= t n J_{t-1}(n) <= t n eta(n,t)^t.
+def chain_check(profile: DivisorProfile, t: int, moment: int) -> BoundReport:
+    """Verify |L_t(n)| <= t n J_{t-1}(n) <= t n eta(n,t)^t, with L_t(n) the
+    caller's `moment` (as in `thm_bounds`).
 
     The left comparison is exact; the right, J_{t-1} <= eta^t, is decided
     by `certify.le_dyadic` on the integer ends lo^t and hi^t at e = -tF of
@@ -269,7 +289,7 @@ def chain_check(profile: DivisorProfile, t: int) -> BoundReport:
     if profile.n < 2 or not profile.is_squarefree:
         raise ValueError(f"chain check needs squarefree n >= 2, got n = {profile.n}")
     n = profile.n
-    lt = abs(moment_by_parts(profile, t))
+    lt = abs(moment)
     j = J_rho(profile, t - 1)
     middle = t * n * j
     first_holds = lt <= middle

@@ -161,7 +161,7 @@ def test_c06_moment_bounds():
             for rep in thm_bounds(f, t, lt):
                 ok_bounds &= rep.holds and Fraction(abs(lt)) <= Fraction(rep.bound_value)
         t = rng.randint(2, 6)
-        ok_chain &= chain_check(profile, t).holds
+        ok_chain &= chain_check(profile, t, moment_by_parts(profile, t)).holds
     verdict(6, ok_bounds and ok_chain,
             "both closed-form moment bounds and the exact/certified chain "
             "|L_t| <= t n J_(t-1) <= t n eta^t hold on 1000 samples x t=2..6")

@@ -89,6 +89,16 @@ def test_moments_basic(capsys):
     assert res["envelope_violations"] == []
 
 
+def test_moments_computes_the_moment_by_parts_once(capsys, monkeypatch):
+    """--all-checks hands the chain the moment the report already holds."""
+    calls = []
+    original = moments.moment_by_parts
+    monkeypatch.setattr(moments, "moment_by_parts",
+                        lambda profile, t: calls.append(t) or original(profile, t))
+    code, report, _ = run_cli(capsys, "moments", "--n", "30030", "--t", "4", "--all-checks")
+    assert code == 0 and report["results"]["chain"]["holds"] and calls == [4]
+
+
 def test_moments_t1(capsys):
     code, report, _ = run_cli(capsys, "moments", "--n", "6", "--t", "1")
     assert code == 0

@@ -33,6 +33,8 @@ COMMANDS = {
     # H_theta(30030) is 0 at theta 0.5 and 254 here, so the count is pinned
     "moments-theta-0.3": ["moments", "--n", "30030", "--t", "4", "--all-checks",
                           "--theta", "0.3"],
+    # primorial(14): both moments, both bounds, the chain and the envelope at 16384 divisors
+    "moments-primorial14": ["moments", "--n", "13082761331670030", "--t", "5", "--all-checks"],
     "scan": ["scan", "--seed", "1", "--count", "300"],
     "energy": ["energy", "--s", "3", "--sweep", "2000"],
     "tables": ["tables"],

@@ -180,6 +180,24 @@ def test_envelope_violations_are_the_failing_checks(narrowing, monkeypatch):
     assert (found > 0) == bool(narrowing)
 
 
+def test_envelope_violations_at_one_emptied_run(monkeypatch):
+    """With the envelope at D = d alone narrowed to nothing, exactly d's run
+    violates: every divisor whose running maximum of divisor_omega is d and
+    no other, in the per-divisor list.  A run edge off by one either way
+    moves a divisor in or out of that run."""
+    envelope = moments._parity_envelope
+    for n in (primorial(10), *range(2, 401)):
+        p = divisor_profile(n)
+        running = list(accumulate(p.divisor_omega, max))
+        for d in range(p.omega + 1):
+            monkeypatch.setattr(moments, "_parity_envelope", lambda omega, e: (
+                (1, 0) if e == d else envelope(omega, e)))
+            walk = [r.to_jsonable() for r in envelope_violations(p)]
+            assert walk == _failing_checks(p), (n, d)
+            assert [r["context"]["z"] for r in walk] == [
+                z for z, e in zip(p.divisors, running) if e == d], (n, d)
+
+
 def test_envelope_violations_need_n_at_least_2():
     with pytest.raises(ValueError, match="envelope needs n >= 2"):
         envelope_violations(divisor_profile(1))
@@ -257,6 +275,16 @@ def test_J_rho():
         J_rho(divisor_profile(12), 1)
 
 
+def test_J_rho_matches_definition():
+    """J_rho against sum_i i^rho / d_i term by term, at rho = 0..5."""
+    squarefree = [n for n in range(1, 3001) if factorize(n).is_squarefree]
+    for n in (*squarefree, primorial(10), primorial(14)):
+        p = divisor_profile(n)
+        for rho in range(6):
+            want = sum(Fraction(i ** rho, d) for i, d in enumerate(p.divisors, 1))
+            assert J_rho(p, rho) == want, (n, rho)
+
+
 def test_eta():
     assert eta(factorize(2), 2) == pytest.approx(1 + 2 ** -0.5, rel=1e-12)
     assert eta(factorize(1), 3) == pytest.approx(1.0)
@@ -266,14 +294,16 @@ def test_eta():
 
 
 def test_chain_check():
-    rep = chain_check(divisor_profile(6), 2)
+    p6 = divisor_profile(6)
+    rep = chain_check(p6, 2, moment_by_parts(p6, 2))
     assert rep.holds
     assert rep.context["middle"] == 44  # 2 * 6 * 11/3
     assert rep.bound_value == pytest.approx(87.0, abs=0.1)
-    rep2 = chain_check(divisor_profile(2), 2)
+    p2, p12 = divisor_profile(2), divisor_profile(12)
+    rep2 = chain_check(p2, 2, moment_by_parts(p2, 2))
     assert rep2.holds and rep2.exact_value == 1
     with pytest.raises(ValueError):
-        chain_check(divisor_profile(12), 2)
+        chain_check(p12, 2, moment_by_parts(p12, 2))
 
 
 def test_chain_check_encloses_eta_once_per_level(monkeypatch):
@@ -288,7 +318,8 @@ def test_chain_check_encloses_eta_once_per_level(monkeypatch):
 
     monkeypatch.setattr(certify, "DEFAULT_PREC", 64)
     monkeypatch.setattr(kernel, "eta_fixed_point", counted)
-    rep = chain_check(divisor_profile(30030), 3)
+    profile = divisor_profile(30030)
+    rep = chain_check(profile, 3, moment_by_parts(profile, 3))
     assert rep.holds and levels and levels == [64 << i for i in range(len(levels))]
 
 
@@ -305,7 +336,8 @@ def test_chain_check_sums_log_eta_once(monkeypatch):
     monkeypatch.setattr(kernel, "eta_fixed_point", counted)
     for name in ("log", "exp"):
         monkeypatch.setattr(iv, name, lambda *a, name=name: transcendental.append(name))
-    rep = chain_check(divisor_profile(30030), 3)
+    profile = divisor_profile(30030)
+    rep = chain_check(profile, 3, moment_by_parts(profile, 3))
     assert rep.holds and calls == [(3, [6])] and transcendental == []
 
 
@@ -319,25 +351,26 @@ def test_chain_check_needs_the_lower_end_to_hold(monkeypatch):
         return bits, {k: (0, hi) for k, (_, hi) in ends.items()}
 
     monkeypatch.setattr(kernel, "eta_fixed_point", no_lower_end)
-    with pytest.raises(InconclusiveError):
-        chain_check(divisor_profile(30030), 4)
-
-
-def test_chain_check_fails_a_moment_above_the_middle(monkeypatch):
-    """|L_t| <= t n J_{t-1} is a theorem, so no input fails it: with
-    moment_by_parts patched one above the middle, the chain must not hold,
-    whatever the eta side decides."""
     profile = divisor_profile(30030)
-    middle = chain_check(profile, 4).context["middle"]
-    monkeypatch.setattr(moments, "moment_by_parts", lambda profile, t: math.floor(middle) + 1)
-    rep = chain_check(profile, 4)
+    with pytest.raises(InconclusiveError):
+        chain_check(profile, 4, moment_by_parts(profile, 4))
+
+
+def test_chain_check_fails_a_moment_above_the_middle():
+    """|L_t| <= t n J_{t-1} is a theorem, so no input fails it: with a
+    moment one above the middle, the chain must not hold, whatever the eta
+    side decides."""
+    profile = divisor_profile(30030)
+    middle = chain_check(profile, 4, moment_by_parts(profile, 4)).context["middle"]
+    rep = chain_check(profile, 4, math.floor(middle) + 1)
     assert rep.context["eta_holds"] and not rep.context["middle_holds"] and not rep.holds
 
 
 @given(squarefree_subset_strategy(5), st.integers(2, 6))
 @settings(max_examples=60, deadline=None)
 def test_chain_holds_randomly(primes, t):
-    assert chain_check(divisor_profile(math.prod(primes)), t).holds
+    profile = divisor_profile(math.prod(primes))
+    assert chain_check(profile, t, moment_by_parts(profile, t)).holds
 
 
 def test_domination():
@@ -461,8 +494,9 @@ def test_reported_bounds_lie_above_the_bound(start, monkeypatch):
     for n in (6, 30, 2310, 30030):
         f, profile = factorize(n), divisor_profile(n)
         for t in (2, 3, 4, 6):
-            first, second = thm_bounds(f, t, moment_by_parts(profile, t))
-            reported = (eta(f, t), chain_check(profile, t).bound_value,
+            moment = moment_by_parts(profile, t)
+            first, second = thm_bounds(f, t, moment)
+            reported = (eta(f, t), chain_check(profile, t, moment).bound_value,
                         first.bound_value, second.bound_value)
             with mp.workprec(300):
                 ex, w = 1 - mpf(1) / t, mpf(f.omega)
