@@ -67,6 +67,8 @@ HARD_THRESHOLDS = {2: 3_750_230, 3: 1936, 4: 155, 5: 44, 6: 20, 7: 12}
 SEARCH_T_RANGE = range(2, 100)
 
 CHECKPOINT_STRIDE = 100_000
+#: terms per float-pass step: a BLOCK multiple dividing CHECKPOINT_STRIDE, so bit-identical
+_CHUNK = 20_000
 _PER_TERM_REL = 2.0 ** -47   # covers power + log1p evaluation error
 _REL_RHS = 2.0 ** -40        # envelope for the composed right-hand sides
 _U = 2.0 ** -53
@@ -125,7 +127,7 @@ class EtaAccumulator:
     by integer steps of their bit patterns (positive normal floats only).
 
     Summation blocks are aligned to absolute k, so any two runs whose
-    feed boundaries fall on BLOCK multiples (checkpoint strides do)
+    feed boundaries fall on BLOCK multiples (the float pass's chunks do)
     produce bit-identical enclosures; other slicings regroup the
     block-local sums and stay conservative but not bitwise equal.
     """
@@ -272,7 +274,7 @@ def _c_required_mid(t: int, fac, lo, hi) -> tuple[np.ndarray | None, np.ndarray]
     """Float bounds (clo, chi) on C_required = (log_sum + tail) / factor.
 
     fac is _hard_factor_mid and lo/hi the accumulator's enclosure over a
-    stride.  chi is the hard campaign's sup_ratio; clo is None when lo is.
+    chunk.  chi is the hard campaign's sup_ratio; clo is None when lo is.
     """
     tail = math.log(t) / t if _has_tail("hard", t, None) else 0.0
     return (None if lo is None else (lo + tail) * (1.0 - _REL_RHS) / fac,
@@ -308,14 +310,14 @@ def _margin_rule(strict: bool, ks: np.ndarray, m_lo: np.ndarray, m_hi: np.ndarra
 
 
 def _float_pass(t: int, k_max: int, table: PrimeTable):
-    """The float64 pass over k = 1..k_max, one CHECKPOINT_STRIDE at a time.
+    """The float64 pass over k = 1..k_max, _CHUNK terms at a time.
 
-    Yields (acc, karr, lo, hi): the accumulator after the stride, the
-    stride's k as floats and the certified per-k ends of log_sum(t, k).
+    Yields (acc, karr, lo, hi): the accumulator after the chunk, the
+    chunk's k as floats and the certified per-k ends of log_sum(t, k).
     """
     acc = EtaAccumulator(t=t)
-    for k in range(0, k_max, CHECKPOINT_STRIDE):
-        end = min(k + CHECKPOINT_STRIDE, k_max)
+    for k in range(0, k_max, _CHUNK):
+        end = min(k + _CHUNK, k_max)
         lo, hi = acc.extend(table.primes[k:end])
         yield acc, np.arange(k + 1, end + 1, dtype=np.float64), lo, hi
 

@@ -3,7 +3,7 @@
 Everything here is exact.  Primes come from one segmented Eratosthenes
 sieve over the numbers prime to 6, written 4 bytes a prime (so below 2^32)
 into one uint32 array sized by a proven bound on pi(x), beside one reused
-segment of flags and one of indices.  The first k primes are sieved to a
+segment of flags and 2 MiB of indices.  The first k primes are sieved to a
 proven bound on p_k: Dusart's k(ln k + ln ln k - 0.9484) for k >= 39017,
 Rosser's k(ln k + ln ln k) for 6 <= k < 39017.  Floating point appears only
 in these bounds, rounded up by far more than their error; `rosser_check` compares
@@ -39,6 +39,8 @@ DIVISOR_CAP = 1 << 26
 
 #: slots per sieve segment; slot j stands for 3j + 1 + (j & 1): 1, 5, 7, 11, 13, ...
 _SEGMENT = 1 << 21
+#: slots per read-out of a segment (even, as the `| 1` step needs): 2 MiB of int64 indices
+_READOUT = 1 << 18
 #: numbers per block of `exponent_signatures`
 _SIGNATURE_BLOCK = 1 << 15
 
@@ -97,10 +99,11 @@ def sieve_primes(limit: int) -> PrimeTable:
     """All primes <= limit < 2^32, by a segmented sieve over the numbers prime to 6.
 
     Each segment of 2^21 of them is flagged in one reused buffer, and its primes
-    go straight into one uint32 array of pi_upper_bound(limit) entries, beside
-    one segment of indices.  The first segment (up to 6,291,455) sieves itself;
-    its primes up to sqrt(limit), read back from the table, sieve every later
-    segment, each p as two progressions 2p slots apart, from p p and p (p + 2 or 4).
+    go straight into one uint32 array of pi_upper_bound(limit) entries, 2^18
+    slots (at most 2 MiB of indices) at a time.  The first segment (up to
+    6,291,455) sieves itself; its primes up to sqrt(limit), read back from the
+    table, sieve every later segment, each p as two progressions 2p slots
+    apart, from p p and p (p + 2 or 4).
     """
     import numpy as np  # here, not at module level: `import divlat` loads no numpy
 
@@ -122,14 +125,15 @@ def sieve_primes(limit: int) -> PrimeTable:
             for q in (p, p + 4 - 2 * (p // 3 & 1)):
                 off = p * q // 3 - lo
                 flags[max(off, off % (2 * p)):: 2 * p] = False
-        idx = np.flatnonzero(flags)
-        if pos + idx.size > out.size:  # a short table never leaves here
-            raise ArithmeticError(f"pi({limit}) exceeds its proven bound {out.size}")
-        seg = np.multiply(idx, 3, out=out[pos:pos + idx.size], casting="unsafe")  # idx < 2^21
-        seg += 3 * lo + 1
-        seg |= 1  # (3j + 1) | 1 == 3j + 1 + (j & 1), lo being even
-        pos += idx.size
-        del idx  # before the next segment's indices are built
+        for sub in range(0, flags.size, _READOUT):
+            idx = np.flatnonzero(flags[sub:sub + _READOUT])
+            if pos + idx.size > out.size:  # a short table never leaves here
+                raise ArithmeticError(f"pi({limit}) exceeds its proven bound {out.size}")
+            seg = np.multiply(idx, 3, out=out[pos:pos + idx.size], casting="unsafe")  # idx < 2^18
+            seg += 3 * (lo + sub) + 1
+            seg |= 1  # (3j + 1) | 1 == 3j + 1 + (j & 1), lo + sub being even
+            pos += idx.size
+            del idx  # before the next sub-block's indices are built
     return PrimeTable(limit=limit, primes=out[:pos])
 
 

@@ -208,6 +208,29 @@ def test_accumulator_matches_the_nextafter_oracle(medium_table, t, cuts):
             == (want.sum_mid, want.sum_comp, want.eval_err, want.k))
 
 
+@pytest.mark.parametrize("t", [2, 5])
+def test_float_pass_matches_the_stride_fed_accumulator(medium_table, t):
+    """The float pass steps in chunks that end on BLOCK multiples and on every
+    CHECKPOINT_STRIDE multiple, so its per-k ends and final state are bit for
+    bit those of an accumulator fed one CHECKPOINT_STRIDE at a time, also at a
+    k_max that no chunk divides."""
+    k_max, stride = 250_001, campaigns.CHECKPOINT_STRIDE
+    chunks = []
+    for acc, karr, lo, hi in campaigns._float_pass(t, k_max, medium_table):
+        chunks.append((acc.k, karr, lo, hi))
+    ks, karrs, los, his = zip(*chunks)
+    want = EtaAccumulator(t=t)
+    want_lo, want_hi = zip(*[want.extend(medium_table.primes[k:min(k + stride, k_max)])
+                             for k in range(0, k_max, stride)])
+    assert {100_000, 200_000, k_max} <= set(ks)
+    assert np.array_equal(np.concatenate(karrs), np.arange(1, k_max + 1))
+    for got_ends, want_ends in ((los, want_lo), (his, want_hi)):
+        assert np.array_equal(np.concatenate(got_ends).view(np.int64),
+                              np.concatenate(want_ends).view(np.int64))
+    assert ((acc.sum_mid, acc.sum_comp, acc.eval_err, acc.k)
+            == (want.sum_mid, want.sum_comp, want.eval_err, want.k))
+
+
 def test_uint32_table_reads_as_its_int64_copy(small_table):
     """A uint32 table whose entries reach 4294967291, the largest prime below
     2^32, and an int64 copy of it: every consumer widens an entry before its
@@ -515,6 +538,27 @@ def test_constant_search(campaign_table):
     # uniqueness: runner-up strictly below the winner, by more than 1e-9
     assert cc.runner_up_at == (2, 2148)
     assert cc.runner_up < cc.lower - 1e-9
+
+
+@pytest.mark.parametrize("run", [lambda table: verify_c_hard(2, 3_750_230, table),
+                                 constant_C_search], ids=["hard-campaign-t2", "constant-search"])
+def test_eta_ops_hold_little_beside_the_table(campaign_table, run):
+    """numpy reports its buffers to tracemalloc.  The float pass feeds the
+    accumulator 20,000 terms at a time, so the full t = 2 hard campaign and the
+    constant search each peak at most 3 MiB above what was allocated before
+    the call (about 2 MiB and 1.6 MiB).  Chunks of one CHECKPOINT_STRIDE took
+    9.97 and 7.68 MiB."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run(campaign_table)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert getattr(result, "passed", True)
+    assert peak <= 3 << 20, peak
 
 
 def test_constant_upper_is_float_bound():

@@ -3,6 +3,7 @@
 import importlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -332,6 +333,17 @@ def test_verify_eta_easy_range(capsys):
                               "--k-max", "56", "--variant", "easy")
     assert code == 0
     assert len(report["results"]["campaigns"]) == 5
+
+
+def test_verify_eta_checkpoint_file_is_pinned(capsys, tmp_path):
+    """The exact file a t = 2 hard run to k = 250,000 writes: its states at
+    k = 100,000 and 200,000 only, each end as its shortest round-trip repr."""
+    path = tmp_path / "ck.txt"
+    code, _, _ = run_cli(capsys, "verify-eta", "--t", "2", "--variant", "hard",
+                         "--k-max", "250000", "--checkpoint", str(path))
+    assert code == 0
+    want = Path(__file__).parent / "golden" / "checkpoint-t2-hard-250000.txt"
+    assert path.read_bytes() == want.read_bytes()
 
 
 def test_verify_eta_report_is_host_independent(capsys, monkeypatch):

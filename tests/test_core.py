@@ -111,10 +111,11 @@ def test_sieve_for_count_at_250k(medium_table):
 
 def test_sieve_holds_one_segment_beside_its_table():
     """numpy reports its buffers to tracemalloc.  At the campaigns' size the
-    table is 14.3 MiB, 4 bytes a prime, and the sieve peaks at most 6 MiB
-    above it: one reused 2 MiB segment of flags and one segment of indices
-    (3.3 MiB at most).  Fresh flags beside the last segment's indices took
-    8.3 MiB, and an int64 copy of the table would take 28.6 MiB."""
+    table is 14.3 MiB, 4 bytes a prime, and the sieve peaks at most 3 MiB
+    above it (2.55 MiB): one reused 2 MiB segment of flags and the indices of
+    one 2^18-slot sub-block of it.  A whole segment's indices took 5.4 MiB,
+    fresh flags beside them 8.3 MiB, and an int64 copy of the table would
+    take 28.6 MiB."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -124,7 +125,7 @@ def test_sieve_holds_one_segment_beside_its_table():
     finally:
         tracemalloc.stop()
     assert table.count == 3_751_685 and table.primes.itemsize == 4
-    assert peak <= table.primes.nbytes + (6 << 20)
+    assert peak <= table.primes.nbytes + (3 << 20)
 
 
 def test_pi_upper_bound_at_every_prime_to_ten_million():
