@@ -33,7 +33,9 @@ line `t k log_sum_lo log_sum_hi` in plain decimal.  Runs are
 deterministic: summation blocks are aligned to absolute k, so feeding
 the primes in slices cut at block multiples reproduces bit-identical
 enclosures, and a restarted run replays from k = 1 and verifies its
-stream against every stored state.
+stream against every stored state.  The primes come from `table.blocks`
+and, to escalate, `table.prefix`, of a `core.PrimeTable` or of the CLI's
+table-free `core.PrimeStream`; one that runs dry raises CapacityError.
 
 This module is divlat's float engine and imports numpy, as only the
 sieve in `core` does besides; the exact kernel, C and the interval
@@ -56,8 +58,7 @@ from mpmath.libmp import to_str as _mpf_to_str
 
 from . import kernel
 from .certify import dyadic_upper, escalate, exact_upper, interval_ends
-from .core import PrimeTable, sieve_for_count
-from .errors import CapacityError
+from .core import PrimeStream, PrimeTable, sieve_for_count
 from .kernel import _hard_factor_iv, log_eta_sums
 from .reports import BoundReport, CampaignResult
 
@@ -281,9 +282,10 @@ def _c_required_mid(t: int, fac, lo, hi) -> tuple[np.ndarray | None, np.ndarray]
             (hi + tail) / (fac * (1.0 - _REL_RHS)))
 
 
-def eta_log_enclosures(t: int, ks: list[int], table: PrimeTable) -> dict[int, "iv.mpf"]:
+def eta_log_enclosures(t: int, ks: list[int],
+                       table: PrimeTable | PrimeStream) -> dict[int, "iv.mpf"]:
     """Interval enclosures of log_sum(t, k) at the requested ks, at the active precision."""
-    return log_eta_sums(table.primes, t, ks)
+    return log_eta_sums(table.prefix(max(ks)), t, ks)
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +311,31 @@ def _margin_rule(strict: bool, ks: np.ndarray, m_lo: np.ndarray, m_hi: np.ndarra
     return [int(k) for k in ks[pending]]
 
 
-def _float_pass(t: int, k_max: int, table: PrimeTable):
-    """The float64 pass over k = 1..k_max, _CHUNK terms at a time.
+def _chunks(blocks, size: int):
+    """The blocks' primes re-cut into runs of `size`, the last one shorter."""
+    rest = ()
+    for block in blocks:
+        block = np.concatenate((rest, block)) if len(rest) else block
+        cut = block.size - block.size % size
+        yield from (block[i:i + size] for i in range(0, cut, size))
+        rest = block[cut:]
+    if len(rest):
+        yield rest
+
+
+def _float_pass(t: int, k_max: int, table: PrimeTable | PrimeStream):
+    """The float64 pass over k = 1..k_max, _CHUNK terms of `table.blocks` at a time.
 
     Yields (acc, karr, lo, hi): the accumulator after the chunk, the
     chunk's k as floats and the certified per-k ends of log_sum(t, k).
     """
     acc = EtaAccumulator(t=t)
-    for k in range(0, k_max, _CHUNK):
-        end = min(k + _CHUNK, k_max)
-        lo, hi = acc.extend(table.primes[k:end])
-        yield acc, np.arange(k + 1, end + 1, dtype=np.float64), lo, hi
+    for chunk in _chunks(table.blocks(k_max), _CHUNK):
+        lo, hi = acc.extend(chunk)
+        yield acc, np.arange(acc.k - chunk.size + 1, acc.k + 1, dtype=np.float64), lo, hi
 
 
-def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
+def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable | PrimeStream,
                   checkpoint: str | Path | None = None) -> CampaignResult:
     """Shared k = 1..k_max sweep for the easy (strict <) and hard (<=) inequalities.
 
@@ -332,9 +345,6 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
         raise ValueError(f"eta exponent must be >= 2, got {t}")
     if k_max < 1:
         raise ValueError(f"empty campaign range (0, {k_max}]")
-    if table.count < k_max:
-        raise CapacityError(
-            f"table holds {table.count} primes, campaign needs {k_max}")
     c_str = kernel.ETA_CONSTANT_HI  # the hard right-hand side's C, read once per call
     c_float = float(c_str)
     t0 = time.perf_counter()
@@ -344,8 +354,7 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
     strict = mode == "easy"
     tail = math.log(t) / t
     worst = [math.inf, None]  # (margin, k)
-    sup_ratio = -math.inf
-    sup_k = None
+    sup_ratio, sup_k = -math.inf, None
     pending: list[int] = []  # ascending k, each once
     violations: list[int] = []
 
@@ -368,19 +377,16 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
             ratio = _c_required_mid(t, fac, None, hi_arr)[1]
         j = int(np.argmax(ratio))
         if ratio[j] > sup_ratio:
-            sup_ratio = float(ratio[j])
-            sup_k = int(karr[j])
+            sup_ratio, sup_k = float(ratio[j]), int(karr[j])
 
         if cp is not None and acc.k % CHECKPOINT_STRIDE == 0:
             known = stored.get(acc.k)
             state = (acc.lo, acc.hi)
-            if known is not None:
-                if known != state:
-                    raise ValueError(
-                        f"checkpoint mismatch at t={t}, k={acc.k}: stored {known}, "
-                        f"recomputed {state}")
-            else:
+            if known is None:
                 cp.append(t, acc.k, acc.lo, acc.hi)
+            elif known != state:
+                raise ValueError(f"checkpoint mismatch at t={t}, k={acc.k}: stored {known}, "
+                                 f"recomputed {state}")
 
     # escalation pass: each precision level re-decides the k still pending
     left: list[int] = []  # how many k each level leaves pending
@@ -413,7 +419,7 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable,
     )
 
 
-def verify_c_easy(t: int, k_max: int, table: PrimeTable,
+def verify_c_easy(t: int, k_max: int, table: PrimeTable | PrimeStream,
                   checkpoint: str | Path | None = None) -> CampaignResult:
     """Strict inequality log_sum(t,k) < k^(1-1/t) [- log(t)/t] for k = 1..k_max.
 
@@ -424,7 +430,7 @@ def verify_c_easy(t: int, k_max: int, table: PrimeTable,
     return _run_campaign("easy", t, k_max, table, checkpoint=checkpoint)
 
 
-def verify_c_hard(t: int, k_max: int, table: PrimeTable,
+def verify_c_hard(t: int, k_max: int, table: PrimeTable | PrimeStream,
                   checkpoint: str | Path | None = None) -> CampaignResult:
     """log_sum(t,k) <= C k^(1-1/t)/((1-1/t) logplus(k)^(1/t)) - [t>2] log(t)/t.
 
@@ -465,7 +471,7 @@ class ConstantC:
 _CAND_WINDOW = 1e-6
 
 
-def constant_C_search(table: PrimeTable) -> ConstantC:
+def constant_C_search(table: PrimeTable | PrimeStream) -> ConstantC:
     """Supremum and argmax of
 
         C_required(t,k) = (log_sum + [t>2] log(t)/t) (1-1/t) logplus(k)^(1/t) / k^(1-1/t)
@@ -474,10 +480,6 @@ def constant_C_search(table: PrimeTable) -> ConstantC:
     threshold.  The float64 pass prunes to a candidate window, then
     interval arithmetic separates the winner from the runner-up.
     """
-    need = hard_threshold(2)
-    if table.count < need:
-        raise CapacityError(f"table holds {table.count} primes, need {need}")
-
     best_lo = -math.inf
     candidates: list[tuple[float, int, int]] = []  # (chi, t, k)
     for t in SEARCH_T_RANGE:

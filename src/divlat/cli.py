@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import campaigns, kernel, moments
 from .certify import escalate
-from .core import factorize, prime_upper_bound, rosser_check, sieve_primes
+from .core import PrimeStream, factorize, prime_upper_bound, rosser_check
 from .energy import brute_energy_oracle, energy, energy_sweep
 from .errors import CapacityError, InconclusiveError
 from .moments import ALPHA_REFERENCE, divisor_profile
@@ -40,8 +40,8 @@ DEFAULT_SIEVE_CEILING = 80_000_000
 _ORACLE_BUDGET = 10 ** 6
 
 
-def _table_for_count(k: int):
-    """The first k primes, sieved to the proven bound on p_k within the ceiling."""
+def _table_for_count(k: int) -> PrimeStream:
+    """The first k primes, streamed from a sieve to the proven bound on p_k within the ceiling."""
     need = prime_upper_bound(k)
     text = os.environ.get("DIVLAT_SIEVE_LIMIT", str(DEFAULT_SIEVE_CEILING))
     try:
@@ -52,7 +52,7 @@ def _table_for_count(k: int):
         raise CapacityError(
             f"campaign needs a sieve limit of {need} (proven bound on p_{k}), "
             f"above the ceiling {ceiling} (raise DIVLAT_SIEVE_LIMIT)")
-    return sieve_primes(need)
+    return PrimeStream(need)
 
 
 class _Table:
@@ -177,8 +177,7 @@ def cmd_verify_eta(args) -> tuple[dict, bool, list]:
 
 
 def cmd_constant_c(args) -> tuple[dict, bool, list]:
-    table = _table_for_count(campaigns.hard_threshold(2))
-    found = campaigns.constant_C_search(table)
+    found = campaigns.constant_C_search(_table_for_count(campaigns.hard_threshold(2)))
     unique = found.runner_up < found.lower
     results = {
         "value": found.value,
@@ -333,8 +332,7 @@ def cmd_scan(args) -> tuple[dict, bool, list]:
 
 
 def cmd_rosser(args) -> tuple[dict, bool, list]:
-    table = _table_for_count(args.k_max)
-    res = rosser_check(table, args.k_max)
+    res = rosser_check(_table_for_count(args.k_max), args.k_max)
     return {"campaign": res.to_jsonable()}, res.passed, []
 
 

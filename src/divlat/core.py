@@ -1,18 +1,19 @@
 """Exact integer number theory underpinning the whole package.
 
-Everything here is exact.  Primes come from one segmented Eratosthenes
-sieve over the numbers prime to 6, written 4 bytes a prime (so below 2^32)
-into one uint32 array sized by a proven bound on pi(x), beside one reused
-segment of flags and 2 MiB of indices.  The first k primes are sieved to a
-proven bound on p_k: Dusart's k(ln k + ln ln k - 0.9484) for k >= 39017,
-Rosser's k(ln k + ln ln k) for 6 <= k < 39017.  Floating point appears only
-in these bounds, rounded up by far more than their error; `rosser_check` compares
-k*log(k) through `certify.escalate`.  Factorizations come from complete trial
-division, the exponents of n = 2..x from one blockwise walk over prime
-powers; binomials, Eulerian numbers and surjections from integer formulas.
+Everything here is exact.  Primes come from one segmented Eratosthenes sieve over
+the numbers prime to 6, read out in uint32 blocks (so below 2^32) as they are sieved
+(Bays and Hudson, BIT 17, 1977); `sieve_primes` copies them into a table sized by a
+proven bound on pi(x), `PrimeStream` keeps only the first.  The first k primes are
+sieved to a proven bound on p_k: Dusart's k(ln k + ln ln k - 0.9484) for k >= 39017,
+Rosser's k(ln k + ln ln k) for 6 <= k < 39017.  Floating point appears only in these
+bounds, rounded up by far more than their error; `rosser_check` compares k*log(k)
+through `certify.escalate`.  Factorizations come from complete trial division, the
+exponents of n = 2..x from one blockwise walk over prime powers; binomials, Eulerian
+numbers and surjections from integer formulas.
 
 Key objects:
     PrimeTable      immutable ascending table of primes (1-indexed access)
+    PrimeStream     the same primes, sieved again for each pass over them
     Factorization   n as a list of (prime, exponent) pairs
 """
 
@@ -21,8 +22,10 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator
 
 from mpmath import iv
@@ -37,8 +40,8 @@ if TYPE_CHECKING:
 #: hard ceiling on divisor enumeration (2^26 divisors ~ 0.5 GiB of ints)
 DIVISOR_CAP = 1 << 26
 
-#: slots per sieve segment; slot j stands for 3j + 1 + (j & 1): 1, 5, 7, 11, 13, ...
-_SEGMENT = 1 << 21
+#: slots per sieve segment (1 MiB of flags); slot j stands for 3j + 1 + (j & 1): 1, 5, 7, 11, ...
+_SEGMENT = 1 << 20
 #: slots per read-out of a segment (even, as the `| 1` step needs): 2 MiB of int64 indices
 _READOUT = 1 << 18
 #: numbers per block of `exponent_signatures`
@@ -63,11 +66,43 @@ class PrimeTable:
         """The k-th prime (1-indexed)."""
         if k < 1:
             raise ValueError(f"prime index must be >= 1, got {k}")
+        return int(self.prefix(k)[-1])
+
+    def prefix(self, k: int) -> np.ndarray:
+        """The first k primes; a CapacityError past the table's end."""
         if k > self.count:
             raise CapacityError(
                 f"table holds {self.count} primes (limit {self.limit}); "
                 f"p_{k} needs a sieve limit of at most {prime_upper_bound(k)}")
-        return int(self.primes[k - 1])
+        return self.primes[:k]
+
+    def blocks(self, k: int) -> Iterator[np.ndarray]:
+        return iter((self.prefix(k),))
+
+
+class PrimeStream:
+    """The primes <= limit served as a PrimeTable's, but sieved again by `prime_blocks`
+    for each pass past the first block, the one it keeps (the primes to 786,431 at most)."""
+
+    def __init__(self, limit: int):
+        self.limit, self._rest = limit, prime_blocks(limit)  # held: a first long pass goes on
+        self.head = next(self._rest)
+
+    def prefix(self, k: int) -> np.ndarray:
+        if k <= self.head.size:
+            return self.head[:k]
+        return sieve_primes(min(self.limit, prime_upper_bound(k))).prefix(k)
+
+    def blocks(self, k: int) -> Iterator[np.ndarray]:
+        n, rest = 0, ()
+        if k > self.head.size:
+            rest, self._rest = self._rest or islice(prime_blocks(self.limit), 1, None), None
+        for block in chain((self.head,), rest):
+            yield block[:k - n]
+            n += block.size
+            if n >= k:
+                return
+        raise CapacityError(f"{n} primes up to {self.limit}, {k} needed")
 
 
 def prime_upper_bound(k: int) -> int:
@@ -95,45 +130,59 @@ def pi_upper_bound(x: int) -> int:
     return math.ceil(x / lx * shape * (1 + 2 ** -40))
 
 
-def sieve_primes(limit: int) -> PrimeTable:
-    """All primes <= limit < 2^32, by a segmented sieve over the numbers prime to 6.
-
-    Each segment of 2^21 of them is flagged in one reused buffer, and its primes
-    go straight into one uint32 array of pi_upper_bound(limit) entries, 2^18
-    slots (at most 2 MiB of indices) at a time.  The first segment (up to
-    6,291,455) sieves itself; its primes up to sqrt(limit), read back from the
-    table, sieve every later segment, each p as two progressions 2p slots
-    apart, from p p and p (p + 2 or 4).
-    """
-    import numpy as np  # here, not at module level: `import divlat` loads no numpy
-
+def prime_blocks(limit: int) -> Iterator[np.ndarray]:
+    """All primes <= limit < 2^32 in ascending nonempty uint32 blocks, one per read-out
+    of 2^18 slots (at most 2 MiB of indices), of a segmented sieve over the numbers
+    prime to 6 that checks the limit at the call.  Each segment of 2^20 slots is
+    flagged in one reused buffer by the primes from 5 to its square root, the first
+    block of a sieve to sqrt(limit), each p as two progressions 2p slots apart, from
+    p p and p (p + 2 or 4)."""
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit >= 1 << 32:
         raise CapacityError(f"sieve limit {limit} is past the 32-bit prime table's 2^32 - 1")
+    return _sieve_blocks(limit)
+
+
+def _sieve_blocks(limit: int) -> Iterator[np.ndarray]:
+    import numpy as np  # here, not at module level: `import divlat` loads no numpy
+
     slots = (limit + 5) // 6 + (limit + 1) // 6
-    out = np.empty(pi_upper_bound(limit), dtype=np.uint32)
-    out[:2], pos = (2, 3), min(2, limit - 1)
+    root = math.isqrt(3 * slots - 1)  # the last slot's value is at most 3 slots - 1
+    roots = next(_sieve_blocks(root))[2:].tolist() if root >= 5 else []
     buf = np.empty(min(_SEGMENT, slots), dtype=bool)
     for lo in range(0, slots, _SEGMENT):
         flags = buf[:min(_SEGMENT, slots - lo)]
         flags[1:], flags[0] = True, lo > 0  # slot 0 is 1, not prime
-        root = math.isqrt(3 * (lo + flags.size) - 1)  # its last value <= 3 (lo + size) - 1
-        # a uint32 needle: a Python int would upcast the whole table to int64
-        for p in (out[2:np.searchsorted(out[:pos], np.uint32(root), "right")].tolist() if lo else (
-                3 * j + 1 + (j & 1) for j in range(1, root // 3 + 1) if flags[j])):
+        for p in roots[:bisect_right(roots, math.isqrt(3 * (lo + flags.size) - 1))]:
             for q in (p, p + 4 - 2 * (p // 3 & 1)):
                 off = p * q // 3 - lo
                 flags[max(off, off % (2 * p)):: 2 * p] = False
         for sub in range(0, flags.size, _READOUT):
             idx = np.flatnonzero(flags[sub:sub + _READOUT])
-            if pos + idx.size > out.size:  # a short table never leaves here
-                raise ArithmeticError(f"pi({limit}) exceeds its proven bound {out.size}")
-            seg = np.multiply(idx, 3, out=out[pos:pos + idx.size], casting="unsafe")  # idx < 2^18
-            seg += 3 * (lo + sub) + 1
-            seg |= 1  # (3j + 1) | 1 == 3j + 1 + (j & 1), lo + sub being even
-            pos += idx.size
-            del idx  # before the next sub-block's indices are built
+            lead = 0 if lo or sub else min(2, limit - 1)  # 2 and 3 open the first block
+            block = np.empty(lead + idx.size, dtype=np.uint32)
+            block[:lead] = (2, 3)[:lead]
+            np.multiply(idx, 3, out=block[lead:], casting="unsafe")  # idx < 2^18
+            del idx
+            block[lead:] += 3 * (lo + sub) + 1
+            block[lead:] |= 1  # (3j + 1) | 1 == 3j + 1 + (j & 1), lo + sub being even
+            if block.size:  # only the limit's last read-out can hold no prime
+                yield block
+
+
+def sieve_primes(limit: int) -> PrimeTable:
+    """All primes <= limit < 2^32 in one uint32 array of pi_upper_bound(limit)
+    entries, filled block by block from `prime_blocks`."""
+    import numpy as np
+
+    blocks = prime_blocks(limit)  # checks the limit before the table is allocated
+    out, pos = np.empty(pi_upper_bound(limit), dtype=np.uint32), 0
+    for block in blocks:
+        if pos + block.size > out.size:  # a short table never leaves here
+            raise ArithmeticError(f"pi({limit}) exceeds its proven bound {out.size}")
+        out[pos:pos + block.size] = block
+        pos += block.size
     return PrimeTable(limit=limit, primes=out[:pos])
 
 
@@ -314,38 +363,39 @@ def surjections(i: int, j: int) -> int:
     return sum((-1) ** (j - v) * math.comb(j, v) * v ** i for v in range(j + 1))
 
 
-def rosser_check(table: PrimeTable, k_max: int) -> CampaignResult:
+def rosser_check(table: PrimeTable | PrimeStream, k_max: int) -> CampaignResult:
     """Certify p_k > k*log(k) for k = 1..k_max, and find the worst k.
 
-    The table must be ascending, as the sieve guarantees.  On a block
-    [k0, k1], p_k >= p_{k0} and k log k <= k1 log k1, so an enclosure of
-    p_{k0} - k1 log k1 bounds every margin in the block from below.  A
-    best-first search splits the block of lowest bound at its midpoint
-    until that block is a single k: its enclosure is then the certified
-    worst margin, and one straddling 0 escalates.  By Rosser's theorem
-    (1939) every margin of a true prime table is positive.
+    On a range [k0, k1] of the ascending primes of `table.blocks(k_max)`,
+    p_k >= p_{k0} and k log k <= k1 log k1, so an enclosure of p_{k0} - k1 log k1
+    bounds every margin in it from below.  Block by block, a best-first search
+    splits the range of lowest bound at its midpoint until the lowest is a single
+    k's; the lowest margin of the blocks before enters it, so a block that cannot
+    beat that margin is not split.  The last margin (first k on ties) is
+    certified, and one straddling 0 escalates, reading the blocks again.  By
+    Rosser's theorem (1939) every margin of a true prime table is positive.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if table.count < k_max:
-        raise CapacityError(
-            f"table holds {table.count} primes, campaign needs {k_max}")
     t0 = time.perf_counter()
 
-    def block(k0: int, k1: int) -> tuple:
-        m = iv.mpf(int(table.primes[k0 - 1])) - iv.mpf(k1) * iv.log(k1)
-        # m.a is a point, so ties fall to k0 and no interval is compared
-        return (m.a, k0, k1, m)
-
     def decide(level: int):
-        heap = [block(1, k_max)]
-        while True:
-            _, k0, k1, m = heapq.heappop(heap)
-            if k0 == k1:
-                return None if (m > 0) is None else (k0, m)
-            mid = (k0 + k1) // 2
-            heapq.heappush(heap, block(k0, mid))
-            heapq.heappush(heap, block(mid + 1, k1))
+        def bound(k0: int, k1: int) -> tuple:
+            m = iv.mpf(int(block[k0 - 1 - base])) - iv.mpf(k1) * iv.log(k1)
+            # m.a is a point, so ties fall to k0 and no interval is compared
+            return (m.a, k0, k1, m)
+
+        heap, base = [], 0
+        for block in table.blocks(k_max):
+            heapq.heappush(heap, bound(base + 1, base + block.size))
+            while heap[0][1] < heap[0][2]:  # until the lowest bound is a single k's
+                _, k0, k1, m = heapq.heappop(heap)
+                mid = (k0 + k1) // 2
+                heapq.heappush(heap, bound(k0, mid))
+                heapq.heappush(heap, bound(mid + 1, k1))
+            heap, base = heap[:1], base + block.size
+        _, k, _, m = heap[0]
+        return None if (m > 0) is None else (k, m)
 
     k, m = escalate(decide, what=f"p_k > k log k for k <= {k_max}")
     return CampaignResult(

@@ -5,6 +5,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from divlat import (
     PrimeTable,
     campaigns,
     certify,
+    cli,
     concavity_threshold,
     constant_C_search,
     eta_constant_upper,
@@ -36,6 +38,7 @@ from divlat import (
     verify_c_hard,
 )
 from divlat.certify import iv_prec
+from divlat.core import PrimeStream, prime_upper_bound
 from divlat.campaigns import CheckpointFile, _rhs_iv, eta_log_enclosures
 from divlat.kernel import ETA_CONSTANT_HI, ETA_CONSTANT_LO, log_eta_sums
 from divlat.moments import eta_log_interval, thm_bounds
@@ -229,6 +232,56 @@ def test_float_pass_matches_the_stride_fed_accumulator(medium_table, t):
                               np.concatenate(want_ends).view(np.int64))
     assert ((acc.sum_mid, acc.sum_comp, acc.eval_err, acc.k)
             == (want.sum_mid, want.sum_comp, want.eval_err, want.k))
+
+
+@pytest.fixture(scope="module")
+def stream_250k():
+    return PrimeStream(prime_upper_bound(250_000))
+
+
+@pytest.mark.parametrize("k_max", [250_000, 130_001])
+@pytest.mark.parametrize("t", [2, 5])
+def test_streamed_float_pass_is_the_table_pass(medium_table, stream_250k, t, k_max):
+    """The stream's read-out blocks are re-cut into the same 20,000-term chunks as
+    the table, so every end and the final state are bit for bit the table's, also
+    at a k_max that no chunk divides, two read-out blocks in."""
+    edges = np.cumsum([block.size for block in stream_250k.blocks(k_max)])[:-1]
+    assert edges.size >= 2  # read-out block edges inside the pass
+    got = list(campaigns._float_pass(t, k_max, stream_250k))
+    want = list(campaigns._float_pass(t, k_max, medium_table))
+    assert len(got) == len(want) == -(-k_max // 20_000)
+    for (_, karr, lo, hi), (_, want_k, want_lo, want_hi) in zip(got, want):
+        assert np.array_equal(karr, want_k)
+        assert np.array_equal(lo.view(np.int64), want_lo.view(np.int64))
+        assert np.array_equal(hi.view(np.int64), want_hi.view(np.int64))
+    assert got[-1][0] == want[-1][0]
+
+
+def test_streamed_checkpoint_is_the_golden_file(tmp_path, stream_250k):
+    """A run from the stream writes the pinned file byte for byte, and a run
+    from a fresh stream resumes from it, verifying both states."""
+    path = tmp_path / "ck.txt"
+    first = verify_c_hard(2, 250_000, stream_250k, checkpoint=path)
+    golden = Path(__file__).parent / "golden" / "checkpoint-t2-hard-250000.txt"
+    assert first.passed and path.read_bytes() == golden.read_bytes()
+    again = verify_c_hard(2, 250_000, PrimeStream(prime_upper_bound(250_000)), checkpoint=path)
+    assert (again.passed, again.worst_margin, again.argmin, again.sup_ratio) == \
+           (first.passed, first.worst_margin, first.argmin, first.sup_ratio)
+    assert path.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("run", [lambda s, k: verify_c_easy(2, k, s),
+                                 lambda s, k: verify_c_hard(2, k, s),
+                                 lambda s, k: constant_C_search(s),
+                                 lambda s, k: rosser_check(s, k)],
+                         ids=["easy", "hard", "constant-search", "rosser"])
+@pytest.mark.parametrize("limit", [1000, 10 ** 6, 1_572_865],
+                         ids=["in-first-block", "past-it", "no-prime-read-out"])
+def test_a_stream_below_p_k_max_is_a_capacity_error(run, limit):
+    """A stream whose limit is below p_{k_max} runs dry: never a shorter campaign that passes."""
+    stream = PrimeStream(limit)
+    with pytest.raises(CapacityError):
+        run(stream, sieve_primes(limit).count + 1)
 
 
 def test_uint32_table_reads_as_its_int64_copy(small_table):
@@ -559,6 +612,23 @@ def test_eta_ops_hold_little_beside_the_table(campaign_table, run):
         tracemalloc.stop()
     assert getattr(result, "passed", True)
     assert peak <= 3 << 20, peak
+
+
+@pytest.mark.parametrize("run", [lambda s: verify_c_hard(2, 3_750_230, s),
+                                 lambda s: rosser_check(s, 3_750_230)],
+                         ids=["hard-campaign-t2", "rosser"])
+def test_streamed_eta_ops_hold_no_table(run):
+    """numpy reports its buffers to tracemalloc.  From the CLI's stream, the full
+    t = 2 hard campaign and rosser's search peak at most 5 MiB in all, its sieve
+    included (about 4.1 and 2.2 MiB): the table alone took 14.3 MiB."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        result = run(cli._table_for_count(3_750_230))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed and peak <= 5 << 20, peak
 
 
 def test_constant_upper_is_float_bound():

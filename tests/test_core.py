@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import (from_int, mpf_log, mpf_lt, mpf_mul, mpf_sub, round_ceiling, round_floor,
+                          to_float)
 
 from divlat import (
     CapacityError,
@@ -57,9 +59,9 @@ def test_sieve_pi_of_million(small_table):
 
 
 def test_sieve_segmented_consistency():
-    # 5M fits the first segment of 2^21 numbers prime to 6 (up to 6,291,455);
-    # later segments, sieved by the first one's base primes, are checked
-    # against the oracle at their edges below
+    # 5M spans the first two segments of 2^20 numbers prime to 6 (up to 6,291,455);
+    # later segments, sieved by the same base primes, are checked against the
+    # oracle at their edges below
     seg = sieve_primes(5_000_000)
     assert seg.count == 348_513  # pi(5e6)
     assert int(seg.primes[0]) == 2
@@ -78,15 +80,17 @@ def eratosthenes(limit):
 
 
 # 4,194,305 and 8,388,609 were the last values of the first and second
-# segments of 2^21 odd slots; over the numbers prime to 6 the segments end
-# at 6,291,455 and 12,582,911.  Below 200 the slot mapping meets 2, 3 and
-# the first residues mod 6.
+# segments of 2^21 odd slots; over the numbers prime to 6 segments of 2^21
+# ended at 6,291,455 and 12,582,911, and segments of 2^20 end at 3,145,727,
+# 6,291,455, 9,437,183 and 12,582,911.  Below 200 the slot mapping meets
+# 2, 3 and the first residues mod 6.
 _ORACLE_EDGES = [2, 3, 4, 9, 25, 4_194_303, 4_194_304, 4_194_305, 4_194_306, 4_194_307,
                  5_000_000, 8_388_609, 8_388_611]
 
 
 _SIEVE_LIMITS = [*_ORACLE_EDGES, *(n for n in range(2, 201) if n not in _ORACLE_EDGES),
-                 6_291_453, 6_291_455, 6_291_457, 12_582_909, 12_582_911, 12_582_913]
+                 6_291_453, 6_291_455, 6_291_457, 12_582_909, 12_582_911, 12_582_913,
+                 3_145_725, 3_145_727, 3_145_729, 9_437_181, 9_437_183, 9_437_185]
 
 
 @pytest.mark.parametrize("limit", _SIEVE_LIMITS)
@@ -112,10 +116,10 @@ def test_sieve_for_count_at_250k(medium_table):
 def test_sieve_holds_one_segment_beside_its_table():
     """numpy reports its buffers to tracemalloc.  At the campaigns' size the
     table is 14.3 MiB, 4 bytes a prime, and the sieve peaks at most 3 MiB
-    above it (2.55 MiB): one reused 2 MiB segment of flags and the indices of
-    one 2^18-slot sub-block of it.  A whole segment's indices took 5.4 MiB,
-    fresh flags beside them 8.3 MiB, and an int64 copy of the table would
-    take 28.6 MiB."""
+    above it (1.99 MiB): one reused 1 MiB segment of flags, the indices of
+    one 2^18-slot sub-block of it and the blocks they become.  A whole 2^21-slot
+    segment's indices took 5.4 MiB, fresh flags beside them 8.3 MiB, and an
+    int64 copy of the table would take 28.6 MiB."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -151,7 +155,7 @@ def test_pi_upper_bound_is_the_cited_bound_rounded_up(x):
     assert pi <= pi_upper_bound(x)
 
 
-# 6,291,469 is the first prime past the first segment: the second segment of
+# 6,291,469 is the first prime past the second segment: the third segment of
 # that limit holds it alone, a one-entry write to the table's last slot
 @pytest.mark.parametrize("limit", [25, 1_000_000, 6_291_469, 12_582_913])
 def test_sieve_refuses_a_bound_one_short(limit, monkeypatch):
@@ -178,6 +182,63 @@ def test_sieve_rejects_limit_past_the_32_bit_table():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_prime_blocks_checks_its_limit_before_it_is_iterated():
+    """A generator's body first runs at the first next(), so the checks run at the call."""
+    with pytest.raises(ValueError):
+        core.prime_blocks(1)
+    with pytest.raises(CapacityError, match="32-bit prime table"):
+        core.prime_blocks(2 ** 32)
+
+
+# 786,431 is the last value of the first 2^18-slot read-out, 786,433 the first of the second;
+# 1,572,865 = 5 * 314,573 is the first value of the third, so at that limit the third read-out
+# holds no prime, and neither does the last one at 12,582,913
+_NO_PRIME_READ_OUT = 1_572_865
+
+
+@pytest.mark.parametrize("limit", [2, 3, 25, 786_431, 786_433, _NO_PRIME_READ_OUT, 6_291_469,
+                                   12_582_913])
+def test_prime_blocks_are_the_sieves_read_outs(limit):
+    """One nonempty block per read-out that holds a prime (value v sits in slot v // 3)."""
+    blocks = list(core.prime_blocks(limit))
+    slots = (limit + 5) // 6 + (limit + 1) // 6
+    oracle = eratosthenes(12_582_913)
+    want = oracle[oracle <= limit]
+    empty = limit in (_NO_PRIME_READ_OUT, 12_582_913)
+    assert len(blocks) == np.unique(want // 3 >> 18).size == -(-slots // (1 << 18)) - empty
+    assert all(block.size and block.dtype == np.uint32 for block in blocks)
+    assert np.array_equal(np.concatenate(blocks), want)
+
+
+@pytest.fixture(scope="module")
+def stream_200k():
+    return core.PrimeStream(prime_upper_bound(200_000))
+
+
+def test_stream_reads_as_its_table(stream_200k, medium_table):
+    """The stream keeps its first read-out block, the primes to 786,431; a pass
+    past it is sieved again, and a longer prefix comes from a table."""
+    head = stream_200k.head.size
+    assert head == int(np.searchsorted(medium_table.primes, 786_431, "right"))
+    for k in (1, head - 1, head, head + 1, 200_000, 200_000):  # later long passes sieve afresh
+        assert np.array_equal(stream_200k.prefix(k), medium_table.prefix(k))
+        blocks = list(stream_200k.blocks(k))
+        assert np.array_equal(np.concatenate(blocks), medium_table.prefix(k))
+        assert (len(blocks) == 1) == (k <= head) and blocks[-1].size
+
+
+@pytest.mark.parametrize("limit", [1000, 10 ** 6, _NO_PRIME_READ_OUT],
+                         ids=["in-first-block", "past-it", "no-prime-read-out"])
+def test_a_stream_that_runs_dry_is_a_capacity_error(limit):
+    stream = core.PrimeStream(limit)
+    k = sieve_primes(limit).count
+    assert np.array_equal(stream.prefix(k), sieve_primes(limit).primes)
+    for read in (lambda: list(stream.blocks(k + 1)), lambda: stream.prefix(k + 1),
+                 lambda: rosser_check(stream, k + 1)):
+        with pytest.raises(CapacityError):
+            read()
 
 
 def test_sieve_deep_window_matches_trial_division(small_table):
@@ -441,6 +502,59 @@ def test_rosser_matches_exact_oracle(small_table, k_max):
         assert res.passed
         assert res.argmin == (k,)
         assert abs(res.worst_margin - margin) <= 1e-15
+
+
+def _rosser_scan(values) -> list:
+    """Exhaustive 128-bit scan: at each k, the lowest lower end so far of p_k - k log k,
+    as interval arithmetic at 128 bits rounds it (log and product up, difference down),
+    with its k, the first on ties."""
+    best, out = None, []
+    for k, p in enumerate(values, start=1):
+        kk = from_int(k)
+        a = mpf_sub(from_int(p), mpf_mul(kk, mpf_log(kk, 128, round_ceiling), 128, round_ceiling),
+                    128, round_floor)
+        if best is None or mpf_lt(a, best[0]):
+            best = (a, k)
+        out.append(best)
+    return out
+
+
+@pytest.fixture(scope="module")
+def rosser_scan_200k(medium_table):
+    return _rosser_scan(medium_table.primes[:200_000].tolist())
+
+
+@pytest.mark.parametrize("source", ["table", "stream"])
+@pytest.mark.parametrize("k_max", [1, 2, 7, "head-1", "head", "head+1", 200_000])
+def test_rosser_block_search_matches_the_128_bit_scan(k_max, source, medium_table, stream_200k,
+                                                      rosser_scan_200k):
+    """From one table block or from the stream's read-out blocks, at the edges of its first."""
+    if isinstance(k_max, str):
+        k_max = stream_200k.head.size + {"head-1": -1, "head": 0, "head+1": 1}[k_max]
+    res = rosser_check(medium_table if source == "table" else stream_200k, k_max)
+    a, k = rosser_scan_200k[k_max - 1]
+    assert res.passed and res.k_range == (1, k_max)
+    assert res.argmin == (k,)
+    assert res.worst_margin == math.nextafter(to_float(a), -math.inf)
+
+
+def test_rosser_block_search_on_uneven_blocks():
+    """floor(k log k) + 1 ascends, and its margins 1 - frac(k log k) lie anywhere in
+    (0, 1], so no block of 333 is skipped whole: read in such blocks or in one,
+    the search finds the scan's minimum."""
+    ks = np.arange(1, 5001)
+    table = core.PrimeTable(limit=10 ** 5, primes=np.floor(ks * np.log(ks)).astype(np.int64) + 1)
+
+    class Recut:
+        def blocks(self, k):
+            return (table.prefix(k)[i:i + 333] for i in range(0, k, 333))
+
+    a, k = _rosser_scan(table.primes.tolist())[-1]
+    assert k > 333
+    for source in (table, Recut()):
+        res = rosser_check(source, 5000)
+        assert res.argmin == (k,)
+        assert res.worst_margin == math.nextafter(to_float(a), -math.inf)
 
 
 def test_rosser_fails_on_non_prime_table():
