@@ -18,7 +18,18 @@ Verification strategy (never a false pass):
    an i*u*sum budget, and the carried sum is Neumaier-compensated with
    an analytic 4u*|sum| allowance; ends move outward by one integer step
    of their bit patterns (positive normal floats only, else a raise).
-   The campaigns and the constant search share this one pass, `_float_pass`;
+   The campaigns and the constant search share this one pass, `_float_pass`,
+   and decide it by 2000-term blocks.  log_sum(t, k) rises with k and, past
+   the first _CHUNK terms, so does each rhs (the hard factor once (t-1) log
+   k > 1, from k = 3 at t = 2; the easy rhs at t = 2 drops its tail at
+   k = 56).  A block's float ends rise too, so with R = rhs - w and fac at
+   its first k and hi_end at its last, every margin in it is at least
+   R - S (|R| + 1) - hi_end and every ratio at most hi_end over fac (1 - S)
+   (hard, tail added) or over R - S (|R| + 1) (easy).  S = _BLOCK_SLACK =
+   2^-40 is 2^7 times the float error of R and fac, a few roundings of
+   numpy's pow and log, under 2^-47 relative (the 1 covers the tail).  Only
+   the first chunk and blocks whose bounds could fail, pend, lower the worst
+   margin, raise the sup or enter the search's window are materialized per k;
 2. every k whose margin enclosure straddles zero is re-evaluated by
    `certify.escalate`: at 128 bits, then doubling up to the 4096-bit
    ceiling.  At each level the eta product is enclosed by the integer
@@ -50,6 +61,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +84,7 @@ CHECKPOINT_STRIDE = 100_000
 _CHUNK = 20_000
 _PER_TERM_REL = 2.0 ** -47   # covers power + log1p evaluation error
 _REL_RHS = 2.0 ** -40        # envelope for the composed right-hand sides
+_BLOCK_SLACK = 2.0 ** -40    # the block lemma's float slack (module docstring)
 _U = 2.0 ** -53
 _EXP_BITS = 0x7FF0_0000_0000_0000
 _NORMAL = np.finfo(np.float64)
@@ -123,9 +136,10 @@ class EtaAccumulator:
     Internally a Neumaier-compensated running sum of block sums plus an
     analytic error budget: per-term evaluation gets _PER_TERM_REL
     relative, the block-local cumulative sum i*u*cs, the compensated
-    carry 4u*|sum|.  `extend` consumes the next primes in ascending
-    order and returns per-k certified lower/upper arrays, rounded outward
-    by integer steps of their bit patterns (positive normal floats only).
+    carry 4u*|sum|.  `extend` is the state update `_update` with every
+    block materialized: it consumes the next primes in ascending order and
+    returns per-k certified lower/upper arrays, rounded outward by integer
+    steps of their bit patterns (positive normal floats only).
 
     Summation blocks are aligned to absolute k, so any two runs whose
     feed boundaries fall on BLOCK multiples (the float pass's chunks do)
@@ -160,22 +174,18 @@ class EtaAccumulator:
     def hi(self) -> float:
         return math.nextafter(self.value + self.width_bound, math.inf)
 
-    def extend(self, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        primes = np.asarray(primes, dtype=np.float64)
-        n = primes.size
-        lo_out = np.empty(n)
-        hi_out = np.empty(n)
-        pos = 0
-        while pos < n:
-            step = min(self.BLOCK - (self.k % self.BLOCK), n - pos)
-            term = np.log1p(primes[pos:pos + step] ** (-1.0 / self.t))
-            cs = np.cumsum(term)
-            base = self.value
-            w = self.width_bound + _TERM_REL[:step] * cs + 4.0 * _ulp(base + cs)
-            np.add(base, cs - w, out=lo_out[pos:pos + step])
-            np.add(base, cs + w, out=hi_out[pos:pos + step])
+    def _update(self, primes: np.ndarray) -> "_Blocks":
+        """The state update: consume the next primes in ascending order, one
+        cumsum per block, and return the blocks for `_Blocks.ends` to read."""
+        term = np.log1p(np.asarray(primes, dtype=np.float64) ** (-1.0 / self.t))
+        head = min(-self.k % self.BLOCK, term.size)
+        body = head + (term.size - head) // self.BLOCK * self.BLOCK
+        rows = []
+        for cs in filter(np.size, (np.cumsum(term[:head]), *np.cumsum(
+                term[head:body].reshape(-1, self.BLOCK), axis=1), np.cumsum(term[body:]))):
+            rows.append((self.k + 1, self.value, self.width_bound, cs))
             block_sum = float(cs[-1])
-            self.eval_err += (_PER_TERM_REL + _U * step) * block_sum
+            self.eval_err += (_PER_TERM_REL + _U * cs.size) * block_sum
             # Neumaier-compensated accumulation of the block sums
             total = self.sum_mid + block_sum
             if abs(self.sum_mid) >= abs(block_sum):
@@ -183,9 +193,35 @@ class EtaAccumulator:
             else:
                 self.sum_comp += (block_sum - total) + self.sum_mid
             self.sum_mid = total
-            self.k += step
-            pos += step
-        return _next_down(lo_out), _next_up(hi_out)
+            self.k += cs.size
+        return _Blocks(rows)
+
+    def extend(self, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._update(primes).ends(repeat(True))[1:]
+
+
+class _Blocks:
+    """One state update's blocks as rows (first k, the accumulator's value and
+    width_bound before the block, its cumulative sums).  Per-k ends rise
+    within a block, so `hi_end`, each block's upper end at its last k, is its
+    highest; `ends(keep)` materializes the kept blocks' k and ends, bit for bit."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.k0, base, width, end, size = np.array(
+            [(k0, b, w, cs[-1], cs.size) for k0, b, w, cs in rows]).reshape(-1, 5).T
+        w = width + (_PER_TERM_REL + _U * size) * end + 4.0 * _ulp(base + end)
+        self.hi_end = _next_up(base + (end + w))
+
+    def ends(self, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ks, los, his = [np.empty(0)], [np.empty(0)], [np.empty(0)]
+        for k0, base, width, cs in compress(self.rows, keep):
+            w = width + _TERM_REL[:cs.size] * cs + 4.0 * _ulp(base + cs)
+            ks.append(np.arange(k0, k0 + cs.size, dtype=np.float64))
+            los.append(base + (cs - w))
+            his.append(base + (cs + w))
+        return (np.concatenate(ks), _next_down(np.concatenate(los)),
+                _next_up(np.concatenate(his)))
 
 
 #: per-term relative budget at block-local index i = 1..BLOCK
@@ -271,11 +307,22 @@ def _rhs_iv(mode: str, t: int, k: int, c):
     return rhs
 
 
+def _rhs_mid(mode: str, t: int, karr: np.ndarray, c: float):
+    """Float ends rhs -+ w of the rhs at karr and the hard factor (None if easy)."""
+    fac = None if mode == "easy" else _hard_factor_mid(t, karr)
+    rhs = karr ** (1.0 - 1.0 / t) if fac is None else c * fac
+    if (has_tail := _has_tail(mode, t, karr)) is not False:
+        rhs = rhs - np.where(has_tail, math.log(t) / t, 0.0)
+    abs_rhs = np.abs(rhs)
+    w = _REL_RHS * abs_rhs + 4.0 * _ulp(abs_rhs)
+    return rhs - w, rhs + w, fac
+
+
 def _c_required_mid(t: int, fac, lo, hi) -> tuple[np.ndarray | None, np.ndarray]:
     """Float bounds (clo, chi) on C_required = (log_sum + tail) / factor.
 
-    fac is _hard_factor_mid and lo/hi the accumulator's enclosure over a
-    chunk.  chi is the hard campaign's sup_ratio; clo is None when lo is.
+    fac is _hard_factor_mid (or below it) and lo/hi the accumulator's ends
+    (or above hi).  chi is the hard campaign's sup_ratio; clo is None when lo is.
     """
     tail = math.log(t) / t if _has_tail("hard", t, None) else 0.0
     return (None if lo is None else (lo + tail) * (1.0 - _REL_RHS) / fac,
@@ -326,13 +373,12 @@ def _chunks(blocks, size: int):
 def _float_pass(t: int, k_max: int, table: PrimeTable | PrimeStream):
     """The float64 pass over k = 1..k_max, _CHUNK terms of `table.blocks` at a time.
 
-    Yields (acc, karr, lo, hi): the accumulator after the chunk, the
-    chunk's k as floats and the certified per-k ends of log_sum(t, k).
+    Yields (acc, blocks): the accumulator after the chunk and the chunk's
+    _Blocks, whose per-k ends of log_sum(t, k) the caller reads on demand.
     """
     acc = EtaAccumulator(t=t)
     for chunk in _chunks(table.blocks(k_max), _CHUNK):
-        lo, hi = acc.extend(chunk)
-        yield acc, np.arange(acc.k - chunk.size + 1, acc.k + 1, dtype=np.float64), lo, hi
+        yield acc, acc._update(chunk)
 
 
 def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable | PrimeStream,
@@ -352,32 +398,30 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable | PrimeStream
     stored = cp.load().get(t, {}) if cp else {}
 
     strict = mode == "easy"
-    tail = math.log(t) / t
     worst = [math.inf, None]  # (margin, k)
     sup_ratio, sup_k = -math.inf, None
     pending: list[int] = []  # ascending k, each once
     violations: list[int] = []
 
-    for acc, karr, lo_arr, hi_arr in _float_pass(t, k_max, table):
-        if mode == "easy":
-            rhs = karr ** (1.0 - 1.0 / t)
-        else:
-            fac = _hard_factor_mid(t, karr)
-            rhs = c_float * fac
-        if (has_tail := _has_tail(mode, t, karr)) is not False:
-            rhs = rhs - np.where(has_tail, tail, 0.0)
-        abs_rhs = np.abs(rhs)
-        w = _REL_RHS * abs_rhs + 4.0 * _ulp(abs_rhs)
-        pending += _margin_rule(strict, karr, (rhs - w) - hi_arr, (rhs + w) - lo_arr,
-                                violations, worst)
+    def ratios(r_lo, fac, hi):  # the hard ratio is C_required's upper end
+        return (hi / np.maximum(r_lo, 1e-300) if fac is None
+                else _c_required_mid(t, fac, None, hi)[1])
 
-        if mode == "easy":
-            ratio = hi_arr / np.maximum(rhs - w, 1e-300)
-        else:
-            ratio = _c_required_mid(t, fac, None, hi_arr)[1]
-        j = int(np.argmax(ratio))
-        if ratio[j] > sup_ratio:
-            sup_ratio, sup_k = float(ratio[j]), int(karr[j])
+    for acc, blocks in _float_pass(t, k_max, table):
+        # the block lemma: every margin of a block is at least m_min, every ratio at most up
+        r_lo, _, fac = _rhs_mid(mode, t, blocks.k0, c_float)
+        r_min = r_lo - _BLOCK_SLACK * (np.abs(r_lo) + 1.0)
+        m_min = r_min - blocks.hi_end
+        up = ratios(r_min, None if fac is None else fac * (1.0 - _BLOCK_SLACK), blocks.hi_end)
+        keep = (blocks.k0 <= _CHUNK) | ~(m_min > 0.0) | (m_min < worst[0]) | (up > sup_ratio)
+        if keep.any():
+            karr, lo_arr, hi_arr = blocks.ends(keep)
+            r_lo, r_hi, fac = _rhs_mid(mode, t, karr, c_float)
+            pending += _margin_rule(strict, karr, r_lo - hi_arr, r_hi - lo_arr, violations, worst)
+            ratio = ratios(r_lo, fac, hi_arr)
+            j = int(np.argmax(ratio))
+            if ratio[j] > sup_ratio:
+                sup_ratio, sup_k = float(ratio[j]), int(karr[j])
 
         if cp is not None and acc.k % CHECKPOINT_STRIDE == 0:
             known = stored.get(acc.k)
@@ -483,7 +527,13 @@ def constant_C_search(table: PrimeTable | PrimeStream) -> ConstantC:
     best_lo = -math.inf
     candidates: list[tuple[float, int, int]] = []  # (chi, t, k)
     for t in SEARCH_T_RANGE:
-        for _, karr, lo_arr, hi_arr in _float_pass(t, hard_threshold(t), table):
+        for _, blocks in _float_pass(t, hard_threshold(t), table):
+            fac_min = _hard_factor_mid(t, blocks.k0) * (1.0 - _BLOCK_SLACK)
+            up = _c_required_mid(t, fac_min, None, blocks.hi_end)[1]
+            keep = (blocks.k0 <= _CHUNK) | (up >= best_lo - _CAND_WINDOW)
+            if not keep.any():
+                continue
+            karr, lo_arr, hi_arr = blocks.ends(keep)
             clo, chi = _c_required_mid(t, _hard_factor_mid(t, karr), lo_arr, hi_arr)
             best_lo = max(best_lo, float(np.max(clo)))
             candidates += [(float(chi[i]), t, int(karr[i]))

@@ -1,20 +1,25 @@
 """Shared fixtures (prime tables are expensive, so build them once) and the
 independent oracles the tests check the library against: the interval
 sum for the eta kernel, the float accumulator with numpy's own outward
-rounding, the threshold-count chain's bound as one interval product, two
+rounding, the campaigns' and the constant search's per-k float phases,
+the threshold-count chain's bound as one interval product, two
 routes to the energy kernel R_s, the energy sweep at every n, and a
 quadrature of the sinc-power integral."""
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from mpmath import iv
+from mpmath.libmp import to_str
 
-from divlat import CapacityError, campaigns, energy, factorize, sieve_for_count, sieve_primes
-from divlat.certify import DEFAULT_PREC, dyadic_upper, interval_ends, iv_exact, iv_prec
+from divlat import (CapacityError, campaigns, energy, factorize, kernel, sieve_for_count,
+                    sieve_primes)
+from divlat.certify import DEFAULT_PREC, dyadic_upper, escalate, interval_ends, iv_exact, iv_prec
 from divlat.energy import composition_counts
+from divlat.reports import CampaignResult
 
 #: largest (alpha+1)^(2s) that R_brute enumerates
 R_BRUTE_CAP = 10 ** 8
@@ -108,6 +113,119 @@ class NextafterEtaAccumulator:
             self.k += step
             pos += step
         return lo_out, hi_out
+
+
+def per_k_campaign(mode, t, k_max, table, checkpoint=None):
+    """Reference for `campaigns._run_campaign`: the per-k float phase it ran
+    before it decided by blocks, which materializes every k's ends (through
+    `EtaAccumulator.extend`), margins and ratios, then the same escalation.
+    The margin rule and the enclosures are read from `campaigns` at call
+    time, so a test can record them."""
+    c_str = kernel.ETA_CONSTANT_HI
+    c_float = float(c_str)
+    t0 = time.perf_counter()
+    cp = campaigns.CheckpointFile(checkpoint) if checkpoint else None
+    stored = cp.load().get(t, {}) if cp else {}
+    strict = mode == "easy"
+    tail = math.log(t) / t
+    worst = [math.inf, None]
+    sup_ratio, sup_k = -math.inf, None
+    pending, violations = [], []
+    acc = campaigns.EtaAccumulator(t=t)
+    for chunk in campaigns._chunks(table.blocks(k_max), campaigns._CHUNK):
+        lo_arr, hi_arr = acc.extend(chunk)
+        karr = np.arange(acc.k - chunk.size + 1, acc.k + 1, dtype=np.float64)
+        if mode == "easy":
+            rhs = karr ** (1.0 - 1.0 / t)
+        else:
+            fac = campaigns._hard_factor_mid(t, karr)
+            rhs = c_float * fac
+        if (has_tail := campaigns._has_tail(mode, t, karr)) is not False:
+            rhs = rhs - np.where(has_tail, tail, 0.0)
+        abs_rhs = np.abs(rhs)
+        w = campaigns._REL_RHS * abs_rhs + 4.0 * np.spacing(abs_rhs)
+        pending += campaigns._margin_rule(strict, karr, (rhs - w) - hi_arr,
+                                          (rhs + w) - lo_arr, violations, worst)
+        if mode == "easy":
+            ratio = hi_arr / np.maximum(rhs - w, 1e-300)
+        else:
+            ratio = campaigns._c_required_mid(t, fac, None, hi_arr)[1]
+        j = int(np.argmax(ratio))
+        if ratio[j] > sup_ratio:
+            sup_ratio, sup_k = float(ratio[j]), int(karr[j])
+        if cp is not None and acc.k % campaigns.CHECKPOINT_STRIDE == 0:
+            known, state = stored.get(acc.k), (acc.lo, acc.hi)
+            if known is None:
+                cp.append(t, acc.k, acc.lo, acc.hi)
+            elif known != state:
+                raise ValueError(f"checkpoint mismatch at t={t}, k={acc.k}")
+
+    left = []
+
+    def decide(level):
+        nonlocal pending
+        enclosures = campaigns.eta_log_enclosures(t, pending, table)
+        c_iv = iv.mpf(c_str) if mode == "hard" else None
+        ms = [campaigns._rhs_iv(mode, t, k, c_iv) - enclosures[k] for k in pending]
+        pending = campaigns._margin_rule(
+            strict, np.array(pending), np.array([float(m.a) for m in ms]),
+            np.array([float(m.b) for m in ms]), violations, worst)
+        left.append(len(pending))
+        return None if pending else True
+
+    if pending:
+        escalate(decide, what=lambda: f"{len(pending)} comparisons at t={t}")
+    return CampaignResult(
+        label=f"eta-{mode}", t_range=(t, t), k_range=(1, k_max),
+        passed=not violations and worst[0] > 0.0,
+        worst_margin=math.nextafter(worst[0], -math.inf), argmin=(t, worst[1]),
+        sup_ratio=sup_ratio, arg_sup=(t, sup_k), wall_time=time.perf_counter() - t0,
+        inconclusive=left[0] if left else 0)
+
+
+def per_k_constant_search(table):
+    """Reference for `campaigns.constant_C_search`: the per-k float phase it
+    ran before it decided by blocks, then the same interval separation."""
+    best_lo, candidates = -math.inf, []
+    window = campaigns._CAND_WINDOW
+    for t in campaigns.SEARCH_T_RANGE:
+        acc = campaigns.EtaAccumulator(t=t)
+        for chunk in campaigns._chunks(table.blocks(campaigns.hard_threshold(t)),
+                                       campaigns._CHUNK):
+            lo_arr, hi_arr = acc.extend(chunk)
+            karr = np.arange(acc.k - chunk.size + 1, acc.k + 1, dtype=np.float64)
+            clo, chi = campaigns._c_required_mid(t, campaigns._hard_factor_mid(t, karr),
+                                                 lo_arr, hi_arr)
+            best_lo = max(best_lo, float(np.max(clo)))
+            candidates += [(float(chi[i]), t, int(karr[i]))
+                           for i in np.flatnonzero(chi >= best_lo - window)]
+            candidates = [c for c in candidates if c[0] >= best_lo - window]
+    finalists = [(t, k) for _, t, k in candidates]
+
+    def decide(level):
+        intervals = {}
+        for t in sorted({t for t, _ in finalists}):
+            ks = sorted(k for tt, k in finalists if tt == t)
+            encl = campaigns.eta_log_enclosures(t, ks, table)
+            tail = iv.log(iv.mpf(t)) / t if campaigns._has_tail("hard", t, None) else 0
+            for k in ks:
+                intervals[(t, k)] = (encl[k] + tail) / kernel._hard_factor_iv(t, k)
+        winner = max(intervals, key=lambda tk: float(intervals[tk].a))
+        win = intervals[winner]
+        others = {tk: v for tk, v in intervals.items() if tk != winner}
+        runner = max(others, key=lambda tk: float(others[tk].b)) if others else None
+        if runner is not None and float(others[runner].b) >= float(win.a):
+            return None
+        return campaigns.ConstantC(
+            value=float(win.mid), attained_at=winner,
+            lower=math.nextafter(float(win.a), -math.inf),
+            upper=math.nextafter(float(win.b), math.inf),
+            lower_decimal=to_str(win._mpi_[0], 30), upper_decimal=to_str(win._mpi_[1], 30),
+            runner_up=math.nextafter(float(others[runner].b), math.inf)
+            if runner else -math.inf,
+            runner_up_at=runner if runner else (-1, -1))
+
+    return escalate(decide, what="separation of the supremum candidates")
 
 
 def chain_bound_oracle(lt, q):

@@ -1,10 +1,12 @@
 """Eta-product campaigns: accumulator, checkpoints, verifiers, constant."""
 
+import dataclasses
 import math
 import random
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +44,10 @@ from divlat.core import PrimeStream, prime_upper_bound
 from divlat.campaigns import CheckpointFile, _rhs_iv, eta_log_enclosures
 from divlat.kernel import ETA_CONSTANT_HI, ETA_CONSTANT_LO, log_eta_sums
 from divlat.moments import eta_log_interval, thm_bounds
+from divlat.reports import CampaignResult
 
-from conftest import NextafterEtaAccumulator, iv_log_eta_sums
+from conftest import (NextafterEtaAccumulator, iv_log_eta_sums, per_k_campaign,
+                      per_k_constant_search)
 
 
 @pytest.mark.parametrize("mode", ["easy", "hard"])
@@ -211,16 +215,21 @@ def test_accumulator_matches_the_nextafter_oracle(medium_table, t, cuts):
             == (want.sum_mid, want.sum_comp, want.eval_err, want.k))
 
 
+def _every_block(blocks):
+    """(karr, lo, hi) of a float-pass chunk with every block materialized."""
+    return blocks.ends(repeat(True))
+
+
 @pytest.mark.parametrize("t", [2, 5])
 def test_float_pass_matches_the_stride_fed_accumulator(medium_table, t):
     """The float pass steps in chunks that end on BLOCK multiples and on every
-    CHECKPOINT_STRIDE multiple, so its per-k ends and final state are bit for
-    bit those of an accumulator fed one CHECKPOINT_STRIDE at a time, also at a
-    k_max that no chunk divides."""
+    CHECKPOINT_STRIDE multiple, so the per-k ends of its blocks, materialized,
+    and its final state are bit for bit those of an accumulator fed one
+    CHECKPOINT_STRIDE at a time, also at a k_max that no chunk divides."""
     k_max, stride = 250_001, campaigns.CHECKPOINT_STRIDE
     chunks = []
-    for acc, karr, lo, hi in campaigns._float_pass(t, k_max, medium_table):
-        chunks.append((acc.k, karr, lo, hi))
+    for acc, blocks in campaigns._float_pass(t, k_max, medium_table):
+        chunks.append((acc.k, *_every_block(blocks)))
     ks, karrs, los, his = zip(*chunks)
     want = EtaAccumulator(t=t)
     want_lo, want_hi = zip(*[want.extend(medium_table.primes[k:min(k + stride, k_max)])
@@ -234,6 +243,25 @@ def test_float_pass_matches_the_stride_fed_accumulator(medium_table, t):
             == (want.sum_mid, want.sum_comp, want.eval_err, want.k))
 
 
+@pytest.mark.parametrize("t", [2, 5])
+def test_state_update_is_extends_state(medium_table, t):
+    """The float pass updates the accumulator's state without materializing a
+    block; at every chunk end, also the last one at a k_max that no chunk
+    divides, the state is bit for bit that of `extend` fed the same chunks,
+    and each block's `hi_end` is the materialized upper end at its last k."""
+    k_max = 250_001
+    want, ends = EtaAccumulator(t=t), []
+    for acc, blocks in campaigns._float_pass(t, k_max, medium_table):
+        want.extend(medium_table.primes[want.k:acc.k])
+        ends.append(acc.k)
+        assert ((acc.sum_mid, acc.sum_comp, acc.eval_err, acc.k)
+                == (want.sum_mid, want.sum_comp, want.eval_err, want.k))
+        _, _, hi = _every_block(blocks)
+        last = np.cumsum([row[3].size for row in blocks.rows]) - 1
+        assert np.array_equal(blocks.hi_end.view(np.int64), hi[last].view(np.int64))
+    assert ends[-1] == k_max and ends[-2] % campaigns._CHUNK == 0
+
+
 @pytest.fixture(scope="module")
 def stream_250k():
     return PrimeStream(prime_upper_bound(250_000))
@@ -243,14 +271,15 @@ def stream_250k():
 @pytest.mark.parametrize("t", [2, 5])
 def test_streamed_float_pass_is_the_table_pass(medium_table, stream_250k, t, k_max):
     """The stream's read-out blocks are re-cut into the same 20,000-term chunks as
-    the table, so every end and the final state are bit for bit the table's, also
-    at a k_max that no chunk divides, two read-out blocks in."""
+    the table, so every materialized end and the final state are bit for bit the
+    table's, also at a k_max that no chunk divides, two read-out blocks in."""
     edges = np.cumsum([block.size for block in stream_250k.blocks(k_max)])[:-1]
     assert edges.size >= 2  # read-out block edges inside the pass
     got = list(campaigns._float_pass(t, k_max, stream_250k))
     want = list(campaigns._float_pass(t, k_max, medium_table))
     assert len(got) == len(want) == -(-k_max // 20_000)
-    for (_, karr, lo, hi), (_, want_k, want_lo, want_hi) in zip(got, want):
+    for (_, blocks), (_, want_blocks) in zip(got, want):
+        (karr, lo, hi), (want_k, want_lo, want_hi) = map(_every_block, (blocks, want_blocks))
         assert np.array_equal(karr, want_k)
         assert np.array_equal(lo.view(np.int64), want_lo.view(np.int64))
         assert np.array_equal(hi.view(np.int64), want_hi.view(np.int64))
@@ -268,6 +297,101 @@ def test_streamed_checkpoint_is_the_golden_file(tmp_path, stream_250k):
     assert (again.passed, again.worst_margin, again.argmin, again.sup_ratio) == \
            (first.passed, first.worst_margin, first.argmin, first.sup_ratio)
     assert path.read_bytes() == golden.read_bytes()
+
+
+def _recorded(run, mp):
+    """run()'s result with every margin rule's violations list and the ks of
+    each enclosure request (the pending ks of each escalation level, or the
+    search's finalists), read through `campaigns` as both engines call them."""
+    found, asked = [[]], []
+    rule, enclose = campaigns._margin_rule, campaigns.eta_log_enclosures
+
+    def recorded_rule(strict, ks, m_lo, m_hi, violations, worst):
+        found[0] = violations  # the campaign's own list, filled in place
+        return rule(strict, ks, m_lo, m_hi, violations, worst)
+
+    def recorded_enclose(t, ks, table):
+        asked.append(list(ks))
+        return enclose(t, ks, table)
+
+    mp.setattr(campaigns, "_margin_rule", recorded_rule)
+    mp.setattr(campaigns, "eta_log_enclosures", recorded_enclose)
+    result = run()
+    if isinstance(result, CampaignResult):
+        result = dataclasses.replace(result, wall_time=None)
+    return result, found[0], asked
+
+
+@pytest.mark.parametrize("c_hi", [None, "1.0", "1.05", "1.065", "0.96621"])
+@pytest.mark.parametrize("k_max", [60_001, 130_001, 250_000])
+@pytest.mark.parametrize("t", [2, 3, 5])
+def test_block_campaigns_are_the_per_k_campaigns(medium_table, tmp_path, monkeypatch,
+                                                 t, k_max, c_hi):
+    """Deciding by blocks moves nothing: every CampaignResult field but
+    wall_time, the violations, the pending ks of every escalation level and
+    the checkpoint bytes are those of the per-k float phase.  A constant
+    below the supremum makes late blocks fail, pend or set the sup; 0.96621
+    lies just above C_required at t = 5, k = 250,000, its largest value
+    there, so that campaign passes with its worst margin at the last k."""
+    if c_hi is not None:
+        monkeypatch.setattr(kernel, "ETA_CONSTANT_HI", c_hi)
+    for mode in ("easy", "hard") if c_hi is None else ("hard",):
+        runs = []
+        for name, engine in (("blocks", campaigns._run_campaign), ("per-k", per_k_campaign)):
+            path = tmp_path / f"{name}-{mode}.txt"
+            with pytest.MonkeyPatch.context() as mp:
+                runs.append(_recorded(lambda: engine(mode, t, k_max, medium_table, path), mp))
+            runs[-1] += (path.read_bytes() if path.exists() else None,)
+        assert runs[0] == runs[1], (mode, runs[0][0], runs[1][0])
+
+
+class _Finalists(Exception):
+    """Raised with the ks of the search's first enclosure request."""
+
+
+@pytest.mark.parametrize("k_max", [60_001, 130_001, 250_000])
+@pytest.mark.parametrize("t", [2, 3, 5])
+def test_block_search_is_the_per_k_search(medium_table, monkeypatch, t, k_max):
+    """The constant search over one t, run to k_max, keeps the per-k float
+    phase's finalists and reports its ConstantC.  At t = 5 C_required rises
+    to the last k, so the separation sums all k_max primes at 128 bits (11 s
+    at 250,000): past 60,001 only the finalists, which fix the ConstantC,
+    are compared there."""
+    monkeypatch.setattr(campaigns, "SEARCH_T_RANGE", range(t, t + 1))
+    monkeypatch.setitem(campaigns.HARD_THRESHOLDS, t, k_max)
+    runs = []
+    for engine in (constant_C_search, per_k_constant_search):
+        with pytest.MonkeyPatch.context() as mp:
+            if t != 5 or k_max == 60_001:
+                runs.append(_recorded(lambda: engine(medium_table), mp))
+                continue
+            def finalists(t, ks, table):
+                raise _Finalists(t, list(ks))
+
+            mp.setattr(campaigns, "eta_log_enclosures", finalists)
+            with pytest.raises(_Finalists) as stop:
+                engine(medium_table)
+            runs.append(stop.value.args)
+    assert runs[0] == runs[1]
+    if t == 5:  # the sup sits at the last k
+        assert (runs[0][0].attained_at[1] if k_max == 60_001 else runs[0][1][-1]) == k_max
+
+
+@pytest.mark.parametrize("t", [2, 3, 7, 99, 1000])
+def test_right_hand_sides_increase_past_the_first_chunk(t):
+    """The monotonicity the block lemma rests on, at 128 bits: the hard factor
+    k^(1-1/t) / ((1-1/t) log(k)^(1/t)) rises from k = 3 on (from k = 2 at
+    t >= 3), but falls from k = 2 to 3 at t = 2; the easy rhs rises past
+    k = 56, where t = 2 starts subtracting its tail.  The float pass's first
+    chunk, k <= 20,000, is always decided per k."""
+    grid = sorted({*range(3, 201), *map(int, np.geomspace(200, 4 * 10 ** 6, 80))})
+    with iv_prec(128):
+        fac = partial(kernel._hard_factor_iv, t)
+        assert all((fac(k + 1) > fac(k)) is True for k in grid)
+        assert (fac(3) > fac(2)) is (t >= 3)
+        assert all((_rhs_iv("easy", t, k + 1, None) > _rhs_iv("easy", t, k, None)) is True
+                   for k in grid if k >= 56)
+        assert (_rhs_iv("easy", t, 56, None) > _rhs_iv("easy", t, 55, None)) is (t != 2)
 
 
 @pytest.mark.parametrize("run", [lambda s, k: verify_c_easy(2, k, s),
@@ -599,7 +723,7 @@ def test_eta_ops_hold_little_beside_the_table(campaign_table, run):
     """numpy reports its buffers to tracemalloc.  The float pass feeds the
     accumulator 20,000 terms at a time, so the full t = 2 hard campaign and the
     constant search each peak at most 3 MiB above what was allocated before
-    the call (about 2 MiB and 1.6 MiB).  Chunks of one CHECKPOINT_STRIDE took
+    the call (about 2.0 MiB each).  Chunks of one CHECKPOINT_STRIDE took
     9.97 and 7.68 MiB."""
     import tracemalloc
     tracemalloc.start()
@@ -620,7 +744,7 @@ def test_eta_ops_hold_little_beside_the_table(campaign_table, run):
 def test_streamed_eta_ops_hold_no_table(run):
     """numpy reports its buffers to tracemalloc.  From the CLI's stream, the full
     t = 2 hard campaign and rosser's search peak at most 5 MiB in all, its sieve
-    included (about 4.1 and 2.2 MiB): the table alone took 14.3 MiB."""
+    included (about 3.3 and 2.2 MiB): the table alone took 14.3 MiB."""
     import tracemalloc
     tracemalloc.start()
     try:
