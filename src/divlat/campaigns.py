@@ -35,7 +35,7 @@ Verification strategy (never a false pass):
    ceiling.  At each level the eta product is enclosed by the integer
    fixed-point kernel `kernel.eta_fixed_point` (no interval call per
    prime), and its log and the right-hand sides by mpmath interval
-   arithmetic;
+   arithmetic in the level's context `certify.iv_at(level)`;
 3. k still undecided at the ceiling make `certify.escalate` raise
    InconclusiveError, naming t, their count and the first of them.
 
@@ -59,17 +59,16 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from mpmath import iv
 from mpmath.libmp import to_str as _mpf_to_str
 
 from . import kernel
-from .certify import dyadic_upper, escalate, exact_upper, interval_ends
+from .certify import dyadic_upper, escalate, exact_upper, interval_ends, iv_at
 from .core import PrimeStream, PrimeTable, sieve_for_count
 from .kernel import _hard_factor_iv, log_eta_sums
 from .reports import BoundReport, CampaignResult
@@ -119,9 +118,9 @@ def hard_threshold(t: int) -> int:
     return HARD_THRESHOLDS.get(t, 8)
 
 
-def eta_constant_interval():
-    """Enclosure of C inside the active iv precision context."""
-    return iv.mpf([kernel.ETA_CONSTANT_LO, kernel.ETA_CONSTANT_HI])
+def eta_constant_interval(ctx):
+    """Enclosure of C in the interval context ctx."""
+    return ctx.mpf([kernel.ETA_CONSTANT_LO, kernel.ETA_CONSTANT_HI])
 
 
 def eta_constant_upper() -> float:
@@ -129,7 +128,6 @@ def eta_constant_upper() -> float:
     return exact_upper(Fraction(kernel.ETA_CONSTANT_HI))
 
 
-@dataclass
 class EtaAccumulator:
     """Streaming enclosure of log_sum(t, k).
 
@@ -147,15 +145,18 @@ class EtaAccumulator:
     block-local sums and stay conservative but not bitwise equal.
     """
 
-    t: int
-    k: int = 0
-    sum_mid: float = 0.0
-    sum_comp: float = 0.0
-    eval_err: float = 0.0
+    __slots__ = ("t", "k", "sum_mid", "sum_comp", "eval_err")
 
     #: slicing the stream at multiples of this reproduces bit-identical
     #: enclosures (arbitrary slicing stays *correct*, merely regrouped)
     BLOCK = 2_000
+
+    def __init__(self, t: int):
+        self.t, self.k, self.sum_mid, self.sum_comp, self.eval_err = t, 0, 0.0, 0.0, 0.0
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def value(self) -> float:
@@ -296,14 +297,14 @@ def _hard_factor_mid(t: int, karr: np.ndarray) -> np.ndarray:
     return karr ** ex / (ex * logplus ** (1.0 / t))
 
 
-def _rhs_iv(mode: str, t: int, k: int, c):
-    """Enclosure of the easy (k^(1-1/t)) or hard (c * factor) rhs, less its tail."""
+def _rhs_iv(ctx, mode: str, t: int, k: int, c):
+    """Enclosure in ctx of the easy (k^(1-1/t)) or hard (c * factor) rhs, less its tail."""
     if mode == "easy":
-        rhs = iv.exp(iv.log(iv.mpf(k)) * (1 - iv.mpf(1) / t))
+        rhs = ctx.exp(ctx.log(ctx.mpf(k)) * (1 - ctx.mpf(1) / t))
     else:
-        rhs = c * _hard_factor_iv(t, k)
+        rhs = c * _hard_factor_iv(ctx, t, k)
     if _has_tail(mode, t, k):
-        rhs -= iv.log(iv.mpf(t)) / t
+        rhs -= ctx.log(ctx.mpf(t)) / t
     return rhs
 
 
@@ -329,10 +330,10 @@ def _c_required_mid(t: int, fac, lo, hi) -> tuple[np.ndarray | None, np.ndarray]
             (hi + tail) / (fac * (1.0 - _REL_RHS)))
 
 
-def eta_log_enclosures(t: int, ks: list[int],
-                       table: PrimeTable | PrimeStream) -> dict[int, "iv.mpf"]:
-    """Interval enclosures of log_sum(t, k) at the requested ks, at the active precision."""
-    return log_eta_sums(table.prefix(max(ks)), t, ks)
+def eta_log_enclosures(t: int, ks: list[int], table: PrimeTable | PrimeStream,
+                       level: int) -> dict:
+    """Interval enclosures of log_sum(t, k) at the requested ks, at `level` bits."""
+    return log_eta_sums(table.prefix(max(ks)), t, ks, level)
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +438,10 @@ def _run_campaign(mode: str, t: int, k_max: int, table: PrimeTable | PrimeStream
 
     def decide(level: int) -> bool | None:
         nonlocal pending
-        enclosures = eta_log_enclosures(t, pending, table)
-        c_iv = iv.mpf(c_str) if mode == "hard" else None
-        ms = [_rhs_iv(mode, t, k, c_iv) - enclosures[k] for k in pending]
+        ctx = iv_at(level)
+        enclosures = eta_log_enclosures(t, pending, table, level)
+        c_iv = ctx.mpf(c_str) if mode == "hard" else None
+        ms = [_rhs_iv(ctx, mode, t, k, c_iv) - enclosures[k] for k in pending]
         pending = _margin_rule(strict, np.array(pending), np.array([float(m.a) for m in ms]),
                                np.array([float(m.b) for m in ms]), violations, worst)
         left.append(len(pending))
@@ -491,8 +493,7 @@ def verify_c_hard(t: int, k_max: int, table: PrimeTable | PrimeStream,
 # the best-possible constant
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantC:
+class ConstantC(NamedTuple):
     """Certified supremum of C_required(t,k) over the campaign box.
 
     lower/upper are outward-rounded floats; lower_decimal/upper_decimal
@@ -542,13 +543,13 @@ def constant_C_search(table: PrimeTable | PrimeStream) -> ConstantC:
     finalists = [(t, k) for _, t, k in candidates]
 
     def decide(level: int) -> ConstantC | None:
-        intervals: dict[tuple[int, int], "iv.mpf"] = {}
+        ctx, intervals = iv_at(level), {}
         for t in sorted({t for t, _ in finalists}):
             ks = sorted(k for tt, k in finalists if tt == t)
-            encl = eta_log_enclosures(t, ks, table)
-            tail = iv.log(iv.mpf(t)) / t if _has_tail("hard", t, None) else 0
+            encl = eta_log_enclosures(t, ks, table, level)
+            tail = ctx.log(ctx.mpf(t)) / t if _has_tail("hard", t, None) else 0
             for k in ks:
-                intervals[(t, k)] = (encl[k] + tail) / _hard_factor_iv(t, k)
+                intervals[(t, k)] = (encl[k] + tail) / _hard_factor_iv(ctx, t, k)
         winner = max(intervals, key=lambda tk: float(intervals[tk].a))
         win = intervals[winner]
         others = {tk: v for tk, v in intervals.items() if tk != winner}
@@ -595,10 +596,11 @@ def ln2_bound_check(t: int, k: int) -> BoundReport:
     primes = sieve_for_count(k).primes[:k]
 
     def decide(level: int) -> BoundReport | None:
-        lhs = iv.log(iv.mpf(t)) / t + log_eta_sums(primes, t, [k])[k]
-        mid = iv.log(iv.mpf(100)) / 100 + k * iv.log(iv.mpf(2))
-        cap = iv.mpf("0.74") * k
-        kpow = iv.exp(iv.log(iv.mpf(k)) * (1 - iv.mpf(1) / t))
+        ctx = iv_at(level)
+        lhs = ctx.log(ctx.mpf(t)) / t + log_eta_sums(primes, t, [k], level)[k]
+        mid = ctx.log(ctx.mpf(100)) / 100 + k * ctx.log(ctx.mpf(2))
+        cap = ctx.mpf("0.74") * k
+        kpow = ctx.exp(ctx.log(ctx.mpf(k)) * (1 - ctx.mpf(1) / t))
         chain = [lhs <= mid, mid < cap, cap <= kpow]
         if None in chain:
             return None
@@ -628,13 +630,14 @@ def induction_margin(t: int, k: int, variant: str = "hard") -> BoundReport:
             f"{hard_threshold(t)}, got k = {k}")
 
     def decide(level: int) -> BoundReport | None:
+        ctx = iv_at(level)
         if variant == "easy":
-            lhs = 1 / iv.log(iv.mpf(k))
-            rhs = iv.exp(iv.log(1 - iv.mpf(1) / t) * t)
+            lhs = 1 / ctx.log(ctx.mpf(k))
+            rhs = ctx.exp(ctx.log(1 - ctx.mpf(1) / t) * t)
         else:
-            c = eta_constant_interval()
+            c = eta_constant_interval(ctx)
             lhs = c / ((t - 1) * (c - 1))
-            rhs = iv.log(iv.mpf(k))
+            rhs = ctx.log(ctx.mpf(k))
         holds = lhs < rhs
         if holds is None:
             return None

@@ -22,12 +22,15 @@ Elsewhere, mpmath interval comparisons return True/False/None; None
 means the enclosures overlap and the verdict must be sought at higher
 precision.
 
-`escalate` is the only doubling loop in divlat, and it owns the
-precision: its ladder is fixed at DEFAULT_PREC bits doubling up to
-PREC_CEILING, and it runs each `decide(level)` inside `iv_prec(level)`,
-so no decide sets the precision itself.  Its callers are `le_dyadic`
-(called by `scaled_le`, by `moments.chain_check` on the eta kernel's
-integer ends, by `moments.thm_bounds` on its cached exponentials, by
+`escalate` is the only doubling loop in divlat: its ladder is fixed at
+DEFAULT_PREC bits doubling up to PREC_CEILING, and it passes each level
+to `decide(level)` and sets nothing.  A decide that builds intervals
+builds them in `iv_at(level)`, one mpmath interval context per level
+whose precision is fixed when it is made.  So no divlat code reads or
+writes the precision of mpmath's global interval context, and threads
+share no precision state.  Its callers are `le_dyadic` (called by
+`scaled_le`, by `moments.chain_check` on the eta kernel's integer ends,
+by `moments.thm_bounds` on its cached exponentials, by
 `moments.H_chain_check` on the ends of 2^-q, and through
 `fraction_le_enclosure` by the optimizer hypothesis), `pow2_ceil`, the
 campaign escalation pass, the best-constant search and the two side
@@ -40,33 +43,32 @@ the two-decimal alpha column of `cli tables`, the interval path of
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from mpmath import iv
+from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import InconclusiveError
 
 DEFAULT_PREC = 128
 PREC_CEILING = 4096
 
-@contextmanager
-def iv_prec(bits: int):
-    """Temporarily set the interval-context working precision."""
-    old = iv.prec
-    iv.prec = bits
-    try:
-        yield iv
-    finally:
-        iv.prec = old
+
+@lru_cache(maxsize=None)
+def iv_at(level: int) -> MPIntervalContext:
+    """The interval context of `level` bits, cached per level, its
+    precision set here and never written again (threads racing on a new
+    level may each build one; they compute alike)."""
+    ctx = MPIntervalContext()
+    ctx.prec = level
+    return ctx
 
 
 def escalate(decide: Callable[[int], Optional[bool]],
              what: str | Callable[[], str] = "comparison"):
-    """Run `decide(level)` inside iv_prec(level) at DEFAULT_PREC bits,
-    doubling up to PREC_CEILING, until it returns a verdict.
+    """Call `decide(level)` at DEFAULT_PREC bits, doubling up to
+    PREC_CEILING, until it returns a verdict; no precision is set.
 
     `what` names the comparison if the ceiling is passed; a callable is
     called only then, so it can report what `decide` left pending.
@@ -77,8 +79,7 @@ def escalate(decide: Callable[[int], Optional[bool]],
     if level < 1:
         raise ValueError(f"working precision must be >= 1 bit, got {level}")
     while level <= PREC_CEILING:
-        with iv_prec(level):
-            verdict = decide(level)
+        verdict = decide(level)
         if verdict is not None:
             return verdict
         level *= 2
@@ -87,17 +88,17 @@ def escalate(decide: Callable[[int], Optional[bool]],
     raise InconclusiveError(f"{what} undecidable at precision ceiling {PREC_CEILING} bits")
 
 
-def iv_exact(v) -> "iv.mpf":
-    """Enclosure of v at the active precision.
+def iv_exact(ctx: MPIntervalContext, v):
+    """Enclosure of v in the interval context ctx.
 
     int and Fraction values are enclosed from their exact numerator and
     denominator, never rounded through float first.
     """
     if isinstance(v, Fraction):
-        return iv.mpf(v.numerator) / v.denominator
+        return ctx.mpf(v.numerator) / v.denominator
     if isinstance(v, int):
-        return iv.mpf(v)
-    return iv.mpf(float(v))
+        return ctx.mpf(v)
+    return ctx.mpf(float(v))
 
 
 def _shift_le(x: int, e: int, y: int) -> bool:
@@ -112,8 +113,8 @@ def pow2_neg_ends(q: Fraction, level: int) -> tuple[int, int, int]:
     dozen q are each exponentiated once per level."""
     if q.denominator == 1:
         return 1, 1, -q.numerator
-    with iv_prec(level):
-        return interval_ends(iv.exp(-iv_exact(q) * iv.ln2))
+    ctx = iv_at(level)
+    return interval_ends(ctx.exp(-iv_exact(ctx, q) * ctx.ln2))
 
 
 @lru_cache(maxsize=256)
@@ -166,7 +167,7 @@ def le_dyadic(x: int | Fraction, make_ends: Callable[[int], tuple],
     """Certified x <= Y, with Y pinned by integers lo 2^e <= Y <= hi 2^e.
 
     divlat's one exact-versus-enclosure decision.  `make_ends(level)` is
-    called inside escalate's iv_prec(level) and returns (lo, hi, e); an end
+    called at each of escalate's levels and returns (lo, hi, e); an end
     that is None (no finite bound) decides nothing.  x <= lo 2^e holds and
     x > hi 2^e fails, by exact cross-multiplication; between them the next
     level is tried.  Returns the verdict and the DEFAULT_PREC ends, the
@@ -187,7 +188,7 @@ def le_dyadic(x: int | Fraction, make_ends: Callable[[int], tuple],
     return escalate(decide, what=what), first[0]
 
 
-def interval_ends(y: "iv.mpf") -> tuple:
+def interval_ends(y) -> tuple:
     """Integers (lo, hi, e) with lo 2^e and hi 2^e exactly the ends of y,
     read off its raw (sign, man, exp, bc) ends; a non-finite end is None."""
     ends = []
@@ -199,12 +200,12 @@ def interval_ends(y: "iv.mpf") -> tuple:
     return lo, hi, e
 
 
-def fraction_le_enclosure(x: int | Fraction, make_interval: Callable[[int], "iv.mpf"],
+def fraction_le_enclosure(x: int | Fraction, make_interval: Callable[[int], object],
                           what: str = "rational vs enclosure") -> bool:
     """Certified x <= Y, with Y given by a precision-indexed enclosure.
 
-    `make_interval(level)` is called inside escalate's iv_prec(level) and
-    must return an interval guaranteed to contain the true value of Y;
+    `make_interval(level)` is called at each of escalate's levels and must
+    return an interval, built in `iv_at(level)`, guaranteed to contain Y;
     `le_dyadic` decides on its exact `interval_ends`.
     """
     return le_dyadic(x, lambda level: interval_ends(make_interval(level)), what=what)[0]

@@ -162,7 +162,6 @@ def cmd_verify_eta(args) -> tuple[dict, bool, list]:
         return 56 if variant == "easy" else campaigns.hard_threshold(t)
 
     table = _table_for_count(max(k_for(t, v) for t in ts for v in variants))
-    # one thread: the interval escalation sets mpmath's global iv.prec
     results = []
     for t in ts:
         for variant in variants:

@@ -23,14 +23,11 @@ import heapq
 import math
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from mpmath import iv
-
-from .certify import escalate
+from .certify import escalate, iv_at
 from .errors import CapacityError
 from .reports import CampaignResult
 
@@ -48,15 +45,15 @@ _READOUT = 1 << 18
 _SIGNATURE_BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
 class PrimeTable:
-    """Ascending primes <= limit; entry k (1-indexed) is the k-th prime."""
+    """Ascending primes <= limit; entry k (1-indexed) is the k-th prime.
+    The primes array is made read-only."""
 
-    limit: int
-    primes: np.ndarray
+    __slots__ = ("limit", "primes")
 
-    def __post_init__(self):
-        self.primes.setflags(write=False)
+    def __init__(self, limit: int, primes: np.ndarray):
+        primes.setflags(write=False)
+        self.limit, self.primes = limit, primes
 
     @property
     def count(self) -> int:
@@ -198,8 +195,7 @@ def primorial(k: int) -> int:
     return math.prod(sieve_for_count(k).primes[:k].tolist())
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """n = prod p^e with strictly increasing primes and e >= 1."""
 
     n: int
@@ -380,8 +376,10 @@ def rosser_check(table: PrimeTable | PrimeStream, k_max: int) -> CampaignResult:
     t0 = time.perf_counter()
 
     def decide(level: int):
+        ctx = iv_at(level)
+
         def bound(k0: int, k1: int) -> tuple:
-            m = iv.mpf(int(block[k0 - 1 - base])) - iv.mpf(k1) * iv.log(k1)
+            m = ctx.mpf(int(block[k0 - 1 - base])) - ctx.mpf(k1) * ctx.log(k1)
             # m.a is a point, so ties fall to k0 and no interval is compared
             return (m.a, k0, k1, m)
 

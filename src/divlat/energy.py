@@ -27,14 +27,12 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
+from typing import NamedTuple
 
-from mpmath import iv
-
-from .certify import escalate, iv_exact
+from .certify import escalate, iv_at, iv_exact
 from .core import (Factorization, binomial, divisors_sorted, eulerian, exponent_signatures,
                    factorize)
 from .errors import CapacityError
@@ -102,8 +100,7 @@ def multinomial_identity_check(s: int, v: int) -> BoundReport:
 # energy and its sandwich
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Exact energy with the two-sided tau-power sandwich.
 
     The bounds tau^(2s-1) c^omega are built from `constants` = (c_lo, c_up)
@@ -203,7 +200,7 @@ def energy_sweep(upto: int, s: int) -> tuple[int, int, list[EnergyReport]]:
                 raise ArithmeticError(f"{n} = {f.factors} by trial division, {exps} by the walk")
             rep = decided[key] = energy(f, s)
         if not rep.holds:
-            violations.append(replace(rep, n=n))
+            violations.append(rep._replace(n=n))
     return checked, len(decided), violations
 
 
@@ -264,8 +261,7 @@ def T_monotonicity_check(s: int, alpha_max: int) -> CampaignResult:
 # asymptotics witness and the sinc-power integral
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AsymptoticGapRow:
+class AsymptoticGapRow(NamedTuple):
     s: int
     lower_exact: float
     lower_asymptotic: float
@@ -326,8 +322,7 @@ def sinc_integral_check(s: int) -> BoundReport:
 # exact polynomials: sign interpolants and Vandermonde positivity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExactPolynomial:
+class ExactPolynomial(NamedTuple):
     """Dense polynomial with exact rational coefficients (index = degree)."""
 
     coefficients: tuple[Fraction, ...]
@@ -432,7 +427,7 @@ def sign_lemma_check() -> CampaignResult:
 
 def _det(matrix: list[list]):
     """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22,
-    1968) over int, Fraction or iv.mpf entries.
+    1968) over int, Fraction or mpmath interval entries.
 
     Step k replaces each entry below and right of the pivot by the 2x2
     minor with the pivot, divided by the previous pivot; over the ints
@@ -496,7 +491,8 @@ def vandermonde_positivity(u, x) -> BoundReport:
             slack=float(det))
 
     def decide(level: int) -> BoundReport | None:
-        det = _det([[iv.exp(iv.log(iv_exact(xi)) * iv_exact(uj)) for uj in u]
+        ctx = iv_at(level)
+        det = _det([[ctx.exp(ctx.log(iv_exact(ctx, xi)) * iv_exact(ctx, uj)) for uj in u]
                     for xi in x])
         if det is None:
             return None

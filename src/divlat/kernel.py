@@ -5,11 +5,13 @@
     eta_k = prod_{j<=k} (1 + p_j^(-1/t))
 
 by integers at F = level + 32 bits, and `log_eta_sums` takes one
-interval log of that bracket per requested k.  Each root p^(-1/t) comes
-from `_root_bracket`: an exact integer square root at t = 2, else
-mpmath's interval exp and log at a precision passed as an argument.
+interval log of that bracket per requested k, in the level's interval
+context `certify.iv_at(level)`.  Each root p^(-1/t) comes from
+`_root_bracket`: an exact integer square root at t = 2, else mpmath's
+stateless interval exp and log at a precision passed as an argument.
 Also here: the certified enclosure of the best-possible constant C and
-the interval form of the hard right-hand-side factor.
+the interval form of the hard right-hand-side factor.  Every precision
+is an argument: nothing here reads or sets mpmath's global state.
 
 This module imports no numpy: `moments` reads the kernel, C and the
 hard factor from here, and only the float engine in `campaigns` and the
@@ -21,9 +23,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from mpmath import iv
 from mpmath.libmp import from_int, mpf_shift, round_ceiling, round_floor, to_int
 from mpmath.libmp.libmpi import mpi_div, mpi_exp, mpi_log
+
+from .certify import iv_at
 
 #: certified enclosure of the best-possible constant, re-derived by
 #: campaigns.constant_C_search (the test suite asserts containment)
@@ -32,12 +35,12 @@ ETA_CONSTANT_HI = "1.0707347245501929455"
 ETA_CONSTANT_AT = (2, 2149)
 
 
-def _hard_factor_iv(t: int, k: int):
-    """Enclosure of k^(1-1/t) / ((1-1/t) logplus(k)^(1/t)) at one k, at the
-    active precision; multiply by C for the hard right-hand side."""
-    ex = 1 - iv.mpf(1) / t
-    logplus = iv.log(iv.mpf(max(k, 2)))
-    return iv.exp(iv.log(iv.mpf(k)) * ex) / (ex * iv.exp(iv.log(logplus) / t))
+def _hard_factor_iv(ctx, t: int, k: int):
+    """Enclosure of k^(1-1/t) / ((1-1/t) logplus(k)^(1/t)) at one k, in the
+    interval context ctx; multiply by C for the hard right-hand side."""
+    ex = 1 - ctx.mpf(1) / t
+    logplus = ctx.log(ctx.mpf(max(k, 2)))
+    return ctx.exp(ctx.log(ctx.mpf(k)) * ex) / (ex * ctx.exp(ctx.log(logplus) / t))
 
 
 @lru_cache(maxsize=4096)
@@ -48,8 +51,8 @@ def _root_bracket(p: int, t: int, f: int) -> tuple[int, int]:
     square root, over ten times cheaper than the interval.  Otherwise
     the root is exp(log(p) / -t) in mpmath's interval arithmetic at
     f + 32 bits, so its ends, scaled by 2^f and rounded outward, lie at
-    most 2 apart.  The precision is an argument: no `iv.prec` is read or
-    set.  Pure in (p, t, f), so cached: a scan draws its primes from a
+    most 2 apart.  The precision is an argument, and no context is read.
+    Pure in (p, t, f), so cached: a scan draws its primes from a
     pool of 25 at t = 2..6.
     """
     if t == 2:
@@ -84,13 +87,14 @@ def eta_fixed_point(primes, t: int, ks, level: int) -> tuple[int, dict[int, tupl
     return f, out
 
 
-def log_eta_sums(primes, t: int, ks) -> dict[int, "iv.mpf"]:
+def log_eta_sums(primes, t: int, ks, level: int) -> dict:
     """Enclosures of sum_{j<=k} log(1 + primes[j-1]^(-1/t)) at each k in ks.
 
-    divlat's one interval log-eta sum: `eta_fixed_point` at the active
-    precision (escalate's level inside a decide), then one interval log
-    per k of [lo, hi] / 2^F.  t is an int >= 1.
+    divlat's one interval log-eta sum: `eta_fixed_point` at `level`, then
+    one interval log per k of [lo, hi] / 2^F in `iv_at(level)`.  t is an
+    int >= 1.
     """
-    f, ends = eta_fixed_point(primes, t, ks, iv.prec)
-    scale = iv.mpf(1 << f)
-    return {k: iv.log(iv.mpf([lo, hi]) / scale) for k, (lo, hi) in ends.items()}
+    ctx = iv_at(level)
+    f, ends = eta_fixed_point(primes, t, ks, level)
+    scale = ctx.mpf(1 << f)
+    return {k: ctx.log(ctx.mpf([lo, hi]) / scale) for k, (lo, hi) in ends.items()}

@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count, pairwise, repeat
 from operator import mul
-
-from mpmath import iv
+from typing import NamedTuple
 
 from . import kernel
 from .certify import (
@@ -42,8 +40,8 @@ from .certify import (
     escalate,
     fraction_le_enclosure,
     interval_ends,
+    iv_at,
     iv_exact,
-    iv_prec,
     le_dyadic,
     pow2_ceil,
     pow2_neg_ends,
@@ -59,8 +57,7 @@ ALPHA_REFERENCE = {
 }
 
 
-@dataclass(frozen=True)
-class DivisorProfile:
+class DivisorProfile(NamedTuple):
     """Sorted divisors of n (`core.divisor_table`) with prefix Mobius sums.
 
     mobius_prefix[i] = sum of mu(d_j) for j <= i, so M(n,z) is a prefix
@@ -254,13 +251,11 @@ def J_rho(profile: DivisorProfile, rho: int) -> Fraction:
     return Fraction(sum(map(mul, powers, reversed(profile.divisors))), profile.n)
 
 
-def eta_log_interval(primes, t: int) -> "iv.mpf":
-    """Enclosure of log eta = sum over p of log(1 + p^(-1/t)), t an int >= 1.
-
-    Evaluated at the active precision (iv_prec or escalate's level): the
-    sum is `kernel.log_eta_sums` over all of `primes`.
+def eta_log_interval(primes, t: int):
+    """Enclosure of log eta = sum over p of log(1 + p^(-1/t)), t an int >= 1,
+    at DEFAULT_PREC bits: `kernel.log_eta_sums` over all of `primes`.
     """
-    return kernel.log_eta_sums(primes, t, [len(primes)])[len(primes)]
+    return kernel.log_eta_sums(primes, t, [len(primes)], DEFAULT_PREC)[len(primes)]
 
 
 def eta(f: Factorization, t: int) -> float:
@@ -333,13 +328,13 @@ def _thm_exponentials(omega: int, t: int, c: str, level: int) -> tuple[tuple, tu
     (omega, t) and on C's decimal string, which is part of the key: a
     changed kernel.ETA_CONSTANT_HI is never served a stale enclosure.
     """
-    with iv_prec(level):
-        if omega == 0:
-            pow_term = expo1 = iv.mpf(0)
-        else:
-            pow_term = iv.exp(iv.log(iv.mpf(omega)) * (1 - iv.mpf(1) / t))
-            expo1 = iv.mpf(c) * t * kernel._hard_factor_iv(t, omega)
-        return interval_ends(iv.exp(expo1)), interval_ends(iv.exp(t * pow_term))
+    ctx = iv_at(level)
+    if omega == 0:
+        pow_term = expo1 = ctx.mpf(0)
+    else:
+        pow_term = ctx.exp(ctx.log(ctx.mpf(omega)) * (1 - ctx.mpf(1) / t))
+        expo1 = ctx.mpf(c) * t * kernel._hard_factor_iv(ctx, t, omega)
+    return interval_ends(ctx.exp(expo1)), interval_ends(ctx.exp(t * pow_term))
 
 
 def thm_bounds(f: Factorization, t: int, moment: int) -> tuple[BoundReport, BoundReport]:
@@ -383,20 +378,20 @@ def alpha_enclosure(theta: float | Fraction, level: int) -> tuple[Fraction, Frac
     """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    with iv_prec(level):
-        c = iv.log(iv_exact(theta) * iv.ln2) - 1
+    ctx = iv_at(level)
+    c = ctx.log(iv_exact(ctx, theta) * ctx.ln2) - 1
 
-        def g_positive(w: Fraction) -> bool | None:
-            x = iv_exact(w)
-            g = x - iv.log(x) + c
-            return True if g.a > 0 else None if g.b > 0 else False
+    def g_positive(w: Fraction) -> bool | None:
+        x = iv_exact(ctx, w)
+        g = x - ctx.log(x) + c
+        return True if g.a > 0 else None if g.b > 0 else False
 
-        lo, hi = Fraction(1), Fraction(2)
-        while g_positive(hi) is not True:
-            hi *= 2
-        while (up := g_positive(mid := (lo + hi) / 2)) is not None:
-            lo, hi = (lo, mid) if up else (mid, hi)
-        return lo, hi
+    lo, hi = Fraction(1), Fraction(2)
+    while g_positive(hi) is not True:
+        hi *= 2
+    while (up := g_positive(mid := (lo + hi) / 2)) is not None:
+        lo, hi = (lo, mid) if up else (mid, hi)
+    return lo, hi
 
 
 def alpha_of_theta(theta: float | Fraction) -> float:
@@ -454,10 +449,13 @@ def _optimizer_hypothesis(theta: float | Fraction, omega: int) -> None:
     e is transcendental)."""
     if not 0 < theta <= 1:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    if omega < 1 or fraction_le_enclosure(
-            Fraction(theta) * omega,
-            lambda level: (1 + iv.log(iv.mpf(omega))) / iv.ln2,
-            what="optimizer hypothesis"):
+
+    def bound(level: int):
+        ctx = iv_at(level)
+        return (1 + ctx.log(ctx.mpf(omega))) / ctx.ln2
+
+    if omega < 1 or fraction_le_enclosure(Fraction(theta) * omega, bound,
+                                          what="optimizer hypothesis"):
         raise DomainError(f"hypothesis alpha-1 < log(omega) fails at theta = {theta}, "
                           f"omega = {omega}: theta omega <= (1 + log omega) / log 2")
 
@@ -473,10 +471,11 @@ def optimal_even_t(theta: float | Fraction, omega: int) -> int:
     _optimizer_hypothesis(theta, omega)
 
     def decide(level: int):
-        lw, c = iv.log(iv.mpf(omega)), iv_exact(theta) * iv.ln2
-        here = 2 * (iv.exp(-lw / 2) - c)
+        ctx = iv_at(level)
+        lw, c = ctx.log(ctx.mpf(omega)), iv_exact(ctx, theta) * ctx.ln2
+        here = 2 * (ctx.exp(-lw / 2) - c)
         for t in count(2, 2):
-            there = (t + 2) * (iv.exp(-lw / (t + 2)) - c)
+            there = (t + 2) * (ctx.exp(-lw / (t + 2)) - c)
             if (there < here) is not True:
                 return t if (there >= here) is True else None
             here = there

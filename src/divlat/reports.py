@@ -12,27 +12,27 @@ Conventions:
 * ``CampaignResult.passed`` is true only when the worst margin, taken at
   the conservative (outer) interval ends, is strictly positive and no
   comparison stayed inconclusive.
+* divlat's records are `typing.NamedTuple`s, so tuples: a changed copy
+  is ``record._replace(field=value)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .certify import dyadic_upper, exact_upper
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of one exact-versus-bound comparison."""
 
     exact_value: int | Fraction | float
     bound_value: float
     slack: float
     holds: bool
-    context: dict = field(default_factory=dict)
+    context: dict
 
     @classmethod
     def exact(cls, value, bound: int | Fraction, holds: bool, context: dict,
@@ -65,8 +65,7 @@ class BoundReport:
         }
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(NamedTuple):
     """Outcome of an inequality sweep over a parameter box.
 
     ``t_range``/``k_range`` name the two swept axes; for sweeps whose

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from mpmath import iv
 from mpmath.libmp import to_str
 
 from divlat import (CapacityError, campaigns, energy, factorize, kernel, sieve_for_count,
                     sieve_primes)
-from divlat.certify import DEFAULT_PREC, dyadic_upper, escalate, interval_ends, iv_exact, iv_prec
+from divlat.certify import (DEFAULT_PREC, PREC_CEILING, dyadic_upper, escalate, interval_ends,
+                            iv_at, iv_exact)
 from divlat.energy import composition_counts
 from divlat.reports import CampaignResult
 
@@ -45,9 +45,21 @@ def campaign_table():
     return sieve_for_count(campaigns.hard_threshold(2))
 
 
-def iv_log_eta_sums(primes, t, ks):
+def spy_on_contexts(monkeypatch, method, record):
+    """Make `method` of the interval context `iv_at(level)` of every level of
+    the escalation ladder call record(level, *args) before it computes."""
+    level = DEFAULT_PREC
+    while level <= PREC_CEILING:
+        ctx = iv_at(level)
+        monkeypatch.setattr(ctx, method, lambda *args, fn=getattr(ctx, method), level=level:
+                            record(level, *args) or fn(*args))
+        level *= 2
+
+
+def iv_log_eta_sums(primes, t, ks, level):
     """Independent oracle for `kernel.log_eta_sums`: the per-prime interval
-    sum of log(1 + exp(-log(p) / t)) at the active iv precision, at each k in ks."""
+    sum of log(1 + exp(-log(p) / t)) at `level` bits, at each k in ks."""
+    iv = iv_at(level)
     want = set(ks)
     e = iv.mpf(-1) / t
     total = iv.mpf(0)
@@ -164,9 +176,10 @@ def per_k_campaign(mode, t, k_max, table, checkpoint=None):
 
     def decide(level):
         nonlocal pending
-        enclosures = campaigns.eta_log_enclosures(t, pending, table)
+        iv = iv_at(level)
+        enclosures = campaigns.eta_log_enclosures(t, pending, table, level)
         c_iv = iv.mpf(c_str) if mode == "hard" else None
-        ms = [campaigns._rhs_iv(mode, t, k, c_iv) - enclosures[k] for k in pending]
+        ms = [campaigns._rhs_iv(iv, mode, t, k, c_iv) - enclosures[k] for k in pending]
         pending = campaigns._margin_rule(
             strict, np.array(pending), np.array([float(m.a) for m in ms]),
             np.array([float(m.b) for m in ms]), violations, worst)
@@ -203,13 +216,13 @@ def per_k_constant_search(table):
     finalists = [(t, k) for _, t, k in candidates]
 
     def decide(level):
-        intervals = {}
+        iv, intervals = iv_at(level), {}
         for t in sorted({t for t, _ in finalists}):
             ks = sorted(k for tt, k in finalists if tt == t)
-            encl = campaigns.eta_log_enclosures(t, ks, table)
+            encl = campaigns.eta_log_enclosures(t, ks, table, level)
             tail = iv.log(iv.mpf(t)) / t if campaigns._has_tail("hard", t, None) else 0
             for k in ks:
-                intervals[(t, k)] = (encl[k] + tail) / kernel._hard_factor_iv(t, k)
+                intervals[(t, k)] = (encl[k] + tail) / kernel._hard_factor_iv(iv, t, k)
         winner = max(intervals, key=lambda tk: float(intervals[tk].a))
         win = intervals[winner]
         others = {tk: v for tk, v in intervals.items() if tk != winner}
@@ -232,8 +245,8 @@ def chain_bound_oracle(lt, q):
     """Independent oracle for the bound `moments.H_chain_check` reports at a
     non-integral q: the least float at or above the upper end of the
     DEFAULT_PREC interval product L_t exp(-q log 2)."""
-    with iv_prec(DEFAULT_PREC):
-        return dyadic_upper(*interval_ends(iv.mpf(lt) * iv.exp(-iv_exact(q) * iv.ln2))[1:])
+    iv = iv_at(DEFAULT_PREC)
+    return dyadic_upper(*interval_ends(iv.mpf(lt) * iv.exp(-iv_exact(iv, q) * iv.ln2))[1:])
 
 
 def R_brute(s, alpha):

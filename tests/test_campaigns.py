@@ -1,6 +1,5 @@
 """Eta-product campaigns: accumulator, checkpoints, verifiers, constant."""
 
-import dataclasses
 import math
 import random
 from decimal import Decimal
@@ -14,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import mpmath as mp
-from mpmath import iv
 from mpmath.libmp import to_rational
 
 from divlat import (
@@ -39,7 +37,7 @@ from divlat import (
     verify_c_easy,
     verify_c_hard,
 )
-from divlat.certify import iv_prec
+from divlat.certify import iv_at
 from divlat.core import PrimeStream, prime_upper_bound
 from divlat.campaigns import CheckpointFile, _rhs_iv, eta_log_enclosures
 from divlat.kernel import ETA_CONSTANT_HI, ETA_CONSTANT_LO, log_eta_sums
@@ -47,7 +45,7 @@ from divlat.moments import eta_log_interval, thm_bounds
 from divlat.reports import CampaignResult
 
 from conftest import (NextafterEtaAccumulator, iv_log_eta_sums, per_k_campaign,
-                      per_k_constant_search)
+                      per_k_constant_search, spy_on_contexts)
 
 
 @pytest.mark.parametrize("mode", ["easy", "hard"])
@@ -67,9 +65,9 @@ def test_interval_rhs_encloses_stated_bound(mode, t, k):
             want = (mp.mpf(ETA_CONSTANT_HI) * mp.mpf(k) ** ex
                     / (ex * mp.log(max(k, 2)) ** (1 / mp.mpf(t)))
                     - (mp.log(t) / t if t > 2 else 0))
-    with iv_prec(128):
-        got = _rhs_iv(mode, t, k, iv.mpf(ETA_CONSTANT_HI))
-        assert got.a <= want <= got.b
+    iv = iv_at(128)
+    got = _rhs_iv(iv, mode, t, k, iv.mpf(ETA_CONSTANT_HI))
+    assert got.a <= want <= got.b
 
 
 def test_hard_thresholds():
@@ -90,8 +88,7 @@ def test_hard_thresholds():
 def test_accumulator_encloses_truth(small_table):
     acc = EtaAccumulator(t=2)
     lo, hi = acc.extend(small_table.primes[:500])
-    with iv_prec(128):
-        truth = iv_log_eta_sums(small_table.primes, 2, [1, 137, 500])
+    truth = iv_log_eta_sums(small_table.primes, 2, [1, 137, 500], 128)
     for k, enc in truth.items():
         assert lo[k - 1] <= float(enc.a) and float(enc.b) <= hi[k - 1]
     assert np.all(np.diff(lo) > 0)  # nondecreasing sums
@@ -119,8 +116,7 @@ def test_accumulator_arbitrary_slice_still_encloses(small_table):
     a2 = EtaAccumulator(t=3)
     for cut in ((0, 17), (17, 4_113), (4_113, 10_000)):
         a2.extend(small_table.primes[cut[0]:cut[1]])
-    with iv_prec(128):
-        truth = iv_log_eta_sums(small_table.primes, 3, [10_000])[10_000]
+    truth = iv_log_eta_sums(small_table.primes, 3, [10_000], 128)[10_000]
     for acc in (a1, a2):
         assert acc.lo <= float(truth.a) and float(truth.b) <= acc.hi
 
@@ -132,8 +128,7 @@ _PROPERTY_PRIMES = sieve_for_count(_PROPERTY_K).primes[:_PROPERTY_K]
 @lru_cache(maxsize=None)
 def outward_truth(t):
     """Floats just outside the 256-bit oracle enclosures of log_sum(t, k), k = 1..3000."""
-    with iv_prec(256):
-        sums = iv_log_eta_sums(_PROPERTY_PRIMES, t, range(1, _PROPERTY_K + 1))
+    sums = iv_log_eta_sums(_PROPERTY_PRIMES, t, range(1, _PROPERTY_K + 1), 256)
     lo = [math.nextafter(float(sums[k].a), -math.inf) for k in range(1, _PROPERTY_K + 1)]
     hi = [math.nextafter(float(sums[k].b), math.inf) for k in range(1, _PROPERTY_K + 1)]
     return np.array(lo), np.array(hi)
@@ -161,9 +156,8 @@ def test_kernel_meets_the_interval_oracle(t, level):
     """The integer kernel's log-eta enclosure overlaps the per-prime interval
     sum's at every k, and is no wider."""
     ks = [1, 2, 56, 300]
-    with iv_prec(level):
-        got = log_eta_sums(_PROPERTY_PRIMES, t, ks)
-        want = iv_log_eta_sums(_PROPERTY_PRIMES, t, ks)
+    got = log_eta_sums(_PROPERTY_PRIMES, t, ks, level)
+    want = iv_log_eta_sums(_PROPERTY_PRIMES, t, ks, level)
     for k in ks:
         assert got[k].a <= want[k].b and want[k].a <= got[k].b, k
         assert got[k].delta <= want[k].delta, k
@@ -181,11 +175,11 @@ def test_kernel_ends_contain_the_256_bit_sum():
         primes = rng.sample(pool, k)
         f, ends = kernel.eta_fixed_point(primes, t, [k], 8)
         lo, hi = ends[k]
-        with iv_prec(256):
-            want = iv_log_eta_sums(primes, t, [k])[k]
-            scale = iv.mpf(2) ** f
-            assert (iv.log(iv.mpf(lo) / scale).b <= want.a) is True, (primes, t, "lo")
-            assert (want.b <= iv.log(iv.mpf(hi) / scale).a) is True, (primes, t, "hi")
+        iv = iv_at(256)
+        want = iv_log_eta_sums(primes, t, [k], 256)[k]
+        scale = iv.mpf(2) ** f
+        assert (iv.log(iv.mpf(lo) / scale).b <= want.a) is True, (primes, t, "lo")
+        assert (want.b <= iv.log(iv.mpf(hi) / scale).a) is True, (primes, t, "hi")
 
 
 @given(st.sampled_from([int(p) for p in _PROPERTY_PRIMES]), st.integers(1, 1000),
@@ -310,15 +304,15 @@ def _recorded(run, mp):
         found[0] = violations  # the campaign's own list, filled in place
         return rule(strict, ks, m_lo, m_hi, violations, worst)
 
-    def recorded_enclose(t, ks, table):
+    def recorded_enclose(t, ks, table, level):
         asked.append(list(ks))
-        return enclose(t, ks, table)
+        return enclose(t, ks, table, level)
 
     mp.setattr(campaigns, "_margin_rule", recorded_rule)
     mp.setattr(campaigns, "eta_log_enclosures", recorded_enclose)
     result = run()
     if isinstance(result, CampaignResult):
-        result = dataclasses.replace(result, wall_time=None)
+        result = result._replace(wall_time=None)
     return result, found[0], asked
 
 
@@ -365,7 +359,7 @@ def test_block_search_is_the_per_k_search(medium_table, monkeypatch, t, k_max):
             if t != 5 or k_max == 60_001:
                 runs.append(_recorded(lambda: engine(medium_table), mp))
                 continue
-            def finalists(t, ks, table):
+            def finalists(t, ks, table, level):
                 raise _Finalists(t, list(ks))
 
             mp.setattr(campaigns, "eta_log_enclosures", finalists)
@@ -385,13 +379,12 @@ def test_right_hand_sides_increase_past_the_first_chunk(t):
     k = 56, where t = 2 starts subtracting its tail.  The float pass's first
     chunk, k <= 20,000, is always decided per k."""
     grid = sorted({*range(3, 201), *map(int, np.geomspace(200, 4 * 10 ** 6, 80))})
-    with iv_prec(128):
-        fac = partial(kernel._hard_factor_iv, t)
-        assert all((fac(k + 1) > fac(k)) is True for k in grid)
-        assert (fac(3) > fac(2)) is (t >= 3)
-        assert all((_rhs_iv("easy", t, k + 1, None) > _rhs_iv("easy", t, k, None)) is True
-                   for k in grid if k >= 56)
-        assert (_rhs_iv("easy", t, 56, None) > _rhs_iv("easy", t, 55, None)) is (t != 2)
+    fac = partial(kernel._hard_factor_iv, iv_at(128), t)
+    easy = partial(_rhs_iv, iv_at(128), "easy", t)
+    assert all((fac(k + 1) > fac(k)) is True for k in grid)
+    assert (fac(3) > fac(2)) is (t >= 3)
+    assert all((easy(k + 1, None) > easy(k, None)) is True for k in grid if k >= 56)
+    assert (easy(56, None) > easy(55, None)) is (t != 2)
 
 
 @pytest.mark.parametrize("run", [lambda s, k: verify_c_easy(2, k, s),
@@ -425,7 +418,7 @@ def test_uint32_table_reads_as_its_int64_copy(small_table):
     assert (got.passed, got.worst_margin, got.argmin) == (want.passed, want.worst_margin, want.argmin)
     for t in (2, 7):
         ks = [1000, 1001, k]
-        got, want = log_eta_sums(narrow.primes, t, ks), log_eta_sums(wide.primes, t, ks)
+        got, want = log_eta_sums(narrow.primes, t, ks, 53), log_eta_sums(wide.primes, t, ks, 53)
         assert [got[j]._mpi_ for j in ks] == [want[j]._mpi_ for j in ks]
         acc_narrow, acc_wide = EtaAccumulator(t=t), EtaAccumulator(t=t)
         for x, y in zip(acc_narrow.extend(narrow.primes), acc_wide.extend(wide.primes)):
@@ -549,9 +542,9 @@ def _verdict(verify, t, k_max, table, mp):
         found_lists.append(found)  # the campaign's own list, filled in place
         return rule(strict, ks, m_lo, m_hi, found, worst)
 
-    def recorded_enclose(t, ks, table):
+    def recorded_enclose(t, ks, table, level):
         escalated.append(list(ks))
-        return enclose(t, ks, table)
+        return enclose(t, ks, table, level)
 
     mp.setattr(campaigns, "_margin_rule", recorded_rule)
     mp.setattr(campaigns, "eta_log_enclosures", recorded_enclose)
@@ -682,9 +675,9 @@ def test_campaign_worst_margin_is_rounded_down(verify, k_max, c_hi, argmin, smal
     assert argmin is None or res.argmin == argmin
     mode, (t, k) = res.label.removeprefix("eta-"), res.argmin
     for level in (certify.DEFAULT_PREC, 512):
-        with iv_prec(level):
-            margin = _rhs_iv(mode, t, k, iv.mpf(c_hi)) - log_eta_sums(
-                small_table.primes, t, [k])[k]
+        iv = iv_at(level)
+        margin = _rhs_iv(iv, mode, t, k, iv.mpf(c_hi)) - log_eta_sums(
+            small_table.primes, t, [k], level)[k]
         assert Fraction(res.worst_margin) <= _lower_end(margin), level
 
 
@@ -693,8 +686,8 @@ def test_rosser_worst_margin_is_rounded_down(primes, small_table):
     table = small_table if primes is None else PrimeTable(11, primes)
     res = rosser_check(table, min(table.count, 50_000))
     (k,) = res.argmin
-    with iv_prec(512):
-        margin = iv.mpf(int(table.primes[k - 1])) - iv.mpf(k) * iv.log(k)
+    iv = iv_at(512)
+    margin = iv.mpf(int(table.primes[k - 1])) - iv.mpf(k) * iv.log(k)
     assert Fraction(res.worst_margin) <= _lower_end(margin)
 
 
@@ -762,23 +755,22 @@ def test_constant_upper_is_float_bound():
 
 def test_c_required_at_2_1(small_table):
     # (log(1+2^(-1/2))) * (1/2) * log(2)^(1/2) / 1
-    with iv_prec(128):
-        enc = eta_log_enclosures(2, [1], small_table)[1]
-        val = float((enc * iv.mpf(0.5) * iv.sqrt(iv.log(iv.mpf(2)))).mid)
+    iv = iv_at(128)
+    enc = eta_log_enclosures(2, [1], small_table, 128)[1]
+    val = float((enc * iv.mpf(0.5) * iv.sqrt(iv.log(iv.mpf(2)))).mid)
     assert val == pytest.approx(0.22262, abs=1e-5)
     assert val < float(ETA_CONSTANT_LO)
 
 
 def test_log_eta_sums_shared_by_campaigns_and_moments(small_table):
     primes = [int(p) for p in small_table.primes[:300]]
-    with iv_prec(128):
-        for t in (2, 7):
-            enc = eta_log_enclosures(t, [1, 300], small_table)
-            for k in (1, 300):
-                direct = eta_log_interval(primes[:k], t)
-                assert (enc[k].a, enc[k].b) == (direct.a, direct.b)
-        empty = eta_log_interval([], 3)
-        assert empty.a == empty.b == 0
+    for t in (2, 7):
+        enc = eta_log_enclosures(t, [1, 300], small_table, 128)
+        for k in (1, 300):
+            direct = eta_log_interval(primes[:k], t)
+            assert (enc[k].a, enc[k].b) == (direct.a, direct.b)
+    empty = eta_log_interval([], 3)
+    assert empty.a == empty.b == 0
 
 
 # ---------------------------------------------------------------------------
@@ -873,13 +865,13 @@ def test_induction_hard():
 def test_threshold_is_last_failing_k():
     """The t=2 threshold is exactly floor(exp(C/(C-1))): the induction
     condition fails at the threshold and holds one past it."""
-    with iv_prec(128):
-        from divlat.campaigns import eta_constant_interval
-        c = eta_constant_interval()
-        ratio = c / (c - 1)
-        at_thr = iv.log(iv.mpf(hard_threshold(2))) - ratio
-        past = iv.log(iv.mpf(hard_threshold(2) + 1)) - ratio
-        assert float(at_thr.b) < 0 < float(past.a)
+    from divlat.campaigns import eta_constant_interval
+    iv = iv_at(128)
+    c = eta_constant_interval(iv)
+    ratio = c / (c - 1)
+    at_thr = iv.log(iv.mpf(hard_threshold(2))) - ratio
+    past = iv.log(iv.mpf(hard_threshold(2) + 1)) - ratio
+    assert float(at_thr.b) < 0 < float(past.a)
 
 
 def test_rosser_at_campaign_scale(campaign_table):
@@ -895,13 +887,7 @@ def test_rosser_campaign_scale_is_small(campaign_table, monkeypatch):
     import tracemalloc
     from divlat import rosser_check
     calls = []
-    log = iv.log
-
-    def counted_log(x):
-        calls.append(x)
-        return log(x)
-
-    monkeypatch.setattr(iv, "log", counted_log)
+    spy_on_contexts(monkeypatch, "log", lambda level, x: calls.append(x))
     tracemalloc.start()
     try:
         res = rosser_check(campaign_table, 3_750_230)

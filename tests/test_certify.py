@@ -27,6 +27,8 @@ from divlat.certify import escalate, fraction_le_enclosure, int_vs_pow2, pow2_ce
 from divlat.errors import InconclusiveError
 from divlat.reports import BoundReport
 
+from conftest import spy_on_contexts
+
 #: the denominator the edge cases are drawn around
 B = 64
 
@@ -196,10 +198,11 @@ def test_escalate_runs_the_fixed_ladder():
     assert escalate(lambda prec: prec if prec >= 512 else None) == 512
 
 
-def test_escalate_owns_the_precision(monkeypatch):
-    """Each decide(level) runs at iv.prec == level, and the caller's
-    precision is back after a verdict, an InconclusiveError or an error."""
+def test_escalate_passes_the_level_and_sets_no_precision(monkeypatch):
+    """Each decide(level) sees its level, and mpmath's global `iv.prec` is
+    untouched during and after a verdict, an InconclusiveError or an error."""
     seen = []
+    start = iv.prec
 
     def probe(answer_at: int):
         def decide(level: int):
@@ -209,22 +212,30 @@ def test_escalate_owns_the_precision(monkeypatch):
             return True if level == answer_at else None
         return decide
 
-    with certify.iv_prec(53):
-        assert escalate(probe(512)) is True
-        assert seen == [(128, 128), (256, 256), (512, 512)] and iv.prec == 53
-        monkeypatch.setattr(certify, "PREC_CEILING", 1024)
-        with pytest.raises(InconclusiveError):
-            escalate(probe(0))
-        assert seen[3:] == [(128, 128), (256, 256), (512, 512), (1024, 1024)]
-        assert iv.prec == 53
-        monkeypatch.setattr(certify, "PREC_CEILING", 4096)
-        with pytest.raises(ZeroDivisionError):
-            escalate(probe(0))
-        assert seen[-1] == (2048, 2048) and iv.prec == 53
+    assert escalate(probe(512)) is True
+    assert seen == [(128, start), (256, start), (512, start)] and iv.prec == start
+    monkeypatch.setattr(certify, "PREC_CEILING", 1024)
+    with pytest.raises(InconclusiveError):
+        escalate(probe(0))
+    assert seen[3:] == [(128, start), (256, start), (512, start), (1024, start)]
+    assert iv.prec == start
+    monkeypatch.setattr(certify, "PREC_CEILING", 4096)
+    with pytest.raises(ZeroDivisionError):
+        escalate(probe(0))
+    assert seen[-1] == (2048, start) and iv.prec == start
+
+
+def test_each_level_has_one_context_at_its_precision():
+    """`iv_at(level)` is made once per level, at that precision."""
+    for level in (128, 256, 4096):
+        assert certify.iv_at(level) is certify.iv_at(level)
+        assert certify.iv_at(level).prec == level
+    assert certify.iv_at(128) is not iv
 
 
 def test_no_decide_sets_its_own_precision():
-    """escalate enters iv_prec(level); no decide closure in src names it."""
+    """No decide closure in src names a precision guard: each reads its
+    level's context from `iv_at`."""
     src = Path(certify.__file__).parent
     decides = [(path.name, node) for path in sorted(src.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text()))
@@ -245,7 +256,8 @@ def test_fraction_le_enclosure_returns_the_256_bit_verdict(x, verdict):
 
     def make_interval(level: int):
         tried.append(level)
-        return certify.iv_exact(y) + iv.mpf([-1, 1]) * iv.mpf(2) ** -level
+        ctx = certify.iv_at(level)
+        return certify.iv_exact(ctx, y) + ctx.mpf([-1, 1]) * ctx.mpf(2) ** -level
 
     assert certify.fraction_le_enclosure(x, make_interval) is verdict
     assert tried == [128, 256]
@@ -374,14 +386,14 @@ def test_dyadic_report_rounds_its_bound_up(value, hi, e, slack):
 def test_interval_ends_are_read_exactly():
     """The ends of iv.exp(3) at 128 bits, not their 53-bit roundings; a
     non-finite end is None."""
-    with certify.iv_prec(128):
-        y = iv.exp(3)
+    ctx = certify.iv_at(128)
+    y = ctx.exp(3)
     lo, hi, e = certify.interval_ends(y)
     assert (_dyadic(lo, e), _dyadic(hi, e)) == tuple(
         Fraction(*to_rational(end)) for end in y._mpi_)
     assert lo.bit_length() > 120 and 0 < hi - lo < 16
-    assert certify.interval_ends(iv.mpf([2, "inf"])) == (1, None, 1)
-    assert certify.interval_ends(iv.mpf([0, 0])) == (0, 0, 0)
+    assert certify.interval_ends(ctx.mpf([2, "inf"])) == (1, None, 1)
+    assert certify.interval_ends(ctx.mpf([0, 0])) == (0, 0, 0)
 
 
 def test_threshold_sweep_decides_at_128_bits(monkeypatch):
@@ -404,8 +416,7 @@ def test_threshold_sweep_decides_at_128_bits(monkeypatch):
             return decide(level)
         return escalate(logged, what)
 
-    exp = iv.exp
-    monkeypatch.setattr(iv, "exp", lambda x: exps.append(iv.prec) or exp(x))
+    spy_on_contexts(monkeypatch, "exp", lambda level, x: exps.append(level))
     monkeypatch.setattr(certify, "fraction_le_enclosure", refuse)
     monkeypatch.setattr(moments, "fraction_le_enclosure", refuse)
     monkeypatch.setattr(certify, "escalate", spy)
@@ -426,12 +437,12 @@ def test_threshold_sweep_decides_at_128_bits(monkeypatch):
 
 
 def _prec_writes(tree: ast.AST):
-    """(enclosing function, line) of every assignment to iv.prec / iv.dps."""
+    """(enclosing function, line) of every write to a `prec` or `dps`
+    attribute, by assignment or by setattr, whatever object holds it."""
     found = []
 
     def is_target(node) -> bool:
-        return (isinstance(node, ast.Attribute) and node.attr in ("prec", "dps")
-                and isinstance(node.value, ast.Name) and node.value.id == "iv")
+        return isinstance(node, ast.Attribute) and node.attr in ("prec", "dps")
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -442,8 +453,7 @@ def _prec_writes(tree: ast.AST):
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
             targets = [node.target]
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id == "setattr" and node.args
-              and isinstance(node.args[0], ast.Name) and node.args[0].id == "iv"):
+              and node.func.id == "setattr"):
             found.append((func, node.lineno))
         found.extend((func, node.lineno) for t in targets
                      for sub in ast.walk(t) if is_target(sub))
@@ -454,12 +464,38 @@ def _prec_writes(tree: ast.AST):
     return found
 
 
-def test_iv_prec_is_the_only_precision_writer():
+def _global_context_uses(tree: ast.AST) -> list[int]:
+    """Lines that import mpmath's global interval context `iv`, name `iv` or
+    `iv_prec`, or read `iv` as an attribute (`mpmath.iv`)."""
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mpmath")
+             and any(alias.name == "iv" for alias in node.names)]
+    lines += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id in ("iv", "iv_prec")]
+    lines += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "iv"]
+    return lines
+
+
+def test_iv_at_is_the_only_precision_writer():
+    """The one precision write in src fixes a new level's context in
+    `certify.iv_at`; no module imports, names or reads mpmath's global
+    interval context, so nothing reads or writes its precision."""
     src = Path(certify.__file__).parent
-    writers = {(path.name, func, line)
+    writers = [(path.name, func)
                for path in sorted(src.glob("*.py"))
-               for func, line in _prec_writes(ast.parse(path.read_text()))}
-    assert writers and {(name, func) for name, func, _ in writers} == {("certify.py", "iv_prec")}
-    # the guard itself sees a stray write
+               for func, line in _prec_writes(ast.parse(path.read_text()))]
+    assert writers == [("certify.py", "iv_at")]
+    uses = {path.name: _global_context_uses(ast.parse(path.read_text()))
+            for path in sorted(src.glob("*.py"))}
+    assert not any(uses.values()), uses
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert not any(word in text for word in ("iv.prec", "iv_prec", "from mpmath import iv"))
+    # the guards themselves see a stray write or use
     assert _prec_writes(ast.parse("def f():\n    iv.prec = 53\n")) == [("f", 2)]
+    assert _prec_writes(ast.parse("def f(ctx):\n    ctx.dps += 1\n")) == [("f", 2)]
     assert _prec_writes(ast.parse("setattr(iv, 'prec', 53)\n")) == [(None, 1)]
+    assert _global_context_uses(ast.parse("from mpmath import iv, mp\n")) == [1]
+    assert _global_context_uses(ast.parse("import mpmath\nx = mpmath.iv.prec\n")) == [2]
+    assert _global_context_uses(ast.parse("def f():\n    return iv.mpf(1)\n")) == [2]

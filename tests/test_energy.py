@@ -29,7 +29,7 @@ from divlat import (
     sinc_integral_check,
     vandermonde_positivity,
 )
-from divlat.certify import iv_exact, iv_prec
+from divlat.certify import iv_at, iv_exact
 from divlat.core import Factorization
 from divlat.energy import ExactPolynomial, _det, composition_counts, energy_sweep
 
@@ -408,11 +408,11 @@ def test_det_matches_leibniz(mat):
 @settings(max_examples=100, deadline=None)
 def test_det_interval_encloses_exact(mat):
     expected = _leibniz_det(mat)
-    with iv_prec(128):
-        got = _det([[iv_exact(v) for v in row] for row in mat])
-        if got is not None:
-            assert (got.a <= iv_exact(expected)) is True
-            assert (iv_exact(expected) <= got.b) is True
+    iv = iv_at(128)
+    got = _det([[iv_exact(iv, v) for v in row] for row in mat])
+    if got is not None:
+        assert (got.a <= iv_exact(iv, expected)) is True
+        assert (iv_exact(iv, expected) <= got.b) is True
     # an interval pivot is provably nonzero, so a singular input never gets one
     if expected == 0:
         assert got is None

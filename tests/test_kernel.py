@@ -10,7 +10,6 @@ from mpmath import iv
 
 import divlat
 from divlat import kernel
-from divlat.certify import iv_prec
 
 #: primes the library draws its roots from (the scan pool and beyond)
 PRIMES = (2, 3, 5, 7, 97, 7919, 104_729, 15_485_863)
@@ -59,9 +58,12 @@ def test_root_bracket_keeps_no_precision_state():
     and building it leaves `iv.prec` as it found it."""
     cases = [(3, 3, 40), (7919, 5, 160), (15_485_863, 99, 544), (2, 1, 160), (97, 2, 64)]
     want = [kernel._root_bracket.__wrapped__(*c) for c in cases]
-    with iv_prec(8):
+    old, iv.prec = iv.prec, 8
+    try:
         assert [kernel._root_bracket.__wrapped__(*c) for c in cases] == want
         assert iv.prec == 8
+    finally:
+        iv.prec = old
 
 
 def test_import_divlat_loads_no_numpy():

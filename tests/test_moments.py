@@ -16,7 +16,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import iv, mp, mpf
+from mpmath import mp, mpf
 
 from divlat import certify, kernel, moments
 from divlat import (
@@ -48,10 +48,10 @@ from divlat import (
     tau_trunc,
     tau_trunc_check,
 )
-from divlat.certify import interval_ends, iv_prec
+from divlat.certify import interval_ends, iv_at
 from divlat.moments import ALPHA_REFERENCE, thm_bounds
 
-from conftest import chain_bound_oracle
+from conftest import chain_bound_oracle, spy_on_contexts
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -335,7 +335,7 @@ def test_chain_check_sums_log_eta_once(monkeypatch):
 
     monkeypatch.setattr(kernel, "eta_fixed_point", counted)
     for name in ("log", "exp"):
-        monkeypatch.setattr(iv, name, lambda *a, name=name: transcendental.append(name))
+        spy_on_contexts(monkeypatch, name, lambda level, *a, name=name: transcendental.append(name))
     profile = divisor_profile(30030)
     rep = chain_check(profile, 3, moment_by_parts(profile, 3))
     assert rep.holds and calls == [(3, [6])] and transcendental == []
@@ -432,9 +432,10 @@ def test_thm_bounds_dominate(primes, t):
         assert Fraction(abs(lt)) <= Fraction(rep.bound_value)
 
 
-def _first_bound(n: int, t: int) -> "iv.mpf":
+def _first_bound(n: int, t: int, level: int):
     """(1 + [t==2]) n exp(C t w^(1-1/t) / ((1-1/t) log(w)^(1/t))) for w = omega(n) >= 2,
-    written out from the statement at the active precision."""
+    written out from the statement at `level` bits."""
+    iv = iv_at(level)
     w = iv.mpf(factorize(n).omega)
     ex = 1 - iv.mpf(1) / t
     expo = (iv.mpf(kernel.ETA_CONSTANT_HI) * t * iv.exp(iv.log(w) * ex)
@@ -446,8 +447,7 @@ def test_thm_bounds_refuse_what_the_rounded_float_admits():
     """A moment above the true first bound but below its upward-rounded
     float: the float rule m <= b1 passes it, the certified verdict not."""
     n = primorial(14)
-    with iv_prec(256):
-        m = 1 + int(_first_bound(n, 4).b)
+    m = 1 + int(_first_bound(n, 4, 256).b)
     first, _ = thm_bounds(factorize(n), 4, m)
     assert m <= first.bound_value
     assert not first.holds
@@ -457,10 +457,9 @@ def test_thm_bounds_escalate_inside_the_128_bit_enclosure(monkeypatch):
     """floor(bound) > 2^140 lies inside the 128-bit enclosure; a higher
     level decides it, and floor(bound) + 1 the other way."""
     n, t = 30, 60
-    with iv_prec(512):
-        y = _first_bound(n, t)
-        m = int(y.a)
-        assert m == int(y.b) and m > 2 ** 140  # floor(bound), exactly
+    y = _first_bound(n, t, 512)
+    m = int(y.a)
+    assert m == int(y.b) and m > 2 ** 140  # floor(bound), exactly
     escalations = []  # one list of (level, verdict) per escalate call
     escalate = certify.escalate
 
@@ -639,7 +638,7 @@ def test_eta_domain():
         with pytest.raises(ValueError):
             moments.eta_log_interval([2, 3], t)
         with pytest.raises(ValueError):
-            kernel.log_eta_sums([2, 3], t, [2])
+            kernel.log_eta_sums([2, 3], t, [2], 53)
 
 
 def test_H_chain():
@@ -679,8 +678,7 @@ def test_H_chain_exponentiates_each_q_once(monkeypatch):
     (omega, theta, t) with non-integral q takes no interval exp."""
     theta, t = Fraction(1, 3), 2  # q = 2 omega / 3, non-integral at omega = 5
     calls = []
-    exp = iv.exp
-    monkeypatch.setattr(iv, "exp", lambda x: calls.append(x) or exp(x))
+    spy_on_contexts(monkeypatch, "exp", lambda level, x: calls.append(x))
     certify.pow2_neg_ends.cache_clear()
     first = H_chain_check(divisor_profile(2310), theta, t)
     assert first.holds and calls
@@ -693,8 +691,7 @@ def test_H_theta_exponentiates_each_q_once(monkeypatch):
     """The count compares each |M| with one integer per q, pow2_ceil(q):
     q = 5/3 at omega = 5 takes one interval exp, for every n of that omega."""
     calls = []
-    exp = iv.exp
-    monkeypatch.setattr(iv, "exp", lambda x: calls.append(x) or exp(x))
+    spy_on_contexts(monkeypatch, "exp", lambda level, x: calls.append(x))
     certify.pow2_ceil.cache_clear()
     certify.pow2_neg_ends.cache_clear()
     for n in (2310, 2730, 3570):
@@ -709,8 +706,8 @@ def test_pow2_ends_enclose_the_power(q):
     """At levels far below and above DEFAULT_PREC the cached ends of 2^-q
     contain its enclosure at 300 bits, or at level + 64 bits past that."""
     for level in (8, 128, 512):
-        with iv_prec(max(300, level + 64)):
-            tlo, thi, te = interval_ends(iv.exp(-certify.iv_exact(q) * iv.ln2))
+        iv = iv_at(max(300, level + 64))
+        tlo, thi, te = interval_ends(iv.exp(-certify.iv_exact(iv, q) * iv.ln2))
         lo, hi, e = certify.pow2_neg_ends(q, level)
         assert lo * Fraction(2) ** e <= tlo * Fraction(2) ** te
         assert thi * Fraction(2) ** te <= hi * Fraction(2) ** e
